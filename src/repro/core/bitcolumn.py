@@ -4,7 +4,10 @@ A *column group* is a vector of ``G`` consecutive Int8 weights.  A *bit
 column* is one bit significance across all ``G`` weights of the group.
 A column is *zero* when every weight in the group has a zero bit at that
 significance; zero columns can be skipped by the BitWave compute engine
-and elided from storage by BCS compression.
+and elided from storage by BCS compression.  One kernel finds every zero
+column: the OR of a group's :func:`weight_bytes` is its column index
+(:func:`index_bytes`), the byte BCS stores and the ZCIP parses (Fig. 7),
+and its popcount is the group's cycle count.
 
 Grouping follows the paper: weights of one kernel are grouped along
 consecutive input channels (the ``C`` dimension), because the BitWave BCE
@@ -15,18 +18,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.signmag import sm_bitplanes, twos_complement_bitplanes
+from repro.core.signmag import as_int8, sm_bitplanes
+from repro.utils.bits import pack_bits, popcount8, unpack_bits
 
 #: Binary formats understood by the statistics functions.
 FORMATS = ("sm", "2c")
 
+#: Sign-magnitude byte of every Int8 value, indexed by its 2C byte.
+SM_BYTE = pack_bits(sm_bitplanes(
+    np.arange(256, dtype=np.uint8).view(np.int8), saturate=True))
 
-def _bitplanes(weights: np.ndarray, fmt: str) -> np.ndarray:
+
+def weight_bytes(weights: np.ndarray, fmt: str = "sm") -> np.ndarray:
+    """Each Int8 weight as a uint8 whose bit ``7 - p`` is its plane ``p``
+    (``"sm"``: sign in bit 7, -128 saturated to -127)."""
+    raw = as_int8(weights).view(np.uint8)
     if fmt == "sm":
-        return sm_bitplanes(weights, saturate=True)
+        return np.take(SM_BYTE, raw)
     if fmt == "2c":
-        return twos_complement_bitplanes(weights)
+        return raw
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def _grouped(flat: np.ndarray, group_size: int) -> np.ndarray:
+    if group_size < 1:
+        raise ValueError(f"group_size must be >= 1, got {group_size}")
+    pad = (-flat.size) % group_size
+    if pad:
+        flat = np.concatenate([flat, np.zeros(pad, dtype=flat.dtype)])
+    return flat.reshape(-1, group_size)
 
 
 def group_weights(weights: np.ndarray, group_size: int) -> np.ndarray:
@@ -40,13 +60,7 @@ def group_weights(weights: np.ndarray, group_size: int) -> np.ndarray:
 
     Returns an array of shape ``(n_groups, group_size)`` of dtype int8.
     """
-    if group_size < 1:
-        raise ValueError(f"group_size must be >= 1, got {group_size}")
-    flat = np.asarray(weights, dtype=np.int8).reshape(-1)
-    pad = (-flat.size) % group_size
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=np.int8)])
-    return flat.reshape(-1, group_size)
+    return _grouped(as_int8(weights).reshape(-1), group_size)
 
 
 def ungroup_weights(
@@ -60,6 +74,21 @@ def ungroup_weights(
             f"groups hold {flat.size} weights, need {size} for {original_shape}"
         )
     return flat[:size].reshape(original_shape)
+
+
+def index_bytes(data: np.ndarray, group_size: int) -> np.ndarray:
+    """Column index of each group of ``data`` (:func:`weight_bytes` grouped
+    like :func:`group_weights`): the OR of its bytes, so bit ``7 - p`` is
+    set iff plane ``p`` is a non-zero column."""
+    groups = _grouped(np.ascontiguousarray(data).reshape(-1), group_size)
+    # OR the group as words of up to 8 bytes, then fold the word's bytes:
+    # a per-byte reduction over a short axis is several times slower.
+    width = int(np.gcd(group_size, 8))
+    word = np.bitwise_or.reduce(groups.view(f"u{width}"), axis=1)
+    for shift in (32, 16, 8):
+        if shift < 8 * width:
+            word |= word >> shift
+    return word.astype(np.uint8)
 
 
 def zero_column_mask(groups: np.ndarray, fmt: str = "sm") -> np.ndarray:
@@ -82,8 +111,8 @@ def zero_column_mask(groups: np.ndarray, fmt: str = "sm") -> np.ndarray:
     groups = np.asarray(groups)
     if groups.ndim != 2:
         raise ValueError(f"expected (n_groups, G) array, got shape {groups.shape}")
-    planes = _bitplanes(groups, fmt)  # (n, G, 8)
-    return ~planes.any(axis=1)
+    index = index_bytes(weight_bytes(groups, fmt), groups.shape[1])
+    return unpack_bits(index) == 0
 
 
 def nonzero_column_counts(groups: np.ndarray, fmt: str = "sm") -> np.ndarray:
@@ -116,11 +145,10 @@ def bit_sparsity(weights: np.ndarray, fmt: str = "sm") -> float:
 
     Equivalent to :func:`column_sparsity` with ``group_size=1``.
     """
-    weights = np.asarray(weights, dtype=np.int8)
-    if weights.size == 0:
+    data = weight_bytes(weights, fmt)
+    if data.size == 0:
         return 0.0
-    planes = _bitplanes(weights, fmt)
-    return float(1.0 - planes.mean())
+    return float(1.0 - popcount8(data).sum() / (8 * data.size))
 
 
 def value_sparsity(weights: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from repro.core.bitcolumn import group_weights, ungroup_weights, zero_column_mask
-from repro.core.signmag import from_sign_magnitude, to_sign_magnitude
+from repro.core.signmag import as_int8, from_sign_magnitude, to_sign_magnitude
 
 #: Bit weights (powers of two) of the 7 magnitude planes, MSB first.
 _MAGNITUDE_WEIGHTS = 1 << np.arange(6, -1, -1)
@@ -105,7 +105,7 @@ def flip_groups(groups: np.ndarray, target_zero_columns: int) -> FlipResult:
         raise ValueError(
             f"target_zero_columns must be in [0, 8], got {target_zero_columns}"
         )
-    groups = np.asarray(groups, dtype=np.int8)
+    groups = as_int8(groups)
     n, _ = groups.shape
     sign, magnitude = to_sign_magnitude(groups, saturate=True)
     magnitude = magnitude.astype(np.int64)
@@ -149,7 +149,7 @@ def flip_groups(groups: np.ndarray, target_zero_columns: int) -> FlipResult:
 
 def flip_group(group: np.ndarray, target_zero_columns: int) -> FlipResult:
     """Flip a single group (1-D int8 vector) -- see :func:`flip_groups`."""
-    group = np.asarray(group, dtype=np.int8).reshape(1, -1)
+    group = as_int8(group).reshape(1, -1)
     result = flip_groups(group, target_zero_columns)
     return FlipResult(
         result.weights.reshape(-1),
@@ -167,7 +167,7 @@ def flip_layer(
     innermost (fastest-varying) axis walks consecutive input channels of
     one kernel, matching the BitWave group axis.
     """
-    weights = np.asarray(weights, dtype=np.int8)
+    weights = as_int8(weights)
     groups = group_weights(weights, group_size)
     result = flip_groups(groups, target_zero_columns)
     restored = ungroup_weights(result.weights, weights.shape)

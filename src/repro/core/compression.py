@@ -8,7 +8,9 @@ BCS compression stores, per column group of ``G`` weights:
 
 Compression is lossless and -- unlike value-sparsity formats -- keeps
 memory accesses regular: the stored stream is consumed directly by the
-compute array without a decompression stage.
+compute array without a decompression stage.  :func:`bcs_compress`
+builds the stream, for round trips and deployment only; its ratios follow
+in closed form (:func:`bcs_ratios`) from the non-zero column histogram.
 
 The module also implements the two value-sparsity baselines of Fig. 5:
 
@@ -28,8 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.bitcolumn import group_weights, ungroup_weights, zero_column_mask
-from repro.core.signmag import from_sm_bitplanes, sm_bitplanes
+from repro.core.bitcolumn import (
+    group_weights,
+    index_bytes,
+    ungroup_weights,
+    weight_bytes,
+)
+from repro.core.signmag import from_sm_bitplanes
+from repro.utils.bits import popcount8, unpack_bits
 
 WORD_BITS = 8
 
@@ -93,23 +101,16 @@ class BCSCompressed:
 
 def bcs_compress(weights: np.ndarray, group_size: int) -> BCSCompressed:
     """Compress an Int8 weight tensor with BCS at the given group size."""
-    weights = np.asarray(weights, dtype=np.int8)
-    groups = group_weights(weights, group_size)
-    planes = sm_bitplanes(groups, saturate=True)  # (n, G, 8)
-    nz_mask = planes.any(axis=1)  # (n, 8) True where column non-zero
-
-    # Index byte: bit position (7 - plane) so that the byte MSB flags the
-    # sign column, as consumed by the ZCIP (Fig. 7).
-    weights_of_planes = (1 << np.arange(7, -1, -1)).astype(np.uint16)
-    indices = (nz_mask * weights_of_planes).sum(axis=1).astype(np.uint8)
-
+    data = weight_bytes(group_weights(weights, group_size))  # (n, G)
+    indices = index_bytes(data, group_size)
     # Gather non-zero columns: planes transposed to (n, 8, G) then select.
-    cols = planes.transpose(0, 2, 1)[nz_mask]  # (total_nz, G)
+    planes = unpack_bits(data).transpose(0, 2, 1)
+    cols = planes[unpack_bits(indices).astype(bool)]  # (total_nz, G)
     return BCSCompressed(
         indices=indices,
-        columns=cols.astype(np.uint8),
+        columns=cols,
         group_size=group_size,
-        original_shape=tuple(weights.shape),
+        original_shape=np.shape(weights),
     )
 
 
@@ -123,21 +124,25 @@ def bcs_decompress(compressed: BCSCompressed) -> np.ndarray:
     return ungroup_weights(groups, compressed.original_shape)
 
 
+def bcs_ratios(nz_hist: np.ndarray, group_size: int,
+               weight_count: int) -> tuple[float, float]:
+    """``(real, ideal)`` CR of the BCS stream whose groups have ``k``
+    non-zero columns ``nz_hist[k]`` times, sized as :class:`BCSCompressed`."""
+    payload_bits = int((np.arange(9) * nz_hist).sum()) * group_size
+    index_bits = int(nz_hist.sum()) * WORD_BITS
+    original_bits = weight_count * WORD_BITS
+    return (original_bits / max(payload_bits + index_bits, 1),
+            original_bits / max(payload_bits, 1))
+
+
 def bcs_compression_ratio(
     weights: np.ndarray, group_size: int, ideal: bool = False
 ) -> float:
-    """Convenience wrapper returning the (real or ideal) BCS CR."""
-    compressed = bcs_compress(weights, group_size)
-    if ideal:
-        return compressed.ideal_compression_ratio
-    return compressed.compression_ratio
-
-
-def bcs_nonzero_column_fraction(weights: np.ndarray, group_size: int) -> float:
-    """Fraction of non-zero columns; drives BitWave's compute skipping."""
-    groups = group_weights(weights, group_size)
-    mask = zero_column_mask(groups, fmt="sm")
-    return float(1.0 - mask.mean()) if mask.size else 1.0
+    """The (real or ideal) CR of :func:`bcs_compress`'s stream."""
+    data = weight_bytes(weights)
+    nz_hist = np.bincount(popcount8(index_bytes(data, group_size)), minlength=9)
+    real, ideal_cr = bcs_ratios(nz_hist, group_size, data.size)
+    return ideal_cr if ideal else real
 
 
 def zre_compression_ratio(

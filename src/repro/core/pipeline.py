@@ -18,13 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bitcolumn import (
-    column_sparsity,
-    group_weights,
-    nonzero_column_counts,
-)
+from repro.core.bitcolumn import column_sparsity
 from repro.core.bitflip import flip_layer
 from repro.core.compression import BCSCompressed, bcs_compress
+from repro.utils.bits import popcount8
 
 #: Group sizes the BitWave hardware supports layer-wise (Section III-C).
 SUPPORTED_GROUP_SIZES = (8, 16, 32)
@@ -53,8 +50,7 @@ class LayerDeployment:
     @property
     def nonzero_column_counts(self) -> np.ndarray:
         """Per-group cycle counts consumed by the BitWave compute engine."""
-        groups = group_weights(self.weights, self.group_size)
-        return nonzero_column_counts(groups, fmt="sm")
+        return popcount8(self.compressed.indices).astype(np.int64)
 
 
 @dataclass

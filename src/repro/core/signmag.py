@@ -29,7 +29,8 @@ MAGNITUDE_PLANES = tuple(range(1, 8))
 PLANE_SIGNIFICANCE = {plane: 7 - plane for plane in MAGNITUDE_PLANES}
 
 
-def _as_int8(weights: np.ndarray) -> np.ndarray:
+def as_int8(weights: np.ndarray) -> np.ndarray:
+    """Cast to int8, raising where ``astype`` would truncate or wrap."""
     weights = np.asarray(weights)
     if weights.dtype != np.int8:
         if not np.issubdtype(weights.dtype, np.integer):
@@ -58,7 +59,7 @@ def to_sign_magnitude(
         ``sign`` is uint8 with 1 for negative values; ``magnitude`` is
         uint8 in [0, 127].
     """
-    weights = _as_int8(weights)
+    weights = as_int8(weights)
     if np.any(weights == -128):
         if not saturate:
             raise ValueError(
@@ -110,7 +111,7 @@ def from_sm_bitplanes(planes: np.ndarray) -> np.ndarray:
 
 def twos_complement_bitplanes(weights: np.ndarray) -> np.ndarray:
     """Two's complement bit planes (uint8, plane 0 = MSB = sign)."""
-    weights = _as_int8(weights)
+    weights = as_int8(weights)
     return unpack_bits(weights.view(np.uint8))
 
 

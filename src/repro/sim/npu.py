@@ -38,13 +38,15 @@ import numpy as np
 
 from repro.arch import ArchSpec, default_arch
 from repro.arch.spec import SEGMENT_KERNELS  # noqa: F401  (canonical home)
-from repro.core.signmag import sm_bitplanes
+from repro.core.bitcolumn import index_bytes, weight_bytes
+from repro.core.signmag import as_int8
 from repro.obs import counter, trace
 from repro.sim.bce import BitColumnEngine, BitPlaneEngine
 from repro.sim.dispatcher import DataDispatcher
 from repro.sim.energy import SimEnergyBreakdown, price_matmul
 from repro.sim.fetcher import DataFetcher
 from repro.sim.zcip import ZeroColumnIndexParser
+from repro.utils.bits import unpack_bits
 
 #: Datapath implementations selectable on :class:`BitWaveNPU`.
 BACKENDS = ("vectorized", "reference")
@@ -147,18 +149,11 @@ class BitWaveNPU:
         """
         k, c = weights.shape
         g = self.group_size
-        pad = (-c) % g
-        if pad:
-            weights = np.concatenate(
-                [weights, np.zeros((k, pad), dtype=np.int8)], axis=1)
-        groups = weights.reshape(k, -1, g)
-        planes = sm_bitplanes(groups, saturate=True)  # (K, ng, G, 8)
-        planes = planes.transpose(0, 1, 3, 2)  # (K, ng, 8, G)
-        signs = planes[:, :, 0, :]
-        nz_mask = planes.any(axis=3)  # (K, ng, 8)
-        bit_weights = (1 << np.arange(7, -1, -1)).astype(np.uint16)
-        index = (nz_mask * bit_weights).sum(axis=2).astype(np.uint8)
-        return planes, signs, index
+        weights = np.pad(weights, ((0, 0), (0, (-c) % g)))
+        data = weight_bytes(weights.reshape(k, -1, g))  # (K, ng, G)
+        index = index_bytes(data, g).reshape(data.shape[:2])
+        planes = unpack_bits(data).transpose(0, 1, 3, 2)  # (K, ng, 8, G)
+        return planes, planes[:, :, 0, :], index
 
     # -- datapath backends ---------------------------------------------
     def _compute_reference(
@@ -225,7 +220,7 @@ class BitWaveNPU:
 
         ``weights`` is int8 ``(K, C)``; ``activations`` integer ``(N, C)``.
         """
-        weights = np.asarray(weights, dtype=np.int8)
+        weights = as_int8(weights)
         activations = np.asarray(activations)
         if not np.issubdtype(activations.dtype, np.integer):
             raise TypeError("simulator activations must be integers")
@@ -317,7 +312,7 @@ class BitWaveNPU:
         ``weights`` int8 ``(K, C, FY, FX)``; ``activations`` integer
         ``(B, C, H, W)``.  Outputs come back as ``(B, K, OH, OW)``.
         """
-        weights = np.asarray(weights, dtype=np.int8)
+        weights = as_int8(weights)
         activations = np.asarray(activations)
         k, c, fy, fx = weights.shape
         b = activations.shape[0]

@@ -74,10 +74,6 @@ class ParsedIndex:
     shifts: tuple[int, ...]
     sync_counter: int
 
-    @property
-    def nonzero_columns(self) -> int:
-        return self.sync_counter
-
 
 @dataclass(frozen=True)
 class ParsedIndexArray:

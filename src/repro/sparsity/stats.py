@@ -12,22 +12,24 @@ tensor is collected once into a :class:`LayerWeightStats`:
 - per-group non-zero-column histograms for each supported group size,
   which drive BitWave's cycle model and BCS compression ratios.
 
-Histograms rather than raw arrays keep network-level profiles small;
-order statistics over accelerator sync domains are computed from the
+Histograms rather than raw arrays keep network-level profiles small,
+and a profile is built from them too: a 256-bin histogram of the weight
+bytes plus one :mod:`repro.core.bitcolumn` kernel pass per group size.
+Order statistics over accelerator sync domains are computed from the
 histograms with the i.i.d. max formula
 ``E[max of m] = sum_v v * (F(v)^m - F(v-1)^m)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.bitcolumn import group_weights, nonzero_column_counts
-from repro.core.compression import bcs_compress
-from repro.core.signmag import sm_bitplanes, twos_complement_bitplanes
-from repro.utils.bits import popcount8
+from repro.core.bitcolumn import SM_BYTE, index_bytes, weight_bytes
+from repro.core.compression import bcs_ratios
+from repro.core.signmag import as_int8
+from repro.utils.bits import popcount8, unpack_bits
 
 # Hardware-supported column sizes (Section III-C) plus 64 for the
 # depthwise SU7 dataflow's wider sync group.
@@ -45,6 +47,11 @@ def expected_max_of_sample(histogram: np.ndarray, m: int) -> float:
     cdf_prev = np.concatenate([[0.0], cdf[:-1]])
     values = np.arange(len(histogram))
     return float((values * (cdf ** m - cdf_prev ** m)).sum())
+
+
+def _hist_mean(hist: np.ndarray) -> float:
+    total = hist.sum()
+    return float((np.arange(9) * hist).sum() / total) if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -68,18 +75,10 @@ class LayerWeightStats:
 
     @property
     def essential_bits_mean(self) -> float:
-        hist = self.essential_bits_hist
-        total = hist.sum()
-        if total == 0:
-            return 0.0
-        return float((np.arange(9) * hist).sum() / total)
+        return _hist_mean(self.essential_bits_hist)
 
     def mean_nz_columns(self, group_size: int) -> float:
-        hist = self.nz_column_hists[group_size]
-        total = hist.sum()
-        if total == 0:
-            return 0.0
-        return float((np.arange(9) * hist).sum() / total)
+        return _hist_mean(self.nz_column_hists[group_size])
 
     def expected_max_nz_columns(self, group_size: int, domain: int) -> float:
         """E[max non-zero columns] over a sync domain of ``domain`` groups."""
@@ -109,23 +108,9 @@ class LayerWeightStats:
             capped[cap + 1:] = 0
             capped[cap] += overflow
             hists[g] = capped
-            n_groups = int(capped.sum())
-            payload_bits = float((np.arange(9) * capped).sum()) * g
-            index_bits = n_groups * 8.0
-            original_bits = self.weight_count * 8.0
-            crs[g] = original_bits / max(payload_bits + index_bits, 1.0)
-            crs_ideal[g] = original_bits / max(payload_bits, 1.0)
-        return LayerWeightStats(
-            weight_count=self.weight_count,
-            value_sparsity=self.value_sparsity,
-            bit_sparsity_2c=self.bit_sparsity_2c,
-            bit_sparsity_sm=self.bit_sparsity_sm,
-            essential_bits_hist=self.essential_bits_hist,
-            significance_occupancy=self.significance_occupancy,
-            nz_column_hists=hists,
-            bcs_cr=crs,
-            bcs_cr_ideal=crs_ideal,
-        )
+            crs[g], crs_ideal[g] = bcs_ratios(capped, g, self.weight_count)
+        return replace(self, nz_column_hists=hists, bcs_cr=crs,
+                       bcs_cr_ideal=crs_ideal)
 
 
 def compute_layer_stats(
@@ -133,35 +118,29 @@ def compute_layer_stats(
     group_sizes: tuple[int, ...] = GROUP_SIZES,
 ) -> LayerWeightStats:
     """Collect the full sparsity profile of an Int8 weight tensor."""
-    flat = np.asarray(weights, dtype=np.int8).reshape(-1)
+    flat = as_int8(weights).reshape(-1)
     n = flat.size
     if n == 0:
         raise ValueError("cannot profile an empty tensor")
 
-    tc_planes = twos_complement_bitplanes(flat)
-    sm_planes = sm_bitplanes(flat, saturate=True)
-    essential = popcount8(flat.view(np.uint8))
-    essential_hist = np.bincount(essential, minlength=9).astype(np.int64)
+    byte_hist = np.bincount(flat.view(np.uint8), minlength=256)
+    plane_ones = byte_hist @ unpack_bits(np.arange(256, dtype=np.uint8))
+    sm_bytes = weight_bytes(flat, "sm")
 
-    nz_hists: dict[int, np.ndarray] = {}
-    crs: dict[int, float] = {}
-    crs_ideal: dict[int, float] = {}
-    for g in group_sizes:
-        groups = group_weights(weights, g)
-        counts = nonzero_column_counts(groups, fmt="sm")
-        nz_hists[g] = np.bincount(counts, minlength=9).astype(np.int64)
-        compressed = bcs_compress(weights, g)
-        crs[g] = compressed.compression_ratio
-        crs_ideal[g] = compressed.ideal_compression_ratio
+    nz_hists = {g: np.bincount(popcount8(index_bytes(sm_bytes, g)),
+                               minlength=9) for g in group_sizes}
+    ratios = {g: bcs_ratios(nz_hists[g], g, n) for g in group_sizes}
 
     return LayerWeightStats(
         weight_count=n,
-        value_sparsity=float((flat == 0).mean()),
-        bit_sparsity_2c=float(1.0 - tc_planes.mean()),
-        bit_sparsity_sm=float(1.0 - sm_planes.mean()),
-        essential_bits_hist=essential_hist,
-        significance_occupancy=tc_planes.mean(axis=0),
+        value_sparsity=float(byte_hist[0] / n),
+        bit_sparsity_2c=float(1.0 - plane_ones.sum() / (8 * n)),
+        bit_sparsity_sm=float(1.0 - byte_hist @ popcount8(SM_BYTE) / (8 * n)),
+        essential_bits_hist=np.bincount(
+            popcount8(np.arange(256)), weights=byte_hist,
+            minlength=9).astype(np.int64),
+        significance_occupancy=plane_ones / n,
         nz_column_hists=nz_hists,
-        bcs_cr=crs,
-        bcs_cr_ideal=crs_ideal,
+        bcs_cr={g: real for g, (real, _) in ratios.items()},
+        bcs_cr_ideal={g: ideal for g, (_, ideal) in ratios.items()},
     )

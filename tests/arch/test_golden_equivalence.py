@@ -22,6 +22,21 @@ pure refactor) with::
                'tab4': tab4_pe_types.run()},
               open('tests/arch/golden/harness_outputs.json', 'w'),
               indent=2, sort_keys=True)"
+
+``tests/arch/golden/stats_outputs.json`` pins the three harnesses that
+read the bit-column statistics directly (Figs. 1, 4 and 5), captured
+from the plane-unpacking implementation before the index-byte kernel
+replaced it.  Regenerate it the same way, only when the statistics are
+meant to change::
+
+    PYTHONPATH=src python -c "
+    import json
+    from repro.experiments import (fig01_sparsity, fig04_bcs_2c_vs_sm,
+        fig05_compression)
+    json.dump({'fig01': fig01_sparsity.run(), 'fig04': fig04_bcs_2c_vs_sm.run(),
+               'fig05': fig05_compression.run()},
+              open('tests/arch/golden/stats_outputs.json', 'w'),
+              indent=2, sort_keys=True)"
 """
 
 from __future__ import annotations
@@ -32,6 +47,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "harness_outputs.json"
+STATS_GOLDEN_PATH = Path(__file__).parent / "golden" / "stats_outputs.json"
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +120,26 @@ class TestGoldenAreaPower:
         from repro.experiments import tab4_pe_types
 
         assert _canonical(tab4_pe_types.run()) == golden["tab4"]
+
+
+class TestGoldenStatistics:
+    """Figs. 1, 4 and 5 from the bit-column statistics, bit-identical."""
+
+    @pytest.fixture(scope="class")
+    def stats_golden(self):
+        return json.loads(STATS_GOLDEN_PATH.read_text())
+
+    def test_fig01_sparsity(self, stats_golden):
+        from repro.experiments import fig01_sparsity
+
+        assert _canonical(fig01_sparsity.run()) == stats_golden["fig01"]
+
+    def test_fig04_bcs_2c_vs_sm(self, stats_golden):
+        from repro.experiments import fig04_bcs_2c_vs_sm
+
+        assert _canonical(fig04_bcs_2c_vs_sm.run()) == stats_golden["fig04"]
+
+    def test_fig05_compression(self, stats_golden):
+        from repro.experiments import fig05_compression
+
+        assert _canonical(fig05_compression.run()) == stats_golden["fig05"]

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.bitcolumn import column_sparsity
 from repro.core.compression import (
     bcs_compress,
     bcs_compression_ratio,
     bcs_decompress,
-    bcs_nonzero_column_fraction,
     csr_compression_ratio,
     zre_compression_ratio,
 )
@@ -81,7 +81,7 @@ class TestBcsAccounting:
         assert real_g8 > real_g1
 
     def test_nonzero_column_fraction_bounds(self, laplacian_int8):
-        f = bcs_nonzero_column_fraction(laplacian_int8, 16)
+        f = 1.0 - column_sparsity(laplacian_int8, 16, "sm")
         assert 0.0 < f < 1.0
 
 

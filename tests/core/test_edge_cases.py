@@ -8,10 +8,22 @@ weight patterns.
 import numpy as np
 import pytest
 
-from repro.core.bitcolumn import group_weights, zero_column_mask
-from repro.core.bitflip import flip_group, flip_groups
-from repro.core.compression import BCSCompressed, bcs_compress, bcs_decompress
+from repro.core.bitcolumn import (
+    bit_sparsity,
+    column_sparsity,
+    group_weights,
+    zero_column_mask,
+)
+from repro.core.bitflip import flip_group, flip_groups, flip_layer
+from repro.core.compression import (
+    BCSCompressed,
+    bcs_compress,
+    bcs_compression_ratio,
+    bcs_decompress,
+)
 from repro.core.signmag import sm_bitplanes, to_sign_magnitude
+from repro.sim.npu import BitWaveNPU
+from repro.sparsity.stats import compute_layer_stats
 
 
 class TestExtremeValues:
@@ -47,6 +59,33 @@ class TestExtremeValues:
         mask = zero_column_mask(groups)
         # 37 = 0b0100101: sign + 3 ones -> 4 non-zero columns.
         assert (~mask).sum() == 4
+
+
+class TestInt8Validation:
+    """Every kernel entry rejects what ``astype(np.int8)`` would hide:
+    200 would wrap to -56 and 0.7 would truncate to 0."""
+
+    @pytest.mark.parametrize("weights", [
+        np.array([200, 3, -3, 1]),
+        np.array([0.7, 1.2, 3.9]),
+    ], ids=["out-of-range", "float"])
+    @pytest.mark.parametrize("entry", [
+        compute_layer_stats,
+        lambda w: group_weights(w, 4),
+        bit_sparsity,
+        lambda w: column_sparsity(w, 4),
+        lambda w: bcs_compress(w, 4),
+        lambda w: bcs_compression_ratio(w, 4),
+        lambda w: zero_column_mask(w.reshape(1, -1)),
+        lambda w: flip_layer(w, 4, 4),
+        lambda w: BitWaveNPU(group_size=4).run_fc(
+            w.reshape(1, -1), np.ones((1, w.size), dtype=np.int64)),
+    ], ids=["compute_layer_stats", "group_weights", "bit_sparsity",
+            "column_sparsity", "bcs_compress", "bcs_compression_ratio",
+            "zero_column_mask", "flip_layer", "run_fc"])
+    def test_rejects_non_int8(self, entry, weights):
+        with pytest.raises((TypeError, ValueError), match="int"):
+            entry(weights)
 
 
 class TestCorruptedStreams:
