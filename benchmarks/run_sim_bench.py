@@ -32,8 +32,8 @@ def collect_obs_phases() -> dict:
 
     Runs *separately* from the timed benchmark pass (tracing must not
     perturb the numbers the perf trajectory compares), on a mini
-    workload: the per-phase table (encode/decode/GEMM/energy/lowering)
-    says where sim wall-clock goes, not how much there is of it.
+    workload: the per-phase table (weights/stats/encode/decode) says
+    where sim evaluation wall-clock goes, not how much there is of it.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro import obs

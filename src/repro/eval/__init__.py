@@ -13,8 +13,10 @@ plug into:
   energy_pj, macs, per-layer breakdowns, traffic, the arch's clock)
   with ``effective_tops`` / ``efficiency_tops_per_w`` derived
   uniformly;
-- :class:`EvalBackend` + a registry with three built-ins (``model``,
-  ``sim-vectorized``, ``sim-reference``);
+- :class:`EvalBackend` + a registry with two built-ins: ``model`` and
+  ``sim-vectorized``, the simulator's cycle/traffic counters over every
+  output context of every layer (computed from the weights' index
+  bytes alone -- no activations, no GEMM, no context cap);
 - :func:`evaluate` -- the single entry point, with store-backed caching
   keyed by request hash and namespaced by backend source fingerprints.
 

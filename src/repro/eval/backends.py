@@ -3,15 +3,17 @@
 - ``model`` answers requests through the STEP1-STEP4 analytical
   pipeline (:class:`repro.accelerators.base.Accelerator`), for any of
   the six modelled accelerators and every BitWave ablation rung.
-- ``sim-vectorized`` / ``sim-reference`` lower each workload layer onto
-  a :class:`repro.sim.npu.BitWaveNPU` run (see
-  :mod:`repro.eval.lowering`) -- whole-network layer tables simulated
-  structurally, not just modelled.  Simulator results report cycles,
-  traffic *and* energy (the counters priced with the arch's
+- ``sim-vectorized`` lowers each workload layer onto the counters of a
+  :class:`repro.sim.npu.BitWaveNPU` (see :mod:`repro.eval.lowering`)
+  -- whole-network layer tables counted structurally from the index
+  bytes, not just modelled.  Simulator results report cycles, traffic
+  *and* energy (the counters priced with the arch's
   :class:`repro.arch.TechSpec`) plus, per layer, the matched analytical
   compute-cycle and energy predictions and their deviations, so every
   sim-backed result doubles as a Section V-B style model-validation
-  point.
+  point.  The name predates the counters-only evaluation and is kept
+  because stored campaigns key on it; the datapaths themselves stay
+  reachable through ``BitWaveNPU(backend=...)``.
 
 Both backends construct their machine from the request's ``arch`` axis
 (:mod:`repro.arch`): the model prices with the arch's technology and
@@ -88,27 +90,23 @@ class ModelBackend:
 
 
 class SimBackend:
-    """One structural-simulator datapath as an :class:`EvalBackend`."""
+    """The structural simulator's counters as an :class:`EvalBackend`."""
 
-    def __init__(self, datapath: str) -> None:
-        self.datapath = datapath
-        self.name = f"sim-{datapath}"
+    name = "sim-vectorized"
 
     def fingerprint(self) -> str:
         return sim_backend_fingerprint()
 
     def evaluate(self, request: EvalRequest) -> EvalResult:
         request.validate()
-        options = request.options
         arch: ArchSpec = parse_arch(request.arch)
         layers = []
-        for spec in network_layers(request.workload, batch=options.batch):
-            npu = BitWaveNPU(arch=arch, backend=self.datapath)
+        for spec in network_layers(request.workload,
+                                   batch=request.options.batch):
+            npu = BitWaveNPU(arch=arch)
             with trace("eval.lower.weights", layer=spec.name):
                 weights = layer_matmul_weights(spec)
-            run = simulate_layer(spec, npu,
-                                 max_contexts=options.sim_max_contexts,
-                                 weights=weights)
+            run = simulate_layer(spec, npu, weights=weights)
             with trace("eval.lower.stats", layer=spec.name):
                 stats = layer_stats_for_sim(spec, arch.group_size,
                                             weights=weights)
@@ -152,7 +150,6 @@ class SimBackend:
                     "analytic_energy_pj": analytic_pj,
                     "energy_deviation": energy_deviation(
                         run.energy.total_pj, analytic_pj),
-                    "simulated_rows": run.simulated_rows,
                     "total_rows": run.total_rows,
                 },
             ))
@@ -167,5 +164,4 @@ class SimBackend:
 
 #: Built-in backends, registered at import.
 MODEL_BACKEND_INSTANCE = register_backend(ModelBackend())
-SIM_VECTORIZED_BACKEND = register_backend(SimBackend("vectorized"))
-SIM_REFERENCE_BACKEND = register_backend(SimBackend("reference"))
+SIM_VECTORIZED_BACKEND = register_backend(SimBackend())

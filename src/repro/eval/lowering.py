@@ -4,17 +4,13 @@ The simulator executes matmuls: an FC layer runs directly, and every
 convolution lowers to its im2col matrix (the layout
 :func:`repro.workloads.synthetic.synthetic_weights` already uses).
 This module turns a :class:`repro.workloads.spec.LayerSpec` into one
-:meth:`BitWaveNPU.run_fc` call and rescales the cycle/traffic counts to
-the layer's full output-context count.
+:meth:`BitWaveNPU.matmul_counters` call over the layer's full output
+row count and prices the counters with the whole-network fusion rules.
 
-The rescale is exact, not an approximation: the datapath serializes
-output contexts over the spatial ``OXu`` unroll, so
-``compute_cycles = per_block_cycles * n_blocks`` (see
-:meth:`repro.sim.npu.BitWaveNPU.run_fc`).  Simulating ``max_contexts``
-rows measures ``per_block_cycles`` bit-exactly; multiplying by the full
-block count reproduces the cycles a full simulation would report.
-Weight traffic is context-independent; activation traffic scales with
-the true row count.
+The counters need no activations: a layer's cycle count follows from
+its weights' index bytes, and output contexts beyond the spatial
+``OXu`` unroll only serialize, so every row count is counted exactly
+without running a GEMM.
 
 :func:`analytic_compute_cycles` is the matching analytical-model half
 (BitWave's lock-stepped column cycle formula), shared by the Section
@@ -23,7 +19,7 @@ V-B validation harness and the cross-backend deviation metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,10 +31,8 @@ from repro.sim.energy import (
     price_matmul,
     weight_stream_passes,
 )
-from repro.sim.fetcher import DataFetcher
-from repro.sim.npu import SEGMENT_KERNELS, BitWaveNPU
+from repro.sim.npu import SEGMENT_KERNELS, BitWaveNPU, MatmulCounters
 from repro.sparsity.stats import LayerWeightStats, compute_layer_stats
-from repro.utils.rng import seeded_rng
 from repro.workloads.spec import LayerSpec
 from repro.workloads.synthetic import synthetic_weights
 
@@ -58,32 +52,16 @@ def _sram_capacities(arch: ArchSpec) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class SimLayerRun:
-    """Full-layer counters reconstructed from a truncated simulation."""
+class SimLayerRun(MatmulCounters):
+    """Full-layer counters of one simulated layer, priced."""
 
-    #: Datapath compute cycles for every output context of the layer.
-    compute_cycles: int
-    #: Fetcher cycles (weights + full activation stream).
-    fetch_cycles: int
-    #: ZCIP column operations (context-independent).
-    column_ops: int
-    #: Compressed weight stream, index bytes included (bits).
-    weight_bits_fetched: int
-    #: Uncompressed weight footprint (bits).
-    dense_weight_bits: int
     #: Activation words of the full layer.
     act_words: int
-    #: Output contexts actually simulated / in the full layer.
-    simulated_rows: int
+    #: Output contexts of the full layer.
     total_rows: int
     #: Full-layer counters priced with the spec's technology
     #: (:mod:`repro.sim.energy`).
     energy: SimEnergyBreakdown
-
-    @property
-    def total_cycles(self) -> int:
-        """Compute and fetch overlap; the longer stream dominates."""
-        return max(self.compute_cycles, self.fetch_cycles)
 
     @property
     def energy_pj(self) -> float:
@@ -107,13 +85,6 @@ def layer_matmul_weights(spec: LayerSpec) -> np.ndarray:
     return synthetic_weights(spec)
 
 
-def layer_matmul_activations(spec: LayerSpec, rows: int) -> np.ndarray:
-    """Deterministic int8-range activations for ``rows`` contexts."""
-    rng = seeded_rng("eval-sim-acts", spec.network, spec.name)
-    return rng.integers(-128, 128,
-                        (rows, matmul_reduction(spec))).astype(np.int32)
-
-
 def output_rows(spec: LayerSpec) -> int:
     """Output contexts the datapath serializes over ``OXu``."""
     return spec.b * spec.ox * spec.oy
@@ -122,79 +93,49 @@ def output_rows(spec: LayerSpec) -> int:
 def simulate_layer(
     spec: LayerSpec,
     npu: BitWaveNPU,
-    max_contexts: int = 64,
     weights: np.ndarray | None = None,
 ) -> SimLayerRun:
-    """Run one layer's matmul on ``npu``, rescaled to full contexts.
+    """Count one layer's matmul on ``npu`` over every output context.
 
     ``weights`` lets a caller that already materialized the layer's
     synthetic weights (they are not cached) reuse them.  Each call
-    emits an ``eval.lower.layer`` span (with the simulator dispatch
-    under ``eval.lower.sim_call``) when tracing is on.
+    emits an ``eval.lower.layer`` span (with the simulator call under
+    ``eval.lower.sim_call``) when tracing is on.
     """
     with trace("eval.lower.layer", layer=spec.name, network=spec.network,
                kind=spec.kind):
-        return _simulate_layer(spec, npu, max_contexts, weights)
+        if weights is None:
+            with trace("eval.lower.weights", layer=spec.name):
+                weights = layer_matmul_weights(spec)
+        rows = output_rows(spec)
+        with trace("eval.lower.sim_call", layer=spec.name):
+            counters = npu.matmul_counters(weights, rows)
 
-
-def _simulate_layer(
-    spec: LayerSpec,
-    npu: BitWaveNPU,
-    max_contexts: int,
-    weights: np.ndarray | None,
-) -> SimLayerRun:
-    if weights is None:
-        with trace("eval.lower.weights", layer=spec.name):
-            weights = layer_matmul_weights(spec)
-    rows = output_rows(spec)
-    sim_rows = rows if max_contexts == 0 else min(rows, max_contexts)
-    with trace("eval.lower.sim_call", layer=spec.name):
-        run = npu.run_fc(weights, layer_matmul_activations(spec, sim_rows))
-
-    blocks_sim = _ceil_div(sim_rows, npu.oxu)
-    blocks_full = _ceil_div(rows, npu.oxu)
-    # run.compute_cycles is an exact multiple of blocks_sim (per-block
-    # cycles times the simulated block count), so this is lossless.
-    compute_cycles = run.compute_cycles // blocks_sim * blocks_full
-
-    k, reduction = weights.shape
-    act_words = rows * reduction
-    fetcher = DataFetcher(npu.fetcher.weight_bw_bits, npu.fetcher.act_bw_bits)
-    fetch_cycles = fetcher.fetch_weight_columns(run.weight_bits_fetched)
-    fetch_cycles += fetcher.fetch_activations(act_words)
-
-    # Energy epilog at full-layer counts.  The ZCIP payload is row-
-    # independent (weight_bits_fetched minus the per-group index bytes);
-    # every streamed column engages G lanes once per output context.
-    n_groups = _ceil_div(reduction, npu.group_size)
-    payload_bits = run.weight_bits_fetched - 8 * k * n_groups
-    weight_sram_bytes, act_tile_bytes = _sram_capacities(npu.arch)
-    energy = price_matmul(
-        npu.tech,
-        lane_cycles=float(payload_bits) * rows,
-        weight_stream_bytes=run.weight_bits_fetched / 8.0,
-        dram_act_in_elems=fused_dram_elems(spec.input_count, act_tile_bytes),
-        dram_act_out_elems=fused_dram_elems(spec.output_count,
-                                            act_tile_bytes),
-        act_elems=float(act_words),
-        out_elems=float(rows * k),
-        n_mac=float(rows) * k * reduction,
-        weight_passes=weight_stream_passes(
-            k * reduction, spec.input_count,
-            weight_sram_bytes, act_tile_bytes),
-    )
-
-    return SimLayerRun(
-        compute_cycles=int(compute_cycles),
-        fetch_cycles=int(fetch_cycles),
-        column_ops=int(run.column_ops),
-        weight_bits_fetched=int(run.weight_bits_fetched),
-        dense_weight_bits=int(run.dense_weight_bits),
-        act_words=int(act_words),
-        simulated_rows=int(sim_rows),
-        total_rows=int(rows),
-        energy=energy,
-    )
+        # Energy epilog at full-layer counts.  The ZCIP payload is the
+        # weight stream minus the per-group index bytes; every streamed
+        # column engages G lanes once per output context.
+        k, reduction = weights.shape
+        act_words = rows * reduction
+        n_groups = _ceil_div(reduction, npu.group_size)
+        payload_bits = counters.weight_bits_fetched - 8 * k * n_groups
+        weight_sram_bytes, act_tile_bytes = _sram_capacities(npu.arch)
+        energy = price_matmul(
+            npu.tech,
+            lane_cycles=float(payload_bits) * rows,
+            weight_stream_bytes=counters.weight_bits_fetched / 8.0,
+            dram_act_in_elems=fused_dram_elems(spec.input_count,
+                                               act_tile_bytes),
+            dram_act_out_elems=fused_dram_elems(spec.output_count,
+                                                act_tile_bytes),
+            act_elems=float(act_words),
+            out_elems=float(rows * k),
+            n_mac=float(rows) * k * reduction,
+            weight_passes=weight_stream_passes(
+                k * reduction, spec.input_count,
+                weight_sram_bytes, act_tile_bytes),
+        )
+        return SimLayerRun(**asdict(counters), act_words=act_words,
+                           total_rows=rows, energy=energy)
 
 
 def analytic_compute_cycles(

@@ -3,8 +3,8 @@
 An :class:`EvalRequest` names one *(workload, accelerator configuration,
 backend)* evaluation plus its options, and hashes to the stable key the
 result store caches under.  The same request object drives every
-backend -- the analytical model and both structural-simulator datapaths
--- so campaign grids, experiment harnesses, and ad-hoc calls all share
+backend -- the analytical model and the structural simulator -- so
+campaign grids, experiment harnesses, and ad-hoc calls all share
 one cache keyspace.
 """
 
@@ -19,7 +19,7 @@ from repro.arch import DEFAULT_ARCH, canonical_arch, parse_arch
 from repro.workloads.nets import canonical_network, parse_network
 
 #: Bump when the meaning of a request's fields changes (keys include it).
-REQUEST_VERSION = 3
+REQUEST_VERSION = 4
 
 #: The default backend (the analytical STEP1-STEP4 model).
 MODEL_BACKEND = "model"
@@ -43,33 +43,23 @@ def config_hash(config: Mapping[str, Any]) -> str:
 class EvalOptions:
     """Backend-tunable *evaluation* knobs (not hardware).
 
-    ``batch`` scales every layer of the workload.  ``sim_max_contexts``
-    caps the output contexts the structural simulator actually runs per
-    layer: context blocks beyond the cap serialize identically in the
-    datapath, so the simulator runs a truncated activation set and
-    rescales the cycle/traffic/energy counts exactly (see
-    :mod:`repro.eval.lowering`); ``0`` simulates every context.
-
-    The hardware itself -- BCS group size, kernel/spatial unrolls,
-    bandwidths, technology -- is the request's ``arch`` axis
-    (:mod:`repro.arch`), shared by every backend.
+    ``batch`` scales every layer of the workload.  The hardware itself
+    -- BCS group size, kernel/spatial unrolls, bandwidths, technology
+    -- is the request's ``arch`` axis (:mod:`repro.arch`), shared by
+    every backend.
     """
 
     batch: int = 1
-    sim_max_contexts: int = 64
 
     def validate(self) -> None:
+        if not isinstance(self.batch, int) or isinstance(self.batch, bool):
+            raise ValueError(
+                f"batch must be an integer, got {self.batch!r}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.sim_max_contexts < 0:
-            raise ValueError(
-                f"sim_max_contexts must be >= 0, got {self.sim_max_contexts}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "batch": self.batch,
-            "sim_max_contexts": self.sim_max_contexts,
-        }
+        return {"batch": self.batch}
 
     #: Pre-arch option keys whose meaning moved to the request's arch
     #: axis; deserializing them silently onto default hardware would
@@ -78,14 +68,15 @@ class EvalOptions:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvalOptions":
-        moved = [name for name in cls._MOVED_TO_ARCH if name in data]
-        if moved:
-            raise ValueError(
-                f"legacy option keys {moved} now live on the arch axis; "
-                f"respell the request with e.g. "
-                f"arch='bitwave-16nm@group=16+ku=64+oxu=8'")
-        return cls(**{name: data[name] for name in cls.__dataclass_fields__
-                      if name in data})
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            hint = ""
+            if set(unknown) & set(cls._MOVED_TO_ARCH):
+                hint = ("; legacy sim geometry now lives on the arch axis: "
+                        "respell the request with e.g. "
+                        "arch='bitwave-16nm@group=16+ku=64+oxu=8'")
+            raise ValueError(f"unknown option keys {unknown}{hint}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -194,14 +185,13 @@ class EvalRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvalRequest":
-        return cls(
-            workload=data["workload"],
-            accelerator=data["accelerator"],
-            variant=data.get("variant"),
-            backend=data.get("backend", MODEL_BACKEND),
-            arch=data.get("arch", DEFAULT_ARCH),
-            options=EvalOptions.from_dict(data.get("options", {})),
-        )
+        """Inverse of :meth:`to_dict`; absent keys take the dataclass
+        defaults, so ``workload`` is the only required one."""
+        axes = {name: data[name] for name in
+                ("workload", "accelerator", "variant", "backend", "arch")
+                if name in data}
+        return cls(**axes,
+                   options=EvalOptions.from_dict(data.get("options", {})))
 
     def key(self) -> str:
         """Stable result-store key for this request."""

@@ -10,9 +10,9 @@ performs zero new evaluations, and vice versa).
 Three drivers:
 
 - :func:`successive_halving` -- sample a :class:`repro.dse.CampaignSpec`
-  space, rank by a named metric, promote the top half through rungs of
-  increasing fidelity until one survivor set remains, and report the
-  Pareto front of everything probed;
+  space, rank by a named metric, promote the top half each round until
+  one survivor set remains, and report the Pareto front of everything
+  probed (every probe uses an exhaustive campaign's cache key);
 - :func:`bound_expanding_search` -- scalar search (tolerance, max
   tries, auto-widening bounds, failure-tolerant probes) in the
   objective-callback style of OpenNVRAM's characterizer, with

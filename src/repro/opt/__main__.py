@@ -4,7 +4,7 @@ Examples::
 
     # Seeded successive halving over an inline campaign space: probe a
     # 12-point sample of the grid, promote the best half each round,
-    # report the Pareto front of everything probed at full fidelity.
+    # report the Pareto front of everything probed.
     python -m repro.opt sh --name smoke \\
         --accelerators SCNN,BitWave --networks cnn_lstm,cnn_lstm@frames=64 \\
         --seed 73 --sample 12 --metric cycles --x cycles --y tops_per_w
@@ -104,7 +104,6 @@ def _cmd_sh(args: argparse.Namespace) -> int:
         metric=args.metric, x=args.x, y=args.y,
         seed=args.seed, sample=args.sample, eta=args.eta,
         min_survivors=args.min_survivors,
-        sim_contexts=args.sim_contexts,
     )
     result = successive_halving(
         spec, store, config, policy=_policy_from_args(args, spec.retry))
@@ -224,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sh.add_argument("--y", default="tops_per_w",
                       choices=sorted(METRICS),
                       help="second front objective (default: tops_per_w)")
-    p_sh.add_argument("--sim-contexts", type=_int_csv, default=(),
-                      metavar="C,D",
-                      help="fidelity ladder for sim-backed points: round "
-                           "r probes with sim_max_contexts=C[r] while "
-                           "the ladder lasts (default: none)")
     _add_format_argument(p_sh)
     _add_trace_argument(p_sh)
     _add_resilience_arguments(p_sh)

@@ -17,7 +17,7 @@ infrastructure weather.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro import faults
 from repro.dse.records import make_record
@@ -25,7 +25,7 @@ from repro.dse.retry import RetryPolicy
 from repro.dse.spec import EvalPoint
 from repro.dse.store import ResultStore, StoreRouter
 from repro.eval.registry import get_backend
-from repro.eval.request import EvalOptions, EvalRequest
+from repro.eval.request import EvalRequest
 from repro.eval.result import EvalResult
 from repro.obs import counter, trace
 
@@ -79,27 +79,7 @@ class Objective:
         self.saved = 0
         self.failed = 0
 
-    def request_for(self, point: EvalPoint,
-                    options: EvalOptions | None = None) -> EvalRequest:
-        """The (possibly fidelity-overridden) request a probe answers.
-
-        ``options`` folds into the cache key unconditionally, so
-        reduced-fidelity rungs get their own records and never
-        masquerade as full-fidelity results -- drivers must probe with
-        default options wherever they want exhaustive-run cache hits.
-        """
-        request = point.request()
-        if options is not None:
-            request = replace(request, options=options)
-        return request
-
-    def probe(
-        self,
-        point: EvalPoint,
-        *,
-        round_index: int = 0,
-        options: EvalOptions | None = None,
-    ) -> Probe:
+    def probe(self, point: EvalPoint, *, round_index: int = 0) -> Probe:
         """Answer one point: store hit, or evaluate-with-retries.
 
         Never raises on evaluation failure -- a probe that exhausts its
@@ -108,7 +88,7 @@ class Objective:
         lets a guided run keep converging while infrastructure
         misbehaves under it.
         """
-        request = self.request_for(point, options)
+        request = point.request()
         request.validate()
         key = request.key()
         self.trajectory.append(key)

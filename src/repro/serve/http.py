@@ -7,7 +7,7 @@ request per connection (``Connection: close``), JSON in and out.
 Endpoints::
 
     GET  /eval?workload=W[&accelerator=A][&variant=V][&backend=B]
-              [&arch=SPEC][&batch=N][&sim_max_contexts=N]
+              [&arch=SPEC][&batch=N]
     POST /eval/batch        {"requests": [<EvalRequest dict>, ...]}
     GET  /summary?[name=&accelerators=&networks=&variants=&backends=&archs=]
     GET  /pareto?[x=cycles&y=energy&<grid params>]
@@ -113,13 +113,10 @@ def request_from_query(query: Mapping[str, list[str]]) -> EvalRequest:
     workload = _first(query, "workload")
     if not workload:
         raise HttpError(400, "missing required query parameter 'workload'")
-    defaults = EvalOptions()
     kwargs: dict[str, Any] = {
         "workload": workload,
         "options": EvalOptions(
-            batch=_int_param(query, "batch", defaults.batch),
-            sim_max_contexts=_int_param(query, "sim_max_contexts",
-                                        defaults.sim_max_contexts)),
+            batch=_int_param(query, "batch", EvalOptions().batch)),
     }
     for name in ("accelerator", "variant", "backend", "arch"):
         value = _first(query, name)

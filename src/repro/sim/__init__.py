@@ -13,7 +13,7 @@ Section V-B).
 
 from repro.sim.bce import BitColumnEngine, BitPlaneEngine
 from repro.sim.memory import DramStream, SramBank
-from repro.sim.npu import BACKENDS, BitWaveNPU, LayerRun
+from repro.sim.npu import BACKENDS, BitWaveNPU, LayerRun, MatmulCounters
 from repro.sim.zcip import ParsedIndex, ParsedIndexArray, ZeroColumnIndexParser
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "BitWaveNPU",
     "DramStream",
     "LayerRun",
+    "MatmulCounters",
     "ParsedIndex",
     "ParsedIndexArray",
     "SramBank",

@@ -5,6 +5,15 @@ datapath -- ZCIP parsing of real BCS index bytes, BCE column processing,
 fetcher traffic at Table I bandwidths -- producing bit-exact integer
 outputs plus a cycle/traffic report.
 
+A layer's cycle and traffic counters follow from its weights alone:
+each group's index byte fixes its ZCIP sync counter, and activation
+values never change the count.  :meth:`BitWaveNPU.matmul_counters`
+computes exactly those counters -- index bytes encoded, decoded through
+the ZCIP lookup tables, reduced under segment lockstep -- with no
+activations, bit planes, GEMM or energy; whole-network evaluation
+(:mod:`repro.eval.lowering`) runs on it.  :meth:`BitWaveNPU.run_fc`
+runs the full datapath and takes its counters from the same epilog.
+
 Two backends implement the datapath:
 
 - ``"vectorized"`` (default) decodes the whole ``(K, n_groups)`` index
@@ -14,10 +23,11 @@ Two backends implement the datapath:
   on realistic layers;
 - ``"reference"`` streams every group column-by-column through a
   :class:`repro.sim.bce.BitColumnEngine`, one ZCIP parse per group --
-  the structural gold model.
+  the structural gold model, which computes its own sync counters.
 
 Both produce bit-identical outputs and identical cycle/traffic/column
-counts (pinned by the backend-equivalence tests).
+counts, equal to the counters entry's (pinned by the backend-equivalence
+tests).
 
 Cycle semantics match the analytical model of
 :mod:`repro.accelerators.bitwave`:
@@ -32,7 +42,7 @@ Cycle semantics match the analytical model of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -52,23 +62,17 @@ from repro.utils.bits import unpack_bits
 BACKENDS = ("vectorized", "reference")
 
 
-@dataclass
-class LayerRun:
-    """Result of simulating one layer.
+@dataclass(frozen=True)
+class MatmulCounters:
+    """Cycle and traffic counters of one matmul over its output contexts."""
 
-    ``energy`` prices this run's structural counters with the NPU's
-    :class:`repro.arch.TechSpec` (every tensor moved on/off chip once);
-    whole-network evaluations re-price the rescaled full-layer counters
-    through :mod:`repro.eval.lowering` instead.
-    """
-
-    outputs: np.ndarray
     compute_cycles: int
     fetch_cycles: int
     column_ops: int
+    #: Compressed weight stream, per-group index bytes included (bits).
     weight_bits_fetched: int
+    #: Uncompressed weight footprint (bits).
     dense_weight_bits: int
-    energy: SimEnergyBreakdown
 
     @property
     def total_cycles(self) -> int:
@@ -79,6 +83,20 @@ class LayerRun:
     def compression_ratio(self) -> float:
         fetched = self.weight_bits_fetched
         return self.dense_weight_bits / fetched if fetched else float("inf")
+
+
+@dataclass(frozen=True)
+class LayerRun(MatmulCounters):
+    """Result of simulating one layer: counters, outputs and energy.
+
+    ``energy`` prices this run's structural counters with the NPU's
+    :class:`repro.arch.TechSpec` (every tensor moved on/off chip once);
+    whole-network evaluations price full-layer counters through
+    :mod:`repro.eval.lowering` instead.
+    """
+
+    outputs: np.ndarray
+    energy: SimEnergyBreakdown
 
     @property
     def energy_pj(self) -> float:
@@ -137,23 +155,83 @@ class BitWaveNPU:
         self.dispatcher = DataDispatcher()
 
     # ------------------------------------------------------------------
-    def _encode_groups(
+    def _group_bytes(
         self, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Group each kernel row and extract SM planes.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Group each kernel row into sign-magnitude bytes.
 
-        ``weights`` is ``(K, C)`` int8; returns ``(planes, signs, index)``
-        with planes ``(K, n_groups, 8, G)``, signs ``(K, n_groups, G)``
-        and index bytes ``(K, n_groups)`` exactly as BCS compression
-        would store them.
+        ``weights`` is ``(K, C)`` int8; returns ``(data, index)`` with
+        data ``(K, n_groups, G)`` and index bytes ``(K, n_groups)``
+        exactly as BCS compression would store them.
         """
         k, c = weights.shape
         g = self.group_size
         weights = np.pad(weights, ((0, 0), (0, (-c) % g)))
         data = weight_bytes(weights.reshape(k, -1, g))  # (K, ng, G)
-        index = index_bytes(data, g).reshape(data.shape[:2])
+        return data, index_bytes(data, g).reshape(data.shape[:2])
+
+    def _encode_groups(
+        self, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group each kernel row and extract SM planes.
+
+        Returns ``(planes, signs, index)`` with planes
+        ``(K, n_groups, 8, G)``, signs ``(K, n_groups, G)`` and the
+        index bytes of :meth:`_group_bytes`.
+        """
+        data, index = self._group_bytes(weights)
         planes = unpack_bits(data).transpose(0, 1, 3, 2)  # (K, ng, 8, G)
         return planes, planes[:, :, 0, :], index
+
+    def _counters(self, sync: np.ndarray, column_ops: int, n: int,
+                  c: int) -> MatmulCounters:
+        """The cycle and fetch epilog of ``n`` contexts over a layer
+        whose groups carry the ``(K, n_groups)`` sync counters ``sync``.
+        """
+        k, n_groups = sync.shape
+        counter("sim.column_ops", n=column_ops)
+        # Segment-level lockstep: kernels in blocks of 8 share the parser
+        # schedule, so a segment context costs the max sync counter.
+        segment_sync = np.pad(sync, ((0, (-k) % SEGMENT_KERNELS), (0, 0)))
+        segment_sync = segment_sync.reshape(
+            -1, SEGMENT_KERNELS, n_groups).max(axis=1)
+        parallel_streams = max(self.ku // SEGMENT_KERNELS, 1)
+        context_repeats = -(-n // self.oxu)
+        compute_cycles = (-(-int(segment_sync.sum()) // parallel_streams)
+                          * context_repeats)
+        # Each group's payload is its magnitude columns plus the sign
+        # column when requested -- exactly the sync counter -- times G,
+        # behind the group's index byte.
+        weight_bits = int(sync.sum()) * self.group_size + 8 * k * n_groups
+        fetch_cycles = self.fetcher.fetch_weight_columns(weight_bits)
+        fetch_cycles += self.fetcher.fetch_activations(n * c)
+        return MatmulCounters(
+            compute_cycles=compute_cycles,
+            fetch_cycles=fetch_cycles,
+            column_ops=column_ops,
+            weight_bits_fetched=weight_bits,
+            dense_weight_bits=k * c * 8,
+        )
+
+    def matmul_counters(self, weights: np.ndarray,
+                        contexts: int) -> MatmulCounters:
+        """Counters of ``contexts`` output rows through ``weights``.
+
+        ``weights`` is int8 ``(K, C)``.  Encodes the index bytes,
+        decodes them through the ZCIP lookup tables and reduces the
+        sync counters: no activations, planes, GEMM or energy.
+        :meth:`run_fc` over ``contexts`` activation rows reports the
+        same counters.
+        """
+        weights = as_int8(weights)
+        k, c = weights.shape
+        with trace("sim.encode", kernels=k, reduction=c):
+            _, index = self._group_bytes(weights)
+        with trace("sim.decode", backend="counters"):
+            parsed = self.parser.parse_array(index)
+        return self._counters(parsed.sync_counters,
+                              int(parsed.magnitude_columns.sum()),
+                              contexts, c)
 
     # -- datapath backends ---------------------------------------------
     def _compute_reference(
@@ -162,21 +240,19 @@ class BitWaveNPU:
         planes: np.ndarray,
         signs: np.ndarray,
         index_bytes: np.ndarray,
-    ) -> tuple[np.ndarray, int, int, np.ndarray]:
+    ) -> tuple[np.ndarray, int, np.ndarray]:
         """Column-serial gold datapath: one ZCIP parse per group, one
         :class:`BitColumnEngine` pass per (kernel, group) pair.
 
-        Returns ``(outputs, column_ops, payload_bits, sync)`` with
-        ``sync`` the ``(K, n_groups)`` per-group sync counters.
+        Returns ``(outputs, column_ops, sync)`` with ``sync`` the
+        ``(K, n_groups)`` per-group sync counters.
         """
         k, n_groups = index_bytes.shape
         n = acts.shape[0]
-        g = self.group_size
         outputs = np.zeros((n, k), dtype=np.int64)
         sync = np.zeros((k, n_groups), dtype=np.int64)
         column_ops = 0
-        payload_bits = 0
-        engine = BitColumnEngine(g)
+        engine = BitColumnEngine(self.group_size)
         for ki in range(k):
             for gi in range(n_groups):
                 parsed = self.parser.parse(int(index_bytes[ki, gi]))
@@ -188,10 +264,8 @@ class BitWaveNPU:
                 outputs[:, ki] += engine.process_group(
                     acts[:, gi, :], columns, signs[ki, gi], parsed)
                 column_ops += len(parsed.shifts)
-                payload_bits += (len(parsed.shifts)
-                                 + (1 if parsed.sign_request else 0)) * g
                 sync[ki, gi] = parsed.sync_counter
-        return outputs, column_ops, payload_bits, sync
+        return outputs, column_ops, sync
 
     def _compute_vectorized(
         self,
@@ -199,7 +273,7 @@ class BitWaveNPU:
         planes: np.ndarray,
         signs: np.ndarray,
         index_bytes: np.ndarray,
-    ) -> tuple[np.ndarray, int, int, np.ndarray]:
+    ) -> tuple[np.ndarray, int, np.ndarray]:
         """Plane-level batch datapath: LUT index decode + per-plane GEMMs.
 
         Same contract as :meth:`_compute_reference`.
@@ -209,11 +283,8 @@ class BitWaveNPU:
         engine = BitPlaneEngine(self.group_size)
         outputs = engine.process_layer(
             acts, planes, signs, parsed.streamed_planes)
-        column_ops = int(parsed.magnitude_columns.sum())
-        # Each group's payload is its magnitude columns plus the sign
-        # column when requested -- exactly the sync counter -- times G.
-        payload_bits = int(parsed.sync_counters.sum()) * self.group_size
-        return outputs, column_ops, payload_bits, parsed.sync_counters
+        return (outputs, int(parsed.magnitude_columns.sum()),
+                parsed.sync_counters)
 
     def run_fc(self, weights: np.ndarray, activations: np.ndarray) -> LayerRun:
         """Fully-connected layer: ``out[n, k] = sum_c a[n, c] * w[k, c]``.
@@ -240,32 +311,17 @@ class BitWaveNPU:
 
         with trace("sim.encode", kernels=k, reduction=c):
             planes, signs, index_bytes = self._encode_groups(weights)
-        n_groups = planes.shape[1]
 
         compute = (self._compute_vectorized if self.backend == "vectorized"
                    else self._compute_reference)
         with trace("sim.compute", backend=self.backend, kernels=k,
                    contexts=n):
-            outputs, column_ops, payload_bits, sync = compute(
+            outputs, column_ops, sync = compute(
                 acts, planes, signs, index_bytes)
         counter("sim.kernel_dispatch", backend=self.backend)
-        counter("sim.column_ops", n=int(column_ops), backend=self.backend)
+        counters = self._counters(sync, column_ops, n, c)
 
-        # Segment-level lockstep: kernels in blocks of 8 share the parser
-        # schedule, so a segment context costs the max sync counter.
-        context_repeats = -(-n // self.oxu)
-        parallel_streams = max(self.ku // SEGMENT_KERNELS, 1)
-        pad_k = (-k) % SEGMENT_KERNELS
-        if pad_k:
-            sync = np.concatenate(
-                [sync, np.zeros((pad_k, n_groups), dtype=np.int64)], axis=0)
-        segment_sync = sync.reshape(-1, SEGMENT_KERNELS, n_groups).max(axis=1)
-        stream_cycles = int(segment_sync.sum())
-        compute_cycles = -(-stream_cycles // parallel_streams) * context_repeats
-
-        fetch_cycles = self.fetcher.fetch_weight_columns(payload_bits + 8 * k
-                                                         * n_groups)
-        fetch_cycles += self.fetcher.fetch_activations(n * c)
+        payload_bits = int(sync.sum()) * g
         self.dispatcher.dispatch_weights(payload_bits // 8)
         self.dispatcher.dispatch_activations(n * c)
 
@@ -275,30 +331,17 @@ class BitWaveNPU:
         # times G); every tensor crosses DRAM/SRAM once at this level
         # (whole-network fusion rules live in repro.eval.lowering).
         with trace("sim.energy_epilog"):
-            energy = self._price_fc(payload_bits, n, c, k, n_groups)
-
-        return LayerRun(
-            outputs=outputs,
-            compute_cycles=int(compute_cycles),
-            fetch_cycles=int(fetch_cycles),
-            column_ops=column_ops,
-            weight_bits_fetched=payload_bits + 8 * k * n_groups,
-            dense_weight_bits=k * c * 8,
-            energy=energy,
-        )
-
-    def _price_fc(self, payload_bits: int, n: int, c: int, k: int,
-                  n_groups: int) -> SimEnergyBreakdown:
-        return price_matmul(
-            self.tech,
-            lane_cycles=float(payload_bits) * n,
-            weight_stream_bytes=(payload_bits + 8 * k * n_groups) / 8.0,
-            dram_act_in_elems=float(n * c),
-            dram_act_out_elems=float(n * k),
-            act_elems=float(n * c),
-            out_elems=float(n * k),
-            n_mac=float(n) * k * c,
-        )
+            energy = price_matmul(
+                self.tech,
+                lane_cycles=float(payload_bits) * n,
+                weight_stream_bytes=counters.weight_bits_fetched / 8.0,
+                dram_act_in_elems=float(n * c),
+                dram_act_out_elems=float(n * k),
+                act_elems=float(n * c),
+                out_elems=float(n * k),
+                n_mac=float(n) * k * c,
+            )
+        return LayerRun(**asdict(counters), outputs=outputs, energy=energy)
 
     def run_conv(
         self,

@@ -37,6 +37,17 @@ meant to change::
                'fig05': fig05_compression.run()},
               open('tests/arch/golden/stats_outputs.json', 'w'),
               indent=2, sort_keys=True)"
+
+``tests/arch/golden/sim_outputs.json`` pins the ``sim-vectorized``
+backend per layer -- cycles, the four energy components, traffic and
+the compute/fetch/column-op counters -- for cnn_lstm, mobilenetv2 and
+resnet18 at three archs, captured from the lowering that simulated 64
+activation rows per layer and rescaled them, before the counters-only
+lowering replaced it.  Regenerate it, only when the simulator is meant
+to change, by dumping ``{arch: {network: sim_golden(arch, network)}}``
+over ``SIM_GOLDEN_ARCHS`` x ``SIM_GOLDEN_NETWORKS`` as JSON; the test
+compares decoded trees, so any layout passes (the committed file keeps
+one layer per line).
 """
 
 from __future__ import annotations
@@ -48,6 +59,10 @@ import pytest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "harness_outputs.json"
 STATS_GOLDEN_PATH = Path(__file__).parent / "golden" / "stats_outputs.json"
+SIM_GOLDEN_PATH = Path(__file__).parent / "golden" / "sim_outputs.json"
+SIM_GOLDEN_ARCHS = ("bitwave-16nm", "bitwave-16nm@group=16",
+                    "bitwave-dense-16nm")
+SIM_GOLDEN_NETWORKS = ("cnn_lstm", "mobilenetv2", "resnet18")
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +158,35 @@ class TestGoldenStatistics:
         from repro.experiments import fig05_compression
 
         assert _canonical(fig05_compression.run()) == stats_golden["fig05"]
+
+
+def sim_golden(arch: str, network: str) -> dict:
+    """The pinned fields of one sim-backed evaluation, per layer."""
+    from repro.eval import EvalRequest, get_backend
+
+    result = get_backend("sim-vectorized").evaluate(EvalRequest(
+        workload=network, backend="sim-vectorized", arch=arch))
+    return {
+        layer.name: {
+            "cycles": layer.cycles,
+            "energy": layer.energy,
+            "traffic": layer.traffic,
+            **{name: layer.detail[name] for name in
+               ("compute_cycles", "fetch_cycles", "column_ops")},
+        }
+        for layer in result.layers
+    }
+
+
+class TestGoldenSim:
+    """The simulator backend's per-layer outputs, bit-identical."""
+
+    @pytest.fixture(scope="class")
+    def sim_golden_tree(self):
+        return json.loads(SIM_GOLDEN_PATH.read_text())
+
+    @pytest.mark.parametrize("arch", SIM_GOLDEN_ARCHS)
+    @pytest.mark.parametrize("network", SIM_GOLDEN_NETWORKS)
+    def test_sim_backend(self, sim_golden_tree, arch, network):
+        assert _canonical(sim_golden(arch, network)) \
+            == sim_golden_tree[arch][network]

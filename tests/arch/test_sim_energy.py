@@ -13,7 +13,12 @@ import math
 
 import pytest
 
+from repro.arch import parse_arch
 from repro.eval import EvalRequest, evaluate
+from repro.eval.lowering import layer_matmul_weights, output_rows
+from repro.sim.npu import BitWaveNPU
+from repro.utils.rng import seeded_rng
+from repro.workloads.nets import network_layers
 
 #: A parametrized CNN-LSTM small enough for both datapaths.
 MINI_WORKLOAD = "cnn_lstm@frames=4+bins=64+hidden=64"
@@ -38,14 +43,25 @@ class TestSimEnergyPriced:
 
     def test_datapaths_price_identically(self, isolated_store):
         """Both datapaths are one structural machine: identical counters
-        mean identical priced energy."""
-        vec = evaluate(EvalRequest(workload=MINI_WORKLOAD,
-                                   backend="sim-vectorized"))
-        ref = evaluate(EvalRequest(workload=MINI_WORKLOAD,
-                                   backend="sim-reference"))
-        for a, b in zip(vec.layers, ref.layers):
-            assert a.energy_pj == b.energy_pj
-            assert a.energy == b.energy
+        mean identical priced energy.  The counters-only evaluation
+        prices the on-chip components (SRAM, register, compute) from the
+        same counters, so it matches either datapath exactly there; only
+        DRAM differs, by the evaluation's fusion rules."""
+        arch = parse_arch("bitwave-16nm")
+        result = evaluate(EvalRequest(workload=MINI_WORKLOAD,
+                                      backend="sim-vectorized"))
+        for layer, spec in zip(result.layers, network_layers(MINI_WORKLOAD)):
+            weights = layer_matmul_weights(spec)
+            acts = seeded_rng("tests", "energy", spec.name).integers(
+                -128, 128, (output_rows(spec), weights.shape[1]))
+            vec = BitWaveNPU(arch=arch, backend="vectorized").run_fc(
+                weights, acts).energy
+            ref = BitWaveNPU(arch=arch, backend="reference").run_fc(
+                weights, acts).energy
+            assert vec == ref, spec.name
+            for component in ("sram", "reg", "compute"):
+                assert layer.energy[component] \
+                    == vec.components()[component], (spec.name, component)
 
 
 class TestEnergyDeviationBound:

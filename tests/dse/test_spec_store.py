@@ -52,7 +52,8 @@ class TestConfigHash:
         # (and bump SPEC_VERSION) if the point schema changes.
         # SPEC_VERSION 3: the arch axis joined the key (and the sim
         # geometry options left EvalOptions for the arch spec).
-        assert EvalPoint("SCNN", "cnn_lstm").key() == "cccbbe9f2329d1f4"
+        # REQUEST_VERSION 4: sim_max_contexts left EvalOptions.
+        assert EvalPoint("SCNN", "cnn_lstm").key() == "8d870ffeb781fe77"
 
     def test_key_order_independent(self):
         a = config_hash({"x": 1, "y": [1, 2], "z": None})

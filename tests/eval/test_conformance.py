@@ -1,16 +1,20 @@
 """Backend-conformance suite: every registered backend over a shared
 mini-grid must produce schema-complete, serializable, cacheable
 :class:`EvalResult`s -- plus the cross-backend check that the
-analytical model and the vectorized simulator stay within the
-established Section V-B deviation bound (<6%) through the new API.
+analytical model and the simulator stay within the established Section
+V-B deviation bound (<6%) through the new API, and the check that the
+simulator's counters-only lowering counts exactly what both full
+datapaths count.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
+from repro.arch import parse_arch
 from repro.eval import (
     EvalRequest,
     EvalResult,
@@ -18,9 +22,17 @@ from repro.eval import (
     evaluate,
     get_backend,
 )
+from repro.eval.lowering import (
+    layer_matmul_weights,
+    output_rows,
+    simulate_layer,
+)
 from repro.eval.registry import register_backend
+from repro.sim.npu import BACKENDS, BitWaveNPU, MatmulCounters
+from repro.utils.rng import seeded_rng
+from repro.workloads.nets import network_layers
 
-#: A parametrized CNN-LSTM small enough for the reference datapath.
+#: A parametrized CNN-LSTM small enough for every backend.
 MINI_WORKLOAD = "cnn_lstm@frames=4+bins=64+hidden=64"
 
 #: The shared conformance grid: every backend answers these.
@@ -39,11 +51,22 @@ def _mini_requests(backend: str) -> list[EvalRequest]:
     return requests
 
 
+def _datapath_runs(spec, arch, weights):
+    """``run_fc`` of ``spec``'s matmul on both datapaths over all of its
+    output rows, with real activations."""
+    acts = seeded_rng("tests", "lowering", spec.name).integers(
+        -128, 128, (output_rows(spec), weights.shape[1]))
+    return {datapath: BitWaveNPU(arch=arch, backend=datapath).run_fc(
+                weights, acts)
+            for datapath in BACKENDS}
+
+
 class TestBuiltinRegistry:
-    def test_three_builtin_backends(self):
+    def test_two_builtin_backends(self):
         names = backend_names()
-        for expected in ("model", "sim-vectorized", "sim-reference"):
+        for expected in ("model", "sim-vectorized"):
             assert expected in names
+        assert "sim-reference" not in names
 
     def test_get_backend_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -52,9 +75,6 @@ class TestBuiltinRegistry:
     def test_fingerprints_distinct(self):
         assert get_backend("model").fingerprint() \
             != get_backend("sim-vectorized").fingerprint()
-        # Both sim datapaths share one lowering (and one namespace).
-        assert get_backend("sim-vectorized").fingerprint() \
-            == get_backend("sim-reference").fingerprint()
 
     def test_custom_backend_registration(self):
         class Echo:
@@ -81,7 +101,7 @@ class TestBackendConformance:
     """Every backend must fill the canonical schema completely."""
 
     @pytest.mark.parametrize("backend",
-                             ("model", "sim-vectorized", "sim-reference"))
+                             ("model", "sim-vectorized"))
     def test_schema_complete(self, backend, isolated_store):
         for request in _mini_requests(backend):
             result = evaluate(request)
@@ -104,7 +124,7 @@ class TestBackendConformance:
             assert math.isfinite(result.efficiency_tops_per_w)
 
     @pytest.mark.parametrize("backend",
-                             ("model", "sim-vectorized", "sim-reference"))
+                             ("model", "sim-vectorized"))
     def test_json_round_trip_is_exact(self, backend, isolated_store):
         import json
 
@@ -114,7 +134,7 @@ class TestBackendConformance:
         assert EvalResult.from_dict(wire) == result
 
     @pytest.mark.parametrize("backend",
-                             ("model", "sim-vectorized", "sim-reference"))
+                             ("model", "sim-vectorized"))
     def test_store_cache_round_trip(self, backend, isolated_store):
         from repro.eval import api
 
@@ -128,23 +148,36 @@ class TestBackendConformance:
         assert reloaded is not first
         assert reloaded == first
 
+    def test_sim_backends_agree_bit_exactly(self, isolated_store):
+        """The counters-only evaluation and both full datapaths are one
+        structural machine: identical counters on every layer."""
+        arch = parse_arch("bitwave-16nm")
+        result = evaluate(EvalRequest(workload=MINI_WORKLOAD,
+                                      backend="sim-vectorized"))
+        specs = network_layers(MINI_WORKLOAD)
+        assert [layer.name for layer in result.layers] \
+            == [spec.name for spec in specs]
+        for layer, spec in zip(result.layers, specs):
+            weights = layer_matmul_weights(spec)
+            for datapath, run in _datapath_runs(spec, arch, weights).items():
+                where = (spec.name, datapath)
+                assert layer.cycles == run.total_cycles, where
+                assert layer.detail["compute_cycles"] \
+                    == run.compute_cycles, where
+                assert layer.detail["fetch_cycles"] == run.fetch_cycles, where
+                assert layer.detail["column_ops"] == run.column_ops, where
+                assert layer.traffic == {
+                    "weight_bits_fetched": run.weight_bits_fetched,
+                    "dense_weight_bits": run.dense_weight_bits,
+                    "act_words_fetched": run.outputs.shape[0]
+                    * weights.shape[1],
+                }, where
+
     def test_model_energy_is_componentwise(self, isolated_store):
         result = evaluate(EvalRequest(workload=MINI_WORKLOAD))
         shares = result.energy_shares()
         assert set(shares) == {"dram", "sram", "reg", "compute"}
         assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_sim_backends_agree_bit_exactly(self, isolated_store):
-        """Both datapaths are one structural machine: identical counters."""
-        vec = evaluate(EvalRequest(workload=MINI_WORKLOAD,
-                                   backend="sim-vectorized"))
-        ref = evaluate(EvalRequest(workload=MINI_WORKLOAD,
-                                   backend="sim-reference"))
-        for a, b in zip(vec.layers, ref.layers):
-            assert a.cycles == b.cycles
-            assert a.traffic == b.traffic
-            assert a.detail["compute_cycles"] == b.detail["compute_cycles"]
-            assert a.detail["column_ops"] == b.detail["column_ops"]
 
 
 class TestCrossBackendDeviation:
@@ -162,24 +195,30 @@ class TestCrossBackendDeviation:
         for layer in result.layers:
             assert layer.detail["model_deviation"] < 0.06, layer.name
 
-    def test_context_rescale_is_exact(self, isolated_store):
-        """A truncated simulation rescales to the full-simulation
-        counters bit-exactly (the lowering's core claim).  40 frames
-        spans multiple OXu=16 context blocks, so the rescale actually
+    def test_context_rescale_is_exact(self):
+        """Whole-network sim evaluation counts one ``OXu`` context block
+        from the weights and rescales it to every output context; the
+        full datapaths run every row with real activations.  For every
+        layer, ``simulate_layer`` must report exactly the counters
+        ``run_fc`` reports on both datapaths.  40 frames span several
+        context blocks at every arch below, so the rescale actually
         multiplies."""
-        from repro.eval import EvalOptions
-
         workload = "cnn_lstm@frames=40+bins=32+hidden=32"
-        full = evaluate(EvalRequest(
-            workload=workload, backend="sim-vectorized",
-            options=EvalOptions(sim_max_contexts=0)))
-        capped = evaluate(EvalRequest(
-            workload=workload, backend="sim-vectorized",
-            options=EvalOptions(sim_max_contexts=1)))
-        for a, b in zip(full.layers, capped.layers):
-            assert a.cycles == b.cycles
-            assert a.detail["compute_cycles"] == b.detail["compute_cycles"]
-            assert a.traffic == b.traffic
+        counters = [field.name for field in fields(MatmulCounters)]
+        for label in ("bitwave-16nm", "bitwave-16nm@group=16",
+                      "bitwave-dense-16nm", "bitwave-16nm@ku=64+oxu=8"):
+            arch = parse_arch(label)
+            for spec in network_layers(workload):
+                weights = layer_matmul_weights(spec)
+                lowered = simulate_layer(spec, BitWaveNPU(arch=arch),
+                                         weights=weights)
+                assert lowered.total_rows == output_rows(spec)
+                assert lowered.total_rows > 2 * arch.oxu
+                runs = _datapath_runs(spec, arch, weights)
+                for datapath, run in runs.items():
+                    for name in counters:
+                        assert getattr(lowered, name) == getattr(run, name), \
+                            (label, spec.name, datapath, name)
 
 
 class TestExplicitStore:

@@ -70,8 +70,7 @@ class TestEvalRequest:
         assert base.key() != EvalRequest(workload="cnn_lstm",
                                          backend="sim-vectorized").key()
         assert base.key() != EvalRequest(
-            workload="cnn_lstm",
-            options=EvalOptions(sim_max_contexts=8)).key()
+            workload="cnn_lstm", options=EvalOptions(batch=2)).key()
         assert base.key() != EvalRequest(
             workload="bert_base@tokens=64").key()
 
@@ -85,8 +84,11 @@ class TestEvalRequest:
         request = EvalRequest(
             workload="bert_base@tokens=64", variant="+DF",
             arch="bitwave-16nm@group=16+sram_pj=0.5",
-            options=EvalOptions(batch=2, sim_max_contexts=8))
+            options=EvalOptions(batch=2))
         assert EvalRequest.from_dict(request.to_dict()) == request
+        # Absent keys take the constructor defaults.
+        assert EvalRequest.from_dict({"workload": "cnn_lstm"}) \
+            == EvalRequest(workload="cnn_lstm")
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="unknown accelerator"):
@@ -108,18 +110,21 @@ class TestEvalRequest:
                         backend="sim-vectorized").validate()
 
     def test_bad_options(self):
-        with pytest.raises(ValueError, match="batch"):
-            EvalRequest(workload="cnn_lstm",
-                        options=EvalOptions(batch=0)).validate()
-        with pytest.raises(ValueError, match="sim_max_contexts"):
-            EvalRequest(workload="cnn_lstm",
-                        options=EvalOptions(sim_max_contexts=-1)).validate()
+        for batch in (0, "2", 2.0, True):
+            with pytest.raises(ValueError, match="batch"):
+                EvalRequest(workload="cnn_lstm",
+                            options=EvalOptions(batch=batch)).validate()
+        # A mistyped key must not silently evaluate the defaults.
+        with pytest.raises(ValueError, match="bacth"):
+            EvalOptions.from_dict({"bacth": 4})
 
     def test_legacy_sim_option_keys_fail_loudly(self):
         """Pre-arch request dicts carrying sim geometry must not
         silently deserialize onto default hardware."""
         with pytest.raises(ValueError, match="arch axis"):
             EvalOptions.from_dict({"batch": 1, "sim_group_size": 16})
+        with pytest.raises(ValueError, match="sim_max_contexts"):
+            EvalOptions.from_dict({"batch": 1, "sim_max_contexts": 64})
 
     def test_arch_axis(self):
         base = EvalRequest(workload="cnn_lstm")
@@ -141,8 +146,8 @@ class TestEvalRequest:
         assert EvalRequest(workload="cnn_lstm", variant="+DF").config_label \
             == "BitWave[+DF]"
         assert EvalRequest(workload="cnn_lstm",
-                           backend="sim-reference").config_label \
-            == "BitWave@sim-reference"
+                           backend="sim-vectorized").config_label \
+            == "BitWave@sim-vectorized"
 
 
 class TestEvalResult:

@@ -12,13 +12,10 @@ import pytest
 
 from repro.dse.executor import run_campaign
 from repro.dse.retry import RetryPolicy
-from repro.dse.spec import EvalPoint
 from repro.dse.store import ResultStore
 from repro.dse.summary import pareto_data
-from repro.eval.request import EvalOptions
 from repro.opt.halving import (
     HalvingConfig,
-    _round_options,
     sample_candidates,
     smoke_space,
     successive_halving,
@@ -113,23 +110,6 @@ class TestAcceptance:
         # The winner survives every round after its first appearance.
         winner = result.survivors[0]
         assert all(winner in r["survivors"] for r in result.rounds)
-
-
-class TestFidelityLadder:
-    def test_model_points_never_ride_the_ladder(self):
-        config = HalvingConfig(sim_contexts=(4, 16))
-        point = EvalPoint(accelerator="BitWave", network="cnn_lstm")
-        assert _round_options(point, 0, config) is None
-
-    def test_sim_points_probe_reduced_then_full(self):
-        config = HalvingConfig(sim_contexts=(4, 16))
-        point = EvalPoint(accelerator="BitWave", network="cnn_lstm",
-                          backend="sim-vectorized")
-        assert _round_options(point, 0, config) == \
-            EvalOptions(sim_max_contexts=4)
-        assert _round_options(point, 1, config) == \
-            EvalOptions(sim_max_contexts=16)
-        assert _round_options(point, 2, config) is None
 
 
 class TestConfigValidation:

@@ -145,14 +145,3 @@ class TestProvenance:
         run_campaign(spec, store)
         (row,) = summary_data(spec, store)
         assert row["origin"] is None and row["round"] is None
-
-
-class TestFidelityOptions:
-    def test_options_change_the_cache_key(self, tmp_path):
-        from repro.eval.request import EvalOptions
-        objective = Objective(_store(tmp_path), origin="opt:test")
-        default = objective.request_for(POINT)
-        reduced = objective.request_for(
-            POINT, EvalOptions(sim_max_contexts=8))
-        assert default.key() != reduced.key()
-        assert default.key() == POINT.key()

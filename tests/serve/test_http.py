@@ -231,6 +231,41 @@ class TestErrorMapping:
         assert bad_json[0] == 400
         assert empty[0] == 400
 
+    def test_batch_entries_mean_what_get_eval_means(self, tmp_path,
+                                                    monkeypatch):
+        """The accelerator defaults to BitWave as on ``GET /eval``, a
+        mistyped option value fails its own entry only, and an unknown
+        option key is refused instead of evaluating the defaults."""
+        calls = counting_backend(monkeypatch, "model")
+        good = {"workload": MINI_WORKLOAD}
+
+        async def main():
+            service, server, port = await _served(tmp_path)
+            default = await http_request(port, "POST", "/eval/batch",
+                                         body=[good])
+            mixed = await http_request(
+                port, "POST", "/eval/batch",
+                body=[good, {**good, "options": {"batch": "2"}}])
+            typo = await http_request(
+                port, "POST", "/eval/batch",
+                body=[{**good, "options": {"bacth": 4}}])
+            await _shutdown(service, server)
+            return default, mixed, typo
+
+        default, mixed, typo = run_async(main())
+        assert default[0] == 200
+        (entry,) = default[2]["results"]
+        assert entry["ok"] and entry["status"] == 200
+        assert calls == [mini_request()]
+        assert mixed[0] == 200
+        first, second = mixed[2]["results"]
+        assert first["ok"] and first["source"] == "hot"
+        assert not second["ok"] and second["status"] == 400
+        assert "batch" in second["error"]
+        assert typo[0] == 400
+        assert "bacth" in typo[2]["error"]
+        assert len(calls) == 1
+
 
 class TestQueryHelpers:
     def test_request_from_query_defaults_and_overrides(self):

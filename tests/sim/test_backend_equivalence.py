@@ -1,5 +1,8 @@
 """Reference vs vectorized backend: bit-identical outputs, identical
-cycle/traffic/column accounting, and LUT-vs-scalar parser agreement."""
+cycle/traffic/column accounting (equal to the counters-only entry's),
+and LUT-vs-scalar parser agreement."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.bce import BitPlaneEngine
-from repro.sim.npu import BACKENDS, BitWaveNPU
+from repro.sim.npu import BACKENDS, BitWaveNPU, MatmulCounters
 from repro.sim.zcip import (
     MAGNITUDE_COLUMNS_LUT,
     PLANE_SELECT_LUT,
@@ -34,6 +37,21 @@ def _pair(**kwargs):
             BitWaveNPU(backend="vectorized", **kwargs))
 
 
+def _counters(run):
+    """The counters half of a :class:`LayerRun`."""
+    return MatmulCounters(**{field.name: getattr(run, field.name)
+                             for field in fields(MatmulCounters)})
+
+
+def assert_counted_like(runs, weights, contexts, **kwargs):
+    """The counters-only entry reports every run's counters."""
+    npu = BitWaveNPU(**kwargs)
+    counted = npu.matmul_counters(weights, contexts)
+    for run in runs:
+        assert counted == _counters(run)
+    return npu
+
+
 def assert_equivalent_fc(weights, acts, **kwargs):
     ref_npu, vec_npu = _pair(**kwargs)
     ref = ref_npu.run_fc(weights, acts)
@@ -47,6 +65,9 @@ def assert_equivalent_fc(weights, acts, **kwargs):
     assert ref_npu.fetcher.report == vec_npu.fetcher.report
     assert ref_npu.dispatcher.weight_words == vec_npu.dispatcher.weight_words
     assert ref_npu.dispatcher.act_words == vec_npu.dispatcher.act_words
+    counter_npu = assert_counted_like((ref, vec), weights, acts.shape[0],
+                                      **kwargs)
+    assert counter_npu.fetcher.report == ref_npu.fetcher.report
     return ref, vec
 
 
@@ -167,6 +188,9 @@ class TestBackendEquivalence:
         assert ref.compute_cycles == vec.compute_cycles
         assert ref.fetch_cycles == vec.fetch_cycles
         assert ref.column_ops == vec.column_ops
+        # The im2col matrix over (2 images x 4 x 4 outputs) contexts.
+        w_mat = w.transpose(0, 2, 3, 1).reshape(6, -1)
+        assert_counted_like((ref, vec), w_mat, 2 * 4 * 4)
 
 
 class TestBitPlaneEngine:
