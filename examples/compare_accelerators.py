@@ -11,13 +11,14 @@ Run:  python examples/compare_accelerators.py [network]
 
 import sys
 
-from repro.accelerators import SOTA_ACCELERATORS, build_accelerator
+from repro.accelerators import SOTA_ACCELERATORS
+from repro.eval import EvalRequest, evaluate
 from repro.utils.tables import format_table
 
 
 def main(network: str = "bert_base") -> None:
     evaluations = {
-        name: build_accelerator(name).evaluate_network(network)
+        name: evaluate(EvalRequest(workload=network, accelerator=name))
         for name in SOTA_ACCELERATORS
     }
     scnn_cycles = evaluations["SCNN"].total_cycles
@@ -41,8 +42,8 @@ def main(network: str = "bert_base") -> None:
     ))
 
     bitwave = evaluations["BitWave"]
-    su_rows = [[layer.layer, layer.su_name,
-                layer.counts.utilization,
+    su_rows = [[layer.name, layer.detail["su_name"],
+                layer.detail["counts"]["utilization"],
                 layer.cycles / 1e3]
                for layer in bitwave.layers[:12]]
     print()

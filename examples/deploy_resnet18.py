@@ -12,9 +12,9 @@ inference per candidate move) completes in seconds.
 Run:  python examples/deploy_resnet18.py
 """
 
-from repro.accelerators.bitwave import BitWave
 from repro.core.pipeline import BitWavePipeline
 from repro.core.search import greedy_bitflip_search
+from repro.eval import EvalRequest, evaluate
 from repro.models import build_resnet18
 from repro.models.fidelity import make_evaluator
 
@@ -22,7 +22,7 @@ from repro.models.fidelity import make_evaluator
 def main() -> None:
     model = build_resnet18("tiny")
     inputs = model.sample_inputs(batch=8)
-    evaluate = make_evaluator(model, inputs)
+    fidelity = make_evaluator(model, inputs)
     weights = model.weights_int8()
 
     # Search only the heavy tail (layer4 + classifier), as the paper
@@ -32,7 +32,7 @@ def main() -> None:
     initial = {name: {16: 3} for name in heavy}
     result = greedy_bitflip_search(
         weights,
-        evaluate,
+        fidelity,
         min_accuracy=0.95,        # paper: <0.5% top-1 drop
         initial_strategy=initial,
         group_sizes=(16,),
@@ -56,7 +56,8 @@ def main() -> None:
     print(f"\ndeployed network CR: {report.compression_ratio:.3f}x")
 
     # Modelled runtime of full-shape ResNet18 on the BitWave NPU.
-    evaluation = BitWave().evaluate_network("resnet18")
+    evaluation = evaluate(
+        EvalRequest(workload="resnet18", accelerator="BitWave"))
     print(f"modelled BitWave runtime (paper-shape ResNet18): "
           f"{evaluation.total_cycles / 1e6:.2f} Mcycles "
           f"({evaluation.runtime_s * 1e3:.2f} ms @ 250 MHz, "

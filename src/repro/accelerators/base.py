@@ -220,24 +220,3 @@ class Accelerator:
             result.layers.append(
                 self.evaluate_layer(spec, stats_map[spec.name]))
         return result
-
-    def evaluate_network(self, network: str) -> NetworkEvaluation:
-        """Deprecated: evaluate through :mod:`repro.eval` instead.
-
-        ``repro.eval.evaluate(EvalRequest(workload=network,
-        accelerator=...))`` adds store-backed caching and backend
-        selection; this shim keeps old callers working (bit-identical
-        numbers, no caching) by delegating to the same model-backend
-        lowering.
-        """
-        import warnings
-
-        warnings.warn(
-            "Accelerator.evaluate_network is deprecated; use "
-            "repro.eval.evaluate(EvalRequest(...)) (or "
-            "repro.eval.backends.model_network_evaluation for ad-hoc "
-            "accelerator instances)",
-            DeprecationWarning, stacklevel=2)
-        from repro.eval.backends import model_network_evaluation
-
-        return model_network_evaluation(self, network)

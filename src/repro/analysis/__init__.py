@@ -1,21 +1,17 @@
 """``repro.analysis``: static analysis of the repro source tree.
 
-Three first-class consumers share one AST-derived import graph
-(:mod:`repro.analysis.graph`):
+Two tools:
 
 - the **invariant linter** (``python -m repro.analysis check``): a
-  rule registry (:mod:`repro.analysis.rules`) enforcing layering
+  rule registry (:mod:`repro.analysis.rules`) over one AST-derived
+  import graph (:mod:`repro.analysis.graph`) enforcing layering
   acyclicity, determinism, fcntl lock discipline, frozen-dataclass
   mutation scope, and observability-name hygiene, with per-rule
   justified allowlists and ``--format json``;
 - the **schema-version guard** (``python -m repro.analysis
   versions``): serialized-field-set hashes pinned against the
   ``*_VERSION`` constants, so changing a persisted schema without
-  bumping its version fails CI (:mod:`repro.analysis.versions`);
-- the **dependency-cone fingerprints**
-  (:func:`repro.eval.fingerprints.cone_fingerprint`): store
-  namespaces derived from each backend's import cone, so a
-  ``dse``-only edit no longer rotates the ``sim`` cache namespace.
+  bumping its version fails CI (:mod:`repro.analysis.versions`).
 
 Everything is computed from source text with :mod:`ast` -- nothing is
 imported to be analyzed -- so the tools run identically in CI and on

@@ -11,9 +11,6 @@ Examples::
     # (and repin after an intentional, version-bumped change).
     python -m repro.analysis versions
     python -m repro.analysis versions --update
-
-    # Inspect a dependency cone (what a backend's fingerprint covers).
-    python -m repro.analysis cone repro.sim
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import sys
 from typing import Sequence
 
 from repro.analysis.engine import all_rules, get_rule, run_checks
-from repro.analysis.graph import build_graph
 from repro.analysis.versions import check_versions, write_baselines
 from repro.utils.tables import format_table
 
@@ -77,24 +73,11 @@ def _cmd_versions(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_cone(args: argparse.Namespace) -> int:
-    graph = build_graph(args.root)
-    cone = sorted(graph.dependency_cone(*args.entry))
-    if args.format == "json":
-        print(json.dumps({"entries": args.entry, "cone": cone},
-                         indent=2))
-        return 0
-    for name in cone:
-        print(name)
-    print(f"# {len(cone)} modules in the cone of {', '.join(args.entry)}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="import-graph linter, schema-version guard, and "
-                    "dependency-cone inspector for the repro tree",
+        description="import-graph linter and schema-version guard for "
+                    "the repro tree",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -124,18 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default="table",
                             help="output format (default: table)")
     p_versions.set_defaults(func=_cmd_versions)
-
-    p_cone = sub.add_parser(
-        "cone", help="print the dependency cone of modules/packages")
-    p_cone.add_argument("entry", nargs="+",
-                        help="module or package names "
-                             "(e.g. repro.sim repro.eval.lowering)")
-    p_cone.add_argument("--root", default=None, metavar="DIR",
-                        help="package root to analyze")
-    p_cone.add_argument("--format", choices=("text", "json"),
-                        default="text",
-                        help="output format (default: text)")
-    p_cone.set_defaults(func=_cmd_cone)
     return parser
 
 

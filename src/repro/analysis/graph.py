@@ -1,14 +1,10 @@
 """AST-based import graph of the ``repro`` source tree.
 
-The repository's hardest-won invariants -- layer separation, cache
-namespaces that rotate exactly when the code feeding them changes --
-are properties of the *import graph*, so this module builds that graph
-once, statically, and everything else consumes it: the lint rules
+Layer separation is a property of the *import graph*, so this module
+builds that graph once, statically, and the lint rules
 (:mod:`repro.analysis.rules`) check layering and acyclicity over its
-edges, and the dependency-cone fingerprints
-(:func:`repro.eval.fingerprints.cone_fingerprint`) digest exactly the
-files in :meth:`ImportGraph.dependency_cone` of a backend entry point,
-in the spirit of OpenNVRAM's ``base/dependency_graph.py`` path tracing.
+edges; :meth:`ImportGraph.dependency_cone` traces transitive imports
+in the spirit of OpenNVRAM's ``base/dependency_graph.py``.
 
 Nothing is imported to build the graph: every ``*.py`` file under the
 package root is parsed with :mod:`ast`, and ``import`` / ``from ...
@@ -89,7 +85,6 @@ class ImportGraph:
 
     def dependency_cone(
         self, *entries: str, include_deferred: bool = True,
-        prune: tuple[str, ...] = (),
     ) -> frozenset[str]:
         """Every internal module reachable from the entry points.
 
@@ -98,37 +93,19 @@ class ImportGraph:
         The cone includes the seeds themselves.  Deferred (in-function)
         imports are followed by default: a lazily imported module still
         feeds the numbers of whatever imported it.
-
-        ``prune`` names packages (or modules) the walk neither enters
-        nor includes -- the cut for *intentional back-references*: a
-        lower layer's deferred import of an upper-layer facade (e.g. a
-        deprecated shim delegating up into ``repro.eval``) would
-        otherwise drag the whole operational world into a numeric
-        cone.
         """
-        def pruned(name: str) -> bool:
-            return any(name == cut or name.startswith(cut + ".")
-                       for cut in prune)
-
         stack: list[str] = []
         for entry in entries:
             stack.extend(self._seeds(entry))
         cone: set[str] = set()
         while stack:
             name = stack.pop()
-            if name in cone or pruned(name):
+            if name in cone:
                 continue
             cone.add(name)
             stack.extend(self.modules[name].imports(include_deferred)
                          - cone)
         return frozenset(cone)
-
-    def cone_files(self, *entries: str, include_deferred: bool = True,
-                   prune: tuple[str, ...] = ()) -> tuple[Path, ...]:
-        """Source files of the cone, sorted by module name."""
-        cone = self.dependency_cone(
-            *entries, include_deferred=include_deferred, prune=prune)
-        return tuple(self.modules[name].path for name in sorted(cone))
 
     def cycles(self) -> list[tuple[str, ...]]:
         """Import cycles among *top-level* imports, as sorted SCCs.
@@ -267,8 +244,7 @@ def build_graph(root: str | Path | None = None,
 
     ``root`` defaults to the installed ``repro`` package directory, so
     the graph always describes the code that would actually run.  Pass
-    an explicit root to analyze a copy (the fingerprint tests edit a
-    scratch tree and re-derive cones from it).
+    an explicit root to analyze a copy.
     """
     base = Path(root).expanduser() if root is not None else default_root()
     if not base.is_dir():

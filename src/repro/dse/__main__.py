@@ -14,7 +14,7 @@ Examples::
 
     # The evaluation backend is a campaign axis: sim-backed points run
     # the structural NPU simulator (repro.eval's sim-* backends) and
-    # land in a store namespace keyed by the simulator fingerprint.
+    # land in the simulator's ``simnet-`` namespace of the store.
     python -m repro.dse run --name simgrid --accelerators BitWave \\
         --networks cnn_lstm --backends model,sim-vectorized
 
@@ -38,14 +38,16 @@ Examples::
     # disjoint, deterministic slice of the grid (split by config hash)
     # against the same fingerprint namespace.  Merge folds shard
     # stores (or a results.jsonl copied from another host) into one,
-    # last-wins by key and idempotent under re-merge.
+    # filing each record under the namespace its own fingerprint
+    # names, last-wins by key and idempotent under re-merge.
     python -m repro.dse run --spec campaign.json --shard 0/2 --store a
     python -m repro.dse run --spec campaign.json --shard 1/2 --store b
     python -m repro.dse merge --store a b
+    python -m repro.dse merge --store a copied/results.jsonl
     python -m repro.dse summary --spec campaign.json --store a
 
     # Store lifecycle: compact live namespaces, evict stale ones
-    # (fingerprints superseded by code edits) by age/size budget.
+    # (namespaces of an earlier source tree) by age/size budget.
     python -m repro.dse gc --dry-run
     python -m repro.dse gc --max-age-days 7 --max-bytes 100000000
 
@@ -81,6 +83,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from typing import Any, Sequence
@@ -101,8 +104,11 @@ from repro.dse.simcampaign import (
     sim_summary_rows,
 )
 from repro.dse.spec import CampaignSpec, Shard, paper_grid
-from repro.dse.store import ResultStore, default_store_root
-from repro.eval.fingerprints import code_fingerprint
+from repro.dse.store import (
+    ResultStore,
+    default_store_root,
+    load_jsonl_records,
+)
 from repro.dse.summary import (
     METRICS,
     pareto_data,
@@ -114,6 +120,10 @@ from repro.eval.registry import backend_names
 from repro.sim.npu import BACKENDS
 from repro.utils.progress import ProgressPrinter
 from repro.utils.tables import format_table
+
+#: A fingerprint `merge` may file records under: one plain directory
+#: name, never a path out of the destination root.
+_NAMESPACE = re.compile(r"[A-Za-z0-9_-]+")
 
 
 def _csv(value: str) -> tuple[str, ...]:
@@ -407,56 +417,48 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     return _run_exit_code(run)
 
 
+def _merge_files(src: str) -> list[Path]:
+    """The ``results.jsonl`` files a merge source names."""
+    path = Path(src).expanduser()
+    if path.is_file():
+        return [path]  # a bare results.jsonl, e.g. copied from a host
+    if (path / "results.jsonl").is_file():
+        return [path / "results.jsonl"]  # one namespace directory
+    if path.is_dir():  # a whole store root
+        return sorted(ns / "results.jsonl" for ns in path.iterdir()
+                      if (ns / "results.jsonl").is_file())
+    raise ValueError(
+        f"merge source {src!r} is neither a store root, a "
+        f"namespace directory, nor a results.jsonl file")
+
+
+def _record_namespace(record: dict[str, Any]) -> str | None:
+    """The namespace a record's own ``fingerprint`` names, if any."""
+    fingerprint = record.get("fingerprint")
+    if isinstance(fingerprint, str) and _NAMESPACE.fullmatch(fingerprint):
+        return fingerprint
+    return None
+
+
 def _cmd_merge(args: argparse.Namespace) -> int:
     dest_root = (Path(args.store).expanduser() if args.store
                  else default_store_root())
     total = 0
     for src in args.sources:
-        path = Path(src).expanduser()
-        if path.is_file():
-            # A bare results.jsonl copied from another host: the
-            # namespace is not recoverable from the file, and guessing
-            # one would strand the records somewhere no reader looks
-            # (e.g. sim records under the model fingerprint).
-            if not args.namespace:
-                raise ValueError(
-                    f"merge source {src!r} is a bare results.jsonl; "
-                    f"pass --namespace (its original parent-directory "
-                    f"name, e.g. {code_fingerprint()!r} for "
-                    f"model-backed records)")
-            namespace = args.namespace
-            merged = ResultStore(dest_root, namespace=namespace).merge(path)
-            print(f"merged {merged} records from {path} "
-                  f"into {namespace}")
-            total += merged
-        elif (path / "results.jsonl").is_file():
-            # A single namespace directory.
-            namespace = args.namespace or path.name
-            merged = ResultStore(dest_root, namespace=namespace).merge(
-                path / "results.jsonl")
-            print(f"merged {merged} records from {path} "
-                  f"into {namespace}")
-            total += merged
-        elif path.is_dir():
-            # A whole store root: fold every namespace it holds.
-            if args.namespace:
-                raise ValueError(
-                    f"--namespace applies to bare results.jsonl or "
-                    f"single-namespace sources; {src!r} is a whole "
-                    f"store root whose namespaces merge under their "
-                    f"own names")
-            for ns_dir in sorted(path.iterdir()):
-                if not (ns_dir / "results.jsonl").is_file():
-                    continue
-                merged = ResultStore(dest_root, namespace=ns_dir.name).merge(
-                    ns_dir / "results.jsonl")
-                print(f"merged {merged} records from {ns_dir} "
-                      f"into {ns_dir.name}")
-                total += merged
-        else:
-            raise ValueError(
-                f"merge source {src!r} is neither a store root, a "
-                f"namespace directory, nor a results.jsonl file")
+        for path in _merge_files(src):
+            # Each record is filed under the namespace it was computed
+            # under -- never under this checkout's.
+            namespaces = [_record_namespace(record) for record
+                          in load_jsonl_records(path).values()]
+            for namespace in sorted(filter(None, set(namespaces))):
+                stats = ResultStore(dest_root, namespace=namespace).merge(
+                    path)
+                print(f"merged {stats.written} records from {path} "
+                      f"into {namespace}")
+                total += stats.written
+            if None in namespaces:
+                print(f"skipped {namespaces.count(None)} records from "
+                      f"{path} that name no fingerprint namespace")
     print(f"merge complete: {total} records into {dest_root}")
     return 0
 
@@ -534,18 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_merge = sub.add_parser(
         "merge", help="fold shard stores (or copied results.jsonl "
-                      "files) into a store, last-wins by key")
+                      "files) into a store, each record under the "
+                      "namespace its fingerprint names, last-wins by "
+                      "key")
     p_merge.add_argument("sources", nargs="+", metavar="SRC",
                          help="store roots, namespace directories, or "
                               "bare results.jsonl files")
     p_merge.add_argument("--store", metavar="DIR", default=None,
                          help="destination store root (default: "
                               "$REPRO_DSE_STORE or ~/.cache/repro-dse)")
-    p_merge.add_argument("--namespace", metavar="NS", default=None,
-                         help="destination namespace; required for bare "
-                              "results.jsonl sources (not recoverable "
-                              "from the file), defaults to the source "
-                              "directory name for namespace dirs")
     p_merge.set_defaults(func=_cmd_merge)
 
     p_gc = sub.add_parser(

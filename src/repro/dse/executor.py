@@ -24,8 +24,9 @@ costs exactly itself:
 
 Points carry their evaluation backend (:mod:`repro.eval`), and records
 land in per-backend stores: model-backed points go to the campaign's
-store, simulator-backed points to a sibling namespace under the same
-root keyed by the simulator's source fingerprint.
+store, simulator-backed points to the sibling ``simnet-`` namespace
+under the same root.  Both namespaces derive from one digest of the
+whole source tree, so any edit re-evaluates every point.
 """
 
 from __future__ import annotations
@@ -334,7 +335,6 @@ def drive_points(
     decode_result: Callable[[Any], ResultT],
     store_for: Callable[[PointT], ResultStore],
     force: bool = False,
-    chunksize: int | None = None,
     progress: ProgressFn | None = None,
     policy: RetryPolicy | None = None,
 ) -> None:
@@ -358,11 +358,8 @@ def drive_points(
     terminal outcomes emit progress events, so a retried point still
     reports exactly once.  Duplicate-key points are dropped up front
     with a warning so one result can never double-commit or overrun
-    the progress accounting.  ``chunksize`` is accepted for backward
-    compatibility but unused: the watchdog pool dispatches one point
-    per worker at a time so every in-flight point is attributable.
+    the progress accounting.
     """
-    del chunksize  # superseded by single-point watchdog dispatch
     jobs = resolve_jobs(jobs)
     if policy is None:
         policy = RetryPolicy()
@@ -566,7 +563,6 @@ def run_campaign(
     store: ResultStore | None = None,
     *,
     jobs: int = 1,
-    chunksize: int | None = None,
     force: bool = False,
     progress: ProgressFn | None = None,
     shard: Shard | None = None,
@@ -608,7 +604,6 @@ def run_campaign(
         decode_result=result_from_dict,
         store_for=router.for_point,
         force=force,
-        chunksize=chunksize,
         progress=progress,
         policy=policy,
     )

@@ -1,12 +1,13 @@
 """Store lifecycle: compact live namespaces, evict stale ones.
 
 A store root accumulates one namespace directory per source
-fingerprint that ever ran a campaign.  Editing the analytical model or
-the simulator changes the fingerprint, so old namespaces silently stop
-being read -- they are pure disk weight.  :func:`collect_garbage`
-walks a root, compacts the namespaces the current source tree still
-produces (dropping superseded ``--force`` duplicates and torn lines),
-and evicts stale namespaces by age and an optional total-size budget.
+fingerprint that ever ran a campaign.  Every namespace digests the
+whole ``repro`` tree, so any source edit rotates all of them and the
+old namespaces silently stop being read -- they are pure disk weight.
+:func:`collect_garbage` walks a root, compacts the namespaces the
+current source tree still produces (dropping superseded ``--force``
+duplicates and torn lines), and evicts stale namespaces by age and an
+optional total-size budget.
 Live namespaces are never evicted, whatever the budget.
 
 CLI: ``python -m repro.dse gc [--dry-run] [--max-age-days D]
@@ -36,9 +37,9 @@ DEFAULT_MAX_AGE_DAYS = 30.0
 def live_namespaces() -> frozenset[str]:
     """Every namespace the current source tree can still write to.
 
-    The registered evaluation backends' fingerprints plus the
-    sim-validation campaign's suite fingerprint and the guided
-    co-search's probe namespace.
+    The registered evaluation backends' namespaces plus the
+    sim-validation campaign's and the guided co-search's, all derived
+    from one whole-tree digest.
     """
     from repro.dse.simcampaign import sim_code_fingerprint
     from repro.eval.fingerprints import live_fingerprints, opt_fingerprint

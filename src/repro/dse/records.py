@@ -66,8 +66,8 @@ def make_record(
 ) -> dict[str, Any]:
     """Assemble one store record for ``point``'s result.
 
-    ``fingerprint`` defaults to the analytical-model digest; backends
-    with their own source fingerprint (the simulator) pass theirs.
+    ``fingerprint`` defaults to the model namespace; producers writing
+    to another namespace (the simulator, co-search) pass theirs.
     ``attempts``/``last_error`` record a bumpy evaluation history (the
     executor's retry path sets them when a point needed more than one
     attempt); omitted, the keys stay out of the record so pre-existing

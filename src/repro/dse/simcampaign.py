@@ -13,18 +13,18 @@ campaign.
 Results persist through the same :class:`repro.dse.store.ResultStore` +
 :func:`repro.dse.executor.drive_points` machinery as evaluation grids
 (shared :class:`~repro.dse.executor.CampaignRun`, shared record
-assembly), namespaced by a *validation-suite* fingerprint so editing
-the datapath invalidates stale sim records automatically.
+assembly), in a ``sim-`` namespace of the whole-tree fingerprint, so
+any source edit -- the datapath, the suite, or the lowering whose
+analytic cycles the suite diffs against -- invalidates stale sim
+records automatically.
 
 CLI: ``python -m repro.dse sim --group-sizes 4,8 --oxus 8,16 --jobs 4``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -32,6 +32,7 @@ from repro.dse.executor import CampaignRun, drive_points
 from repro.dse.records import RECORD_VERSION, make_record
 from repro.dse.retry import RetryPolicy
 from repro.dse.store import ResultStore
+from repro.eval.fingerprints import code_fingerprint
 from repro.eval.request import config_hash
 from repro.experiments import validation_sim_vs_model
 from repro.sim.npu import BACKENDS
@@ -46,27 +47,14 @@ SIM_KIND = "sim-validation"
 SimCampaignRun = CampaignRun
 
 
-@lru_cache(maxsize=1)
 def sim_code_fingerprint() -> str:
-    """Digest of the simulator + validation-suite source.
-
-    The analogue of :func:`repro.eval.fingerprints.code_fingerprint`
-    for sim campaigns: records are only valid for the datapath and
-    suite that produced them.
-    """
-    import repro.sim
-
-    digest = hashlib.sha256()
-    root = Path(repro.sim.__file__).parent
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode("utf-8"))
-        digest.update(path.read_bytes())
-    digest.update(Path(validation_sim_vs_model.__file__).read_bytes())
-    return "sim-" + digest.hexdigest()[:12]
+    """The sim-validation namespace: the whole-tree digest of
+    :func:`repro.eval.fingerprints.code_fingerprint` behind ``sim-``."""
+    return "sim-" + code_fingerprint()
 
 
 def sim_store(root: str | Path | None = None) -> ResultStore:
-    """A result store namespaced by the simulator fingerprint."""
+    """A result store in the sim-validation namespace."""
     return ResultStore(root, namespace=sim_code_fingerprint())
 
 
@@ -222,7 +210,6 @@ def run_sim_campaign(
         decode_result=lambda payload: payload,
         store_for=lambda point: store,
         force=force,
-        chunksize=1,
         progress=progress,
         policy=policy,
     )

@@ -1,10 +1,11 @@
 """Persistent on-disk result store (append-only JSONL).
 
-Layout: ``<root>/<code-fingerprint>/results.jsonl`` -- one JSON record
-per line, keyed by the evaluation point's config hash.  Namespacing by
-:func:`repro.dse.spec.code_fingerprint` means editing the analytical
-model silently starts a fresh namespace instead of serving stale
-results, while re-runs under unchanged code are fully incremental.
+Layout: ``<root>/<namespace>/results.jsonl`` -- one JSON record per
+line, keyed by the evaluation point's config hash.  Every namespace
+derives from one digest of the whole source tree
+(:mod:`repro.eval.fingerprints`), so any source edit silently starts
+fresh namespaces instead of serving stale results, while re-runs under
+unchanged code are fully incremental.
 
 Duplicate keys are legal (``--force`` re-evaluations append); the last
 record wins on load.  A torn trailing line from an interrupted write is
@@ -16,7 +17,8 @@ campaign processes may append to one namespace concurrently; readers
 never lock (appends are atomic single writes and a torn trailing line
 is tolerated).  :meth:`ResultStore.merge` folds another shard's store
 -- or a ``results.jsonl`` copied from another host -- into this one,
-last-wins by key and idempotent under re-merge.
+last-wins by key and idempotent under re-merge, committing only the
+records computed under this namespace's fingerprint.
 """
 
 from __future__ import annotations
@@ -126,6 +128,14 @@ class CompactStats(NamedTuple):
 
     live_records: int
     reclaimed_bytes: int
+
+
+class MergeStats(NamedTuple):
+    """What a :meth:`ResultStore.merge` fold wrote and turned away."""
+
+    written: int
+    #: Records whose ``fingerprint`` is not this namespace (or absent).
+    skipped: int
 
 
 class ResultStore:
@@ -322,14 +332,16 @@ class ResultStore:
         self._records.clear()
         self._loaded = True
 
-    def merge(self, source: "ResultStore | str | Path") -> int:
+    def merge(self, source: "ResultStore | str | Path") -> MergeStats:
         """Fold another store's records into this one, last-wins by key.
 
         ``source`` may be a :class:`ResultStore`, a namespace directory,
         or a bare ``results.jsonl`` (e.g. copied from another shard
-        host).  Records byte-identical to what this store already holds
-        are skipped, so merging the same shard twice is a no-op and the
-        operation is idempotent.  Returns the number of records written.
+        host).  Only records whose ``fingerprint`` equals this
+        namespace are committed; any other record was computed by
+        other code and is skipped rather than served as this code's
+        result.  Records identical to what this store already holds
+        are not rewritten, so merging the same shard twice is a no-op.
         """
         if isinstance(source, ResultStore):
             source_path = source.path
@@ -338,13 +350,16 @@ class ResultStore:
             if source_path.is_dir():
                 source_path = source_path / "results.jsonl"
         incoming = load_jsonl_records(source_path)
-        if not incoming:
-            return 0
+        ours = {key: record for key, record in incoming.items()
+                if record.get("fingerprint") == self.namespace}
+        skipped = len(incoming) - len(ours)
+        if not ours:
+            return MergeStats(0, skipped)
         written = 0
         with self._locked():
             self.refresh()
             lines: list[bytes] = []
-            for key, record in incoming.items():
+            for key, record in ours.items():
                 if self._records.get(key) == record:
                     continue
                 lines.append(encode_record(record))
@@ -352,7 +367,7 @@ class ResultStore:
                 written += 1
             if lines:
                 self._append(lines)
-        return written
+        return MergeStats(written, skipped)
 
     # -- convenience -----------------------------------------------------
     def result(self, key: str) -> EvalResult | None:

@@ -18,12 +18,13 @@ plug into:
   output context of every layer (computed from the weights' index
   bytes alone -- no activations, no GEMM, no context cap);
 - :func:`evaluate` -- the single entry point, with store-backed caching
-  keyed by request hash and namespaced by backend source fingerprints.
+  keyed by request hash and namespaced per backend by a prefix on one
+  digest of the whole source tree.
 
 The DSE campaigns (:mod:`repro.dse`) and the experiment harnesses
-(:mod:`repro.experiments`) are consumers of this API; the legacy
-``Accelerator.evaluate_network`` / ``experiments.common`` entry points
-are deprecation shims over it.
+(:mod:`repro.experiments`) are consumers of this API; an ad-hoc
+accelerator instance with no registry name evaluates through
+:func:`repro.eval.backends.model_network_evaluation`.
 """
 
 from repro.eval.api import default_store, eval_store, evaluate, reset_cache

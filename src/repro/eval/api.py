@@ -6,9 +6,9 @@ including across processes -- are incremental.  A per-process memo on
 top keeps object identity and avoids repeated deserialization.
 
 The store layout is the :class:`repro.dse.store.ResultStore` JSONL
-machinery; each backend gets its own namespace from its source
-fingerprint, so editing the analytical model invalidates model-backed
-results while simulator-backed results (and vice versa) stay warm.
+machinery; each backend gets its own namespace, derived from one
+digest of the whole source tree (:mod:`repro.eval.fingerprints`), so
+any source edit invalidates every backend's cached results at once.
 
 **Concurrency.** This module is written for one sequential caller per
 process.  The memo and store-handle dicts are mutated without locks,

@@ -59,10 +59,8 @@ def model_network_evaluation(
 ) -> NetworkEvaluation:
     """The analytical pipeline on an accelerator *instance*.
 
-    This is the computation formerly inlined in
-    ``Accelerator.evaluate_network`` (now a deprecation shim over this
-    function); instance-level entry so ad-hoc accelerator builds that
-    have no registry name still evaluate through ``repro.eval``.
+    Instance-level entry so ad-hoc accelerator builds that have no
+    registry name still evaluate through ``repro.eval`` (uncached).
     """
     specs = network_layers(workload, batch=options.batch)
     return accelerator.evaluate_workload(

@@ -1,190 +1,68 @@
 """Source fingerprints namespacing the persistent result store.
 
-Persisted results are only valid for the code that produced them; each
-backend namespaces its store files by a digest of exactly the source
-feeding its numbers, so editing the analytical model (or the simulator
-datapath) invalidates that backend's stale caches automatically instead
-of silently serving results from an older implementation.
+Persisted results are only valid for the code that produced them, so
+every store namespace derives from one digest of every ``*.py`` file
+under the installed ``repro`` package, computed once per process.  The
+model namespace is the bare digest; the simulator, co-search and
+sim-validation namespaces prefix it with ``simnet-``, ``opt-`` and
+``sim-``.  Any edit under ``src/repro`` rotates every namespace (one
+cold start), and :mod:`repro.dse.gc` treats the old ones as stale.
 
-Two digest strategies coexist:
-
-- the **default** (package-list) digests a hand-maintained set of
-  package trees per backend -- bit-identical to what every store on
-  disk was written under, so it stays the default;
-- the **dependency-cone** strategy (opt-in via
-  ``REPRO_CONE_FINGERPRINTS=1``) digests exactly the modules in the
-  backend entry points' import cone
-  (:meth:`repro.analysis.graph.ImportGraph.dependency_cone`).  The
-  cone is both *tighter* across layers -- an edit under ``repro.dse``
-  or ``repro.serve`` never rotates a backend namespace, because no
-  backend imports them -- and *safer* within them: helpers the static
-  package list misses (``repro.utils.bits`` feeds every bit-plane
-  codec) are in the cone, so editing them rotates the cache instead of
-  silently serving stale numbers.
-
-The flag changes namespaces (a one-time cold start when first
-enabled), never result bits; workers inherit it through the
-environment like ``REPRO_TRACE``.
+Nothing narrower is worth its cost: a hand-kept package list misses the
+next new import, and both backends' ``evaluate`` methods live in
+:mod:`repro.eval.backends`, whose import cone is over half the tree and
+takes far longer to build than hashing every file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from functools import lru_cache
 from pathlib import Path
-from types import ModuleType
-
-#: Opt-in switch for dependency-cone namespacing (any value but
-#: ``""``/``"0"`` enables; inherited by worker processes).
-CONE_ENV = "REPRO_CONE_FINGERPRINTS"
-
-#: Entry points whose import cone feeds the analytical model's numbers.
-MODEL_CONE_ENTRIES = (
-    "repro.model", "repro.accelerators", "repro.sparsity",
-    "repro.workloads", "repro.core", "repro.arch",
-)
-
-#: Back-reference cut for the model cone: the deprecated
-#: ``Accelerator.evaluate_network`` shim lazily delegates *up* into
-#: ``repro.eval``, which would otherwise drag the eval/sim layers into
-#: the analytical model's namespace.  The eval layer's own source is
-#: not what the model backend's cached numbers are computed from.
-MODEL_CONE_PRUNE = ("repro.eval",)
-
-#: Entry points whose import cone feeds simulator-backed evaluations.
-SIM_CONE_ENTRIES = (
-    "repro.sim", "repro.workloads", "repro.sparsity", "repro.arch",
-    "repro.eval.lowering",
-)
 
 
-def cone_fingerprints_enabled() -> bool:
-    """Whether store namespaces derive from import cones."""
-    return os.environ.get(CONE_ENV, "") not in ("", "0")
-
-
-def cone_fingerprint(*entries: str, root: str | Path | None = None,
-                     prefix: str = "",
-                     prune: tuple[str, ...] = ()) -> str:
-    """Digest of every module in the entry points' dependency cone.
-
-    ``entries`` are modules or packages (``"repro.sim"`` seeds its
-    whole subtree); the digest covers the *transitive* import closure,
-    so it changes exactly when a file that can feed the entry points'
-    numbers changes.  ``root`` defaults to the installed tree; tests
-    pass a scratch copy to pin cone behavior under edits.  ``prune``
-    cuts intentional back-references out of the walk
-    (:meth:`repro.analysis.graph.ImportGraph.dependency_cone`).
-    """
-    from repro.analysis.graph import build_graph, repo_graph
-
-    graph = repo_graph() if root is None else build_graph(root)
+def tree_digest(root: str | Path) -> str:
+    """Uncached digest of every ``*.py`` file under ``root``: each
+    file's path relative to ``root``, then its bytes."""
+    base = Path(root)
     digest = hashlib.sha256()
-    for name in sorted(graph.dependency_cone(*entries, prune=prune)):
-        digest.update(name.encode("utf-8"))
-        digest.update(graph.modules[name].path.read_bytes())
-    return prefix + digest.hexdigest()[:12]
-
-
-def _digest_tree(digest: "hashlib._Hash", package: ModuleType) -> None:
-    root = Path(package.__file__).parent  # type: ignore[arg-type]
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode("utf-8"))
+    for path in sorted(base.rglob("*.py")):
+        digest.update(path.relative_to(base).as_posix().encode("utf-8"))
+        digest.update(b"\0")
         digest.update(path.read_bytes())
-
-
-@lru_cache(maxsize=2)
-def _code_fingerprint(cone: bool) -> str:
-    if cone:
-        return cone_fingerprint(*MODEL_CONE_ENTRIES,
-                                prune=MODEL_CONE_PRUNE)
-    import repro.accelerators
-    import repro.arch
-    import repro.core
-    import repro.model
-    import repro.sparsity
-    import repro.workloads
-
-    digest = hashlib.sha256()
-    for package in (repro.model, repro.accelerators, repro.sparsity,
-                    repro.workloads, repro.core, repro.arch):
-        _digest_tree(digest, package)
     return digest.hexdigest()[:12]
 
 
+@lru_cache(maxsize=1)
+def _installed_digest() -> str:
+    import repro
+
+    return tree_digest(Path(repro.__file__).parent)  # type: ignore[arg-type]
+
+
 def code_fingerprint() -> str:
-    """Digest of the model/accelerator source feeding an evaluation."""
-    return _code_fingerprint(cone_fingerprints_enabled())
+    """The model namespace: the whole-tree digest."""
+    return _installed_digest()
+
+
+def sim_backend_fingerprint() -> str:
+    """The namespace of simulator-backed evaluations."""
+    return "simnet-" + _installed_digest()
+
+
+def opt_fingerprint() -> str:
+    """The namespace of co-search probe records (:mod:`repro.opt`)."""
+    return "opt-" + _installed_digest()
 
 
 def live_fingerprints() -> frozenset[str]:
-    """Store namespaces the current source tree can still produce.
+    """The registered evaluation backends' namespaces.
 
-    One entry per registered evaluation backend (the analytical model
-    and the simulator datapaths).  Everything else under a store root
-    was written by an earlier revision of the code and can only ever be
-    read again by checking that revision out -- the GC treats such
-    namespaces as stale eviction candidates.  Note the sim-*validation*
-    campaigns (:mod:`repro.dse.simcampaign`) add their own namespace on
-    top of these; :func:`repro.dse.gc.live_namespaces` is the full set.
+    Every other namespace under a store root was written by an earlier
+    revision of the code; :func:`repro.dse.gc.live_namespaces` adds the
+    sim-validation and co-search namespaces to this set.
     """
     from repro.eval.registry import backend_names, get_backend
 
     return frozenset(
         get_backend(name).fingerprint() for name in backend_names())
-
-
-@lru_cache(maxsize=2)
-def _opt_fingerprint(cone: bool) -> str:
-    import repro.models
-
-    digest = hashlib.sha256()
-    digest.update(_code_fingerprint(cone).encode("utf-8"))
-    if cone:
-        digest.update(
-            cone_fingerprint("repro.models").encode("utf-8"))
-    else:
-        _digest_tree(digest, repro.models)
-    return "opt-" + digest.hexdigest()[:12]
-
-
-def opt_fingerprint() -> str:
-    """Digest namespacing the guided co-search's probe records.
-
-    Co-search probes (:mod:`repro.opt.cosearch`) price *strategies*,
-    not plain eval requests, so they live in their own ``opt-``
-    namespace.  Their numbers come from the same model/accelerator
-    source as an evaluation (:func:`code_fingerprint`) plus the tiny
-    executable networks and fidelity proxies feeding the accuracy side
-    (:mod:`repro.models`) -- editing either invalidates the cache.
-    """
-    return _opt_fingerprint(cone_fingerprints_enabled())
-
-
-@lru_cache(maxsize=2)
-def _sim_backend_fingerprint(cone: bool) -> str:
-    if cone:
-        return cone_fingerprint(*SIM_CONE_ENTRIES, prefix="simnet-")
-    import repro.arch
-    import repro.eval.lowering
-    import repro.sim
-    import repro.sparsity
-    import repro.workloads
-
-    digest = hashlib.sha256()
-    for package in (repro.sim, repro.workloads, repro.sparsity, repro.arch):
-        _digest_tree(digest, package)
-    digest.update(Path(repro.eval.lowering.__file__).read_bytes())
-    return "simnet-" + digest.hexdigest()[:12]
-
-
-def sim_backend_fingerprint() -> str:
-    """Digest of the source feeding simulator-backed evaluations.
-
-    Covers the structural datapath, the hardware-description package
-    whose specs configure (and whose technology prices) it, the
-    workload tables and synthetic weights it streams, the sparsity
-    statistics behind the deviation metrics, and the lowering itself.
-    """
-    return _sim_backend_fingerprint(cone_fingerprints_enabled())

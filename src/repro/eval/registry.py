@@ -3,9 +3,10 @@
 A backend is anything that can answer an :class:`EvalRequest` with a
 canonical :class:`EvalResult`: the analytical model, a structural
 simulator datapath, or (later) an RTL trace reader or remote service.
-Backends self-describe with a ``fingerprint`` -- a digest of the source
-that produced their numbers -- which namespaces the result store so
-editing a backend invalidates exactly its own cached results.
+Backends self-describe with a ``fingerprint`` -- their result-store
+namespace, the whole-tree digest of :mod:`repro.eval.fingerprints`
+behind a backend-specific prefix -- so any source edit invalidates
+every backend's cached results.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class EvalBackend(Protocol):
     name: str
 
     def fingerprint(self) -> str:
-        """Digest of the source feeding this backend's numbers."""
+        """This backend's store namespace (a whole-tree digest)."""
         ...
 
     def evaluate(self, request: EvalRequest) -> EvalResult:

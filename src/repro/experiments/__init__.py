@@ -5,7 +5,3 @@ Every module exposes ``run()`` returning structured results and
 benchmark suite under ``benchmarks/`` wraps these harnesses with
 pytest-benchmark; EXPERIMENTS.md records paper-vs-measured values.
 """
-
-from repro.experiments import common
-
-__all__ = ["common"]

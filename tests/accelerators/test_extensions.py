@@ -5,9 +5,7 @@ import pytest
 
 from repro.accelerators.bitwave import BitWave
 from repro.accelerators.huaa import HUAA
-
-# evaluate_network's deprecation shim is itself under test below.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.eval.backends import model_network_evaluation
 from repro.sparsity.stats import compute_layer_stats
 from repro.workloads.nets import bert_base_layers
 from repro.workloads.spec import LayerSpec
@@ -77,7 +75,7 @@ class TestEvaluateWorkload:
         assert len(ev.layers) == 2
 
     def test_evaluate_network_is_workload_of_full_table(self):
-        a = HUAA().evaluate_network("cnn_lstm")
+        a = model_network_evaluation(HUAA(), "cnn_lstm")
         from repro.workloads.nets import network_layers
 
         b = HUAA().evaluate_workload(

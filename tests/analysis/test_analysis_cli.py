@@ -60,21 +60,3 @@ class TestVersions:
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
         assert len(data["schemas"]) == 6
-
-
-class TestCone:
-    def test_cone_lists_modules(self, capsys):
-        assert main(["cone", "repro.sim"]) == 0
-        out = capsys.readouterr().out
-        assert "repro.sim.npu" in out
-        assert "repro.dse" not in out
-
-    def test_cone_json(self, capsys):
-        assert main(["cone", "repro.sim", "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["entries"] == ["repro.sim"]
-        assert "repro.sim" in data["cone"]
-
-    def test_unknown_entry_exits_two(self, capsys):
-        assert main(["cone", "repro.nope"]) == 2
-        assert "error:" in capsys.readouterr().err

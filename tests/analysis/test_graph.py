@@ -105,33 +105,11 @@ class TestSyntheticGraph:
         assert "pkg.other.c" in cone
         assert "pkg.other.d" not in cone
 
-    def test_prune_cuts_back_references(self, make_tree):
-        root = make_tree({
-            "low/a.py": ("def shim():\n"
-                         "    import pkg.high.facade\n"),
-            "high/facade.py": "import pkg.high.deep\n",
-            "high/deep.py": "",
-        })
-        graph = build_graph(root, package="pkg")
-        full = graph.dependency_cone("pkg.low")
-        assert "pkg.high.deep" in full
-        cut = graph.dependency_cone("pkg.low", prune=("pkg.high",))
-        assert cut == {"pkg.low", "pkg.low.a"}
-
     def test_unknown_entry_raises(self, make_tree):
         root = make_tree({"a.py": ""})
         graph = build_graph(root, package="pkg")
         with pytest.raises(KeyError, match="nonexistent"):
             graph.dependency_cone("pkg.nonexistent")
-
-    def test_cone_files_sorted_by_module(self, make_tree):
-        root = make_tree({
-            "b.py": "import pkg.a\n",
-            "a.py": "",
-        })
-        graph = build_graph(root, package="pkg")
-        files = graph.cone_files("pkg.b")
-        assert [path.stem for path in files] == ["a", "b"]
 
     def test_cycles_found_on_top_level_edges(self, make_tree):
         root = make_tree({
@@ -158,9 +136,8 @@ class TestSyntheticGraph:
 
 class TestRealTree:
     def test_sim_cone_excludes_search_layers(self):
-        """The pinned invariant behind cone fingerprints: nothing under
-        ``repro.sim`` can reach the campaign/search/serving layers, so
-        a ``dse``-only edit never rotates the sim store namespace."""
+        """Nothing under ``repro.sim`` can reach the campaign, search,
+        serving or evaluation layers, even through deferred imports."""
         cone = repo_graph().dependency_cone("repro.sim")
         assert not any(
             name == layer or name.startswith(layer + ".")
@@ -169,9 +146,9 @@ class TestRealTree:
                           "repro.eval"))
 
     def test_sim_backend_cone_excludes_dse(self):
-        from repro.eval.fingerprints import SIM_CONE_ENTRIES
-
-        cone = repo_graph().dependency_cone(*SIM_CONE_ENTRIES)
+        cone = repo_graph().dependency_cone(
+            "repro.sim", "repro.workloads", "repro.sparsity", "repro.arch",
+            "repro.eval.lowering")
         assert "repro.sim.npu" in cone
         assert not any(name.startswith(("repro.dse", "repro.serve",
                                         "repro.opt"))
@@ -179,22 +156,3 @@ class TestRealTree:
 
     def test_real_tree_has_no_module_scope_cycles(self):
         assert repo_graph().cycles() == []
-
-    def test_model_cone_covers_shared_helpers(self):
-        """Helpers the hand-maintained package list already digests
-        must be in the cone too -- the cone is a superset within the
-        layers it covers -- while the pruned back-reference keeps the
-        eval/sim layers out."""
-        from repro.eval.fingerprints import (
-            MODEL_CONE_ENTRIES,
-            MODEL_CONE_PRUNE,
-        )
-
-        cone = repo_graph().dependency_cone(
-            *MODEL_CONE_ENTRIES, prune=MODEL_CONE_PRUNE)
-        assert "repro.model.energy" in cone
-        assert "repro.arch.spec" in cone
-        assert not any(name.startswith(("repro.eval", "repro.sim",
-                                        "repro.dse", "repro.serve",
-                                        "repro.opt"))
-                       for name in cone)

@@ -205,19 +205,21 @@ class TestStoreConcurrency:
 
 class TestMerge:
     def _fill(self, root, namespace, keys, marker):
+        # Stamped like make_record: computed under this namespace.
         store = ResultStore(root, namespace=namespace)
         for key in keys:
-            store.put(key, {"version": RECORD_VERSION, "marker": marker})
+            store.put(key, {"version": RECORD_VERSION,
+                            "fingerprint": namespace, "marker": marker})
         return store
 
     def test_merge_folds_and_is_idempotent(self, tmp_path):
         a = self._fill(tmp_path / "a", "ns", ("k1", "k2"), 1)
         b = self._fill(tmp_path / "b", "ns", ("k3",), 2)
-        assert b.merge(a) == 2
+        assert b.merge(a).written == 2
         assert sorted(b.keys()) == ["k1", "k2", "k3"]
         size = b.path.stat().st_size
         # Merging the same shard again changes nothing.
-        assert b.merge(a) == 0
+        assert b.merge(a).written == 0
         assert b.path.stat().st_size == size
         fresh = ResultStore(tmp_path / "b", namespace="ns")
         assert len(fresh) == 3
@@ -225,7 +227,7 @@ class TestMerge:
     def test_merge_is_last_wins_on_conflict(self, tmp_path):
         dest = self._fill(tmp_path / "dest", "ns", ("k",), 1)
         src = self._fill(tmp_path / "src", "ns", ("k",), 2)
-        assert dest.merge(src) == 1
+        assert dest.merge(src).written == 1
         assert dest.get("k")["marker"] == 2
         assert ResultStore(tmp_path / "dest",
                            namespace="ns").get("k")["marker"] == 2
@@ -233,22 +235,31 @@ class TestMerge:
     def test_merge_accepts_bare_jsonl_and_namespace_dir(self, tmp_path):
         src = self._fill(tmp_path / "src", "ns", ("k1",), 1)
         via_file = ResultStore(tmp_path / "d1", namespace="ns")
-        assert via_file.merge(src.path) == 1
+        assert via_file.merge(src.path).written == 1
         via_dir = ResultStore(tmp_path / "d2", namespace="ns")
-        assert via_dir.merge(src.path.parent) == 1
+        assert via_dir.merge(src.path.parent).written == 1
         assert "k1" in via_file and "k1" in via_dir
+
+    def test_merge_skips_records_of_another_fingerprint(self, tmp_path):
+        # Records computed by other code must never be served as this
+        # namespace's results -- nor records that name no fingerprint.
+        src = self._fill(tmp_path / "src", "F", ("k1",), 1)
+        src.put("k2", {"version": RECORD_VERSION, "marker": 1})
+        dest = ResultStore(tmp_path / "dest", namespace="G")
+        assert dest.merge(src.path) == (0, 2)
+        assert len(dest) == 0 and not dest.path.exists()
 
     def test_merge_skips_torn_source_lines(self, tmp_path):
         src = self._fill(tmp_path / "src", "ns", ("k1",), 1)
         with src.path.open("a") as handle:
             handle.write('{"key": "k2", "trunc')
         dest = ResultStore(tmp_path / "dest", namespace="ns")
-        assert dest.merge(src) == 1
+        assert dest.merge(src).written == 1
         assert "k2" not in dest
 
     def test_merge_missing_source_is_a_noop(self, tmp_path):
         dest = ResultStore(tmp_path / "dest", namespace="ns")
-        assert dest.merge(tmp_path / "nope" / "results.jsonl") == 0
+        assert dest.merge(tmp_path / "nope" / "results.jsonl") == (0, 0)
         assert not dest.path.exists()
 
     def test_cli_merge_whole_store_root(self, tmp_path, capsys):
@@ -264,30 +275,28 @@ class TestMerge:
         assert "k1" in ResultStore(dest, namespace="ns1")
         assert "k2" in ResultStore(dest, namespace="ns2")
 
-    def test_cli_merge_bare_file_requires_namespace(self, tmp_path, capsys):
-        # Guessing a namespace would strand the records somewhere no
-        # reader looks (e.g. sim records under the model fingerprint).
-        from repro.dse.__main__ import main as dse_main
-
-        src = self._fill(tmp_path / "src", "simnet-abc", ("k1",), 1)
-        dest = tmp_path / "dest"
-        assert dse_main(["merge", "--store", str(dest),
-                         str(src.path)]) == 2
-        assert "--namespace" in capsys.readouterr().err
-        assert dse_main(["merge", "--store", str(dest),
-                         "--namespace", "simnet-abc", str(src.path)]) == 0
-        assert "k1" in ResultStore(dest, namespace="simnet-abc")
-
-    def test_cli_merge_rejects_namespace_with_store_root(
+    def test_cli_merge_files_bare_records_by_fingerprint(
             self, tmp_path, capsys):
-        # For a whole store root the namespaces merge under their own
-        # names; silently ignoring --namespace would surprise.
+        # A results.jsonl copied from another host needs no namespace:
+        # each record names its own, and it is never this checkout's.
         from repro.dse.__main__ import main as dse_main
 
-        self._fill(tmp_path / "a", "ns1", ("k1",), 1)
-        assert dse_main(["merge", "--store", str(tmp_path / "dest"),
-                         "--namespace", "ns9", str(tmp_path / "a")]) == 2
-        assert "store root" in capsys.readouterr().err
+        sim = self._fill(tmp_path / "src", "simnet-abc", ("k1",), 1)
+        model = self._fill(tmp_path / "src", "abc", ("k2",), 1)
+        model.put("k3", {"version": RECORD_VERSION, "marker": 1})
+        model.put("k4", {"version": RECORD_VERSION, "marker": 1,
+                         "fingerprint": "../escape"})
+        copied = tmp_path / "copied.jsonl"
+        copied.write_bytes(sim.path.read_bytes() + model.path.read_bytes())
+        dest = tmp_path / "dest"
+        assert dse_main(["merge", "--store", str(dest), str(copied)]) == 0
+        assert "skipped 2 records" in capsys.readouterr().out
+        assert not (tmp_path / "escape").exists()
+        assert sorted(p.name for p in dest.iterdir()) == ["abc",
+                                                          "simnet-abc"]
+        assert list(ResultStore(dest, namespace="simnet-abc").keys()) \
+            == ["k1"]
+        assert list(ResultStore(dest, namespace="abc").keys()) == ["k2"]
 
 
 class TestGc:
@@ -433,7 +442,7 @@ class TestFailureTolerance:
     def test_pool_poisoned_point_spares_the_rest(self, tmp_path):
         spec = _spec(networks=("cnn_lstm", "mobilenetv2"))
         run, store = self._run_with(tmp_path, _poison_worker, spec=spec,
-                                    jobs=2, chunksize=1)
+                                    jobs=2)
         assert run.evaluated == 2   # both Stripes points
         assert len(run.failed) == 2  # both SCNN points
         assert len(store) == 2

@@ -1,29 +1,25 @@
 """The ``python -m repro.dse`` CLI, the run_all argparse migration, and
-the store-backed ``experiments.common`` helpers."""
+the store-backed grid prewarm."""
 
 import json
 
 import pytest
 
 from repro.accelerators import SOTA_ACCELERATORS
-from repro.accelerators.bitwave import BitWave
 from repro.dse.__main__ import main as dse_main
 from repro.dse.spec import CampaignSpec
-from repro.eval.result import to_network_evaluation
-from repro.experiments import common
+from repro.eval.api import reset_cache
+from repro.eval.grids import BREAKDOWN_VARIANTS, evaluation, prewarm_grids
 from repro.experiments.run_all import parse_args
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::DeprecationWarning")  # the legacy shims are under test here
 
 
 @pytest.fixture
 def isolated_store(tmp_path, monkeypatch):
     """Route the default store (env-derived) into a tmp dir."""
     monkeypatch.setenv("REPRO_DSE_STORE", str(tmp_path))
-    common.reset_cache()
+    reset_cache()
     yield tmp_path
-    common.reset_cache()
+    reset_cache()
 
 
 SMOKE = ["--name", "smoke", "--accelerators", "Stripes",
@@ -106,51 +102,18 @@ class TestRunAllArgs:
             parse_args(["--warp-speed"])
 
 
-class TestCommonMigration:
-    """The lru_cache helpers now ride the persistent store with the
-    same public call signatures."""
-
-    def test_sota_evaluation_persists_and_reloads(self, isolated_store):
-        first = common.sota_evaluation("Stripes", "cnn_lstm")
-        # Same process: memoized identity.
-        assert common.sota_evaluation("Stripes", "cnn_lstm") is first
-        assert any(isolated_store.rglob("results.jsonl"))
-
-        common.reset_cache()  # simulate a fresh process
-        reloaded = common.sota_evaluation("Stripes", "cnn_lstm")
-        assert reloaded is not first
-        assert reloaded == first
-
-    def test_breakdown_evaluation_matches_direct_build(self, isolated_store):
-        via_store = common.breakdown_evaluation("+DF", "cnn_lstm")
-        direct = BitWave("dynamic", "dense", False).evaluate_network(
-            "cnn_lstm")
-        assert via_store == direct
-
-    def test_grids_share_the_store(self, isolated_store):
-        grid = common.sota_grid(("cnn_lstm",), accelerators=("Stripes",))
-        assert grid[("Stripes", "cnn_lstm")] \
-            is common.sota_evaluation("Stripes", "cnn_lstm")
-
-    def test_all_sota_signature_preserved(self):
-        assert callable(common.all_sota_evaluations)
-        assert common.BREAKDOWN_VARIANTS == (
-            "Dense", "+DF", "+DF+SM", "+DF+SM+BF")
-
+class TestPrewarmGrids:
     def test_prewarm_populates_memo(self, isolated_store):
-        run = common.prewarm_grids(networks=("cnn_lstm",), jobs=1)
+        run = prewarm_grids(networks=("cnn_lstm",), jobs=1)
         assert run is not None
         # The fully-enabled variant shares the SotA BitWave point.
         assert run.total == len(SOTA_ACCELERATORS) \
-            + len(common.BREAKDOWN_VARIANTS) - 1
+            + len(BREAKDOWN_VARIANTS) - 1
         # Harness calls after prewarm are pure memo hits: no further
-        # evaluation, stable identity across calls, values equal to
-        # the prewarmed canonical results.
+        # evaluation, the prewarmed result object itself.
         key = [p for p in run.points
                if p.label == "BitWave/cnn_lstm"][0].key()
-        legacy = common.sota_evaluation("BitWave", "cnn_lstm")
-        assert legacy is common.sota_evaluation("BitWave", "cnn_lstm")
-        assert legacy == to_network_evaluation(run.results[key])
+        assert evaluation("cnn_lstm", "BitWave") is run.results[key]
 
 
 class TestJsonFormat:

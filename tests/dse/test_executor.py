@@ -121,11 +121,6 @@ class TestParallelExecution:
             assert parallel_ev == evaluation, \
                 "parallel and serial evaluations must be identical"
 
-    def test_explicit_chunksize(self, acceptance_spec, tmp_path):
-        run = run_campaign(
-            acceptance_spec, ResultStore(tmp_path), jobs=2, chunksize=2)
-        assert run.evaluated == 4
-
 
 class TestResolveJobs:
     def test_zero_means_cpu_count(self):
