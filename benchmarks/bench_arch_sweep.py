@@ -5,7 +5,7 @@ Runs a small technology-sensitivity campaign -- two archs x two
 networks x both evaluation backends (analytical model and vectorized
 simulator) -- against a throwaway store and records points/second, so
 the perf trajectory of the hardware-description axis is tracked across
-PRs the same way ``BENCH_sim.json`` tracks the datapath::
+PRs::
 
     PYTHONPATH=src python benchmarks/bench_arch_sweep.py
     PYTHONPATH=src python benchmarks/bench_arch_sweep.py --jobs 2

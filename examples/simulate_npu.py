@@ -11,6 +11,7 @@ Run:  python examples/simulate_npu.py
 
 import numpy as np
 
+from repro.arch import parse_arch
 from repro.nn import functional as F
 from repro.sim.npu import BitWaveNPU
 from repro.utils.rng import seeded_rng
@@ -22,9 +23,8 @@ def main() -> None:
                       -127, 127).astype(np.int8)
     acts = rng.integers(-64, 64, (1, 8, 12, 12)).astype(np.int32)
 
-    sparse_run = BitWaveNPU(group_size=8).run_conv(
-        weights, acts, stride=1, padding=1)
-    dense_run = BitWaveNPU(group_size=8, dense_mode_precision=8).run_conv(
+    sparse_run = BitWaveNPU().run_conv(weights, acts, stride=1, padding=1)
+    dense_run = BitWaveNPU(parse_arch("bitwave-16nm@columns=dense")).run_conv(
         weights, acts, stride=1, padding=1)
 
     reference = F.conv2d(acts.astype(np.float64), weights.astype(np.float64),

@@ -19,7 +19,7 @@ The package is organised as:
 - :mod:`repro.accelerators` -- BitWave and the five SotA baselines
   (Dense, HUAA, Stripes, Pragmatic, Bitlet, SCNN).
 - :mod:`repro.sim` -- a cycle-approximate simulator of the BitWave
-  datapath (ZCIP, SMM, BCE, fetcher, dispatcher).
+  datapath (ZCIP, SMM, BCE, fetcher).
 - :mod:`repro.experiments` -- one harness per paper table/figure.
 """
 

@@ -2,7 +2,7 @@
 
 Every persisted schema in the tree carries a version constant
 (``RECORD_VERSION``, ``SPEC_VERSION``, ``REQUEST_VERSION``,
-``RESULT_VERSION``, ``SIM_SPEC_VERSION``, ``COSEARCH_PROBE_VERSION``)
+``RESULT_VERSION``, ``COSEARCH_PROBE_VERSION``)
 that store keys and record loaders key on -- but nothing used to stop
 a PR from adding a serialized field while leaving the constant alone,
 silently colliding new-shape records with old-shape caches.
@@ -112,12 +112,6 @@ def _spec_fields() -> tuple[str, ...]:
         + sorted(f"campaign.retry.{key}" for key in retry))
 
 
-def _sim_spec_fields() -> tuple[str, ...]:
-    from repro.dse.simcampaign import SimPoint
-
-    return tuple(sorted(SimPoint().to_dict()))
-
-
 def _cosearch_fields() -> tuple[str, ...]:
     from repro.arch import DEFAULT_ARCH
     from repro.opt.cosearch import CosearchProbe
@@ -151,9 +145,6 @@ def default_probes() -> tuple[SchemaProbe, ...]:
         SchemaProbe("SPEC_VERSION", "repro.dse.spec",
                     _constant("repro.dse.spec", "SPEC_VERSION"),
                     _spec_fields),
-        SchemaProbe("SIM_SPEC_VERSION", "repro.dse.simcampaign",
-                    _constant("repro.dse.simcampaign", "SIM_SPEC_VERSION"),
-                    _sim_spec_fields),
         SchemaProbe("COSEARCH_PROBE_VERSION", "repro.opt.cosearch",
                     _constant("repro.opt.cosearch",
                               "COSEARCH_PROBE_VERSION"),

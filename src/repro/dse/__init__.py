@@ -8,10 +8,6 @@ records persisted in a :class:`ResultStore` keyed by stable config
 hashes -- so re-runs are incremental and grids are shared across
 processes and sessions.
 
-A second campaign axis sweeps the *structural simulator* configuration
-through the Section V-B validation suite (:mod:`repro.dse.simcampaign`),
-made practical by the vectorized datapath backend.
-
 Campaigns shard across processes/hosts deterministically
 (:class:`Shard`, ``run --shard i/N``), shard stores fold back together
 with :meth:`ResultStore.merge`, and :func:`repro.dse.gc.collect_garbage`
@@ -26,7 +22,7 @@ gracefully with completed results committed.  The machinery is
 chaos-tested through deterministic fault injection (:mod:`repro.faults`,
 ``run --inject``).
 
-CLI: ``python -m repro.dse {init,points,run,summary,pareto,merge,gc,sim}``.
+CLI: ``python -m repro.dse {init,points,run,summary,pareto,merge,gc,opt}``.
 """
 
 from repro.dse.executor import (
@@ -38,14 +34,6 @@ from repro.dse.executor import (
 from repro.dse.gc import collect_garbage, live_namespaces
 from repro.dse.pool import WatchdogPool
 from repro.dse.retry import RetryPolicy
-from repro.dse.simcampaign import (
-    SimCampaignRun,
-    SimCampaignSpec,
-    SimPoint,
-    run_sim_campaign,
-    sim_code_fingerprint,
-    sim_store,
-)
 from repro.dse.records import (
     evaluation_from_dict,
     evaluation_to_dict,
@@ -86,9 +74,6 @@ __all__ = [
     "ScanResult",
     "Shard",
     "WatchdogPool",
-    "SimCampaignRun",
-    "SimCampaignSpec",
-    "SimPoint",
     "campaign_pareto",
     "code_fingerprint",
     "collect_garbage",
@@ -104,8 +89,5 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
     "run_campaign",
-    "run_sim_campaign",
-    "sim_code_fingerprint",
-    "sim_store",
     "summary_table",
 ]

@@ -58,10 +58,11 @@ Examples::
     python -m repro.dse run --spec campaign.json --jobs 4 --trace
     python -m repro.obs report ~/.cache/repro-dse/traces/<run-dir>
 
-    # Sim-backed validation campaigns sweep the structural simulator's
-    # configuration (group size, unrolls, datapath backend) and run the
-    # Section V-B validation suite at every point.
-    python -m repro.dse sim --group-sizes 4,8 --oxus 8,16 --jobs 4
+    # Sweep the simulator's PE-array geometry: every sim-backed layer
+    # stores its Section V-B model deviation next to its counters.
+    python -m repro.dse run --name sim-sweep --accelerators BitWave \\
+        --networks cnn_lstm --backends sim-vectorized \\
+        --archs bitwave-16nm@group=4+oxu=8,bitwave-16nm@group=8+oxu=16
 
     # Self-healing: failed attempts retry with exponential backoff
     # (poison errors are quarantined at once), a per-point --timeout
@@ -96,13 +97,6 @@ from repro.arch import arch_names
 from repro.dse.executor import CampaignRun, run_campaign
 from repro.dse.gc import DEFAULT_MAX_AGE_DAYS, collect_garbage, gc_table
 from repro.dse.retry import RetryPolicy
-from repro.dse.simcampaign import (
-    SimCampaignSpec,
-    run_sim_campaign,
-    sim_store,
-    sim_summary_data,
-    sim_summary_rows,
-)
 from repro.dse.spec import CampaignSpec, Shard, paper_grid
 from repro.dse.store import (
     ResultStore,
@@ -117,9 +111,7 @@ from repro.dse.summary import (
     summary_table,
 )
 from repro.eval.registry import backend_names
-from repro.sim.npu import BACKENDS
 from repro.utils.progress import ProgressPrinter
-from repro.utils.tables import format_table
 
 #: A fingerprint `merge` may file records under: one plain directory
 #: name, never a path out of the destination root.
@@ -128,10 +120,6 @@ _NAMESPACE = re.compile(r"[A-Za-z0-9_-]+")
 
 def _csv(value: str) -> tuple[str, ...]:
     return tuple(part for part in value.split(",") if part)
-
-
-def _int_csv(value: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in value.split(",") if part)
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
@@ -383,40 +371,6 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sim(args: argparse.Namespace) -> int:
-    spec = SimCampaignSpec(
-        name=args.name,
-        group_sizes=args.group_sizes,
-        kus=args.kus,
-        oxus=args.oxus,
-        backends=args.backends,
-    )
-    spec.validate()
-    store = sim_store(args.store)
-    trace_dir = _activate_tracing(args, spec.name, store.root)
-    _activate_faults(args)
-    progress = None if args.quiet else ProgressPrinter()
-    run = run_sim_campaign(
-        spec, store, jobs=args.jobs, force=args.force, progress=progress,
-        policy=_policy_from_args(args, None))
-    if trace_dir is not None:
-        obs.flush()
-        print(f"trace: {trace_dir} "
-              f"(aggregate: python -m repro.obs report {trace_dir})",
-              file=sys.stderr)
-    if args.format == "json":
-        _emit_json(sim_summary_data(run))
-        return _run_exit_code(run)
-    print(run.summary_line)
-    print()
-    print(format_table(
-        ["config", "layers", "total cycles", "max deviation"],
-        sim_summary_rows(run),
-        title="Sim-backed validation campaign (paper bound: <6%)",
-    ))
-    return _run_exit_code(run)
-
-
 def _merge_files(src: str) -> list[Path]:
     """The ``results.jsonl`` files a merge source names."""
     path = Path(src).expanduser()
@@ -578,34 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(e.g. `sh --smoke --format json`)")
     p_opt.set_defaults(func=_cmd_opt)
 
-    p_sim = sub.add_parser(
-        "sim", help="run a sim-backed validation campaign over "
-                    "simulator configurations")
-    p_sim.add_argument("--name", default="sim-adhoc",
-                       help="campaign name (reporting only)")
-    p_sim.add_argument("--group-sizes", type=_int_csv, default=(8,),
-                       metavar="G,H", help="BCS group sizes (default: 8)")
-    p_sim.add_argument("--kus", type=_int_csv, default=(32,),
-                       metavar="K,L", help="kernel unrolls (default: 32)")
-    p_sim.add_argument("--oxus", type=_int_csv, default=(16,),
-                       metavar="X,Y", help="spatial unrolls (default: 16)")
-    p_sim.add_argument("--backends", type=_csv, default=("vectorized",),
-                       metavar="B,C",
-                       help=f"datapath backends, from {BACKENDS} "
-                            "(default: vectorized)")
-    p_sim.add_argument("--store", metavar="DIR", default=None,
-                       help="result-store root (default: "
-                            "$REPRO_DSE_STORE or ~/.cache/repro-dse)")
-    p_sim.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (0 = all CPUs; default 1)")
-    p_sim.add_argument("--force", action="store_true",
-                       help="re-evaluate points already in the store")
-    p_sim.add_argument("--quiet", action="store_true",
-                       help="suppress per-point progress lines")
-    _add_format_argument(p_sim)
-    _add_trace_argument(p_sim)
-    _add_resilience_arguments(p_sim)
-    p_sim.set_defaults(func=_cmd_sim)
     return parser
 
 

@@ -203,10 +203,9 @@ class _SignalGuard:
 class CampaignRun(Generic[PointT, ResultT]):
     """Outcome of one campaign-driver invocation.
 
-    Shared by the evaluation grids (``CampaignRun[EvalPoint,
-    EvalResult]``) and the sim-validation campaigns (``CampaignRun[
-    SimPoint, dict]``); the type parameters keep each caller's
-    ``results`` payload checked.
+    Evaluation grids run as ``CampaignRun[EvalPoint, EvalResult]``; the
+    type parameters keep the driver (:func:`drive_points`) independent
+    of the point and result types it moves.
     """
 
     spec: NamedSpec
@@ -268,11 +267,7 @@ class CampaignRun(Generic[PointT, ResultT]):
         return self.total - self.cached - self.evaluated - len(self.failed)
 
     def grid(self) -> dict[tuple[str, str], ResultT]:
-        """``(config label, network) -> result`` (evaluation grids)."""
-        if self.points and not isinstance(self.points[0], EvalPoint):
-            raise TypeError(
-                f"grid() is defined for evaluation-grid runs; this run's "
-                f"points are {type(self.points[0]).__name__}")
+        """``(config label, network) -> result``."""
         if self.failed:
             # Harness grids (Fig. 13-17) need every cell; a partial
             # grid would KeyError later with no hint of the cause.
@@ -341,9 +336,8 @@ def drive_points(
     """Shared campaign driver: cache scan, supervised fan-out, retries,
     store commits.
 
-    Used by both the evaluation grid (:func:`run_campaign`) and the
-    sim-validation campaign (:mod:`repro.dse.simcampaign`) so resume and
-    persistence semantics cannot diverge.  Parameterized by:
+    :func:`run_campaign` drives evaluation grids through it.
+    Parameterized by:
 
     - ``worker(point) -> (key, result_payload, elapsed_s)`` -- pool task;
     - ``cached_result(point)`` -- decoded stored value or ``None``;

@@ -37,15 +37,15 @@ DEFAULT_MAX_AGE_DAYS = 30.0
 def live_namespaces() -> frozenset[str]:
     """Every namespace the current source tree can still write to.
 
-    The registered evaluation backends' namespaces plus the
-    sim-validation campaign's and the guided co-search's, all derived
-    from one whole-tree digest.
+    The registered evaluation backends' namespaces (model and
+    ``simnet-``) plus the guided co-search's ``opt-``, all derived from
+    one whole-tree digest.  Anything else under a root -- an older
+    digest, or a prefix the tree no longer writes, such as the retired
+    ``sim-`` validation campaigns -- is stale.
     """
-    from repro.dse.simcampaign import sim_code_fingerprint
     from repro.eval.fingerprints import live_fingerprints, opt_fingerprint
 
-    return live_fingerprints() | frozenset(
-        (sim_code_fingerprint(), opt_fingerprint()))
+    return live_fingerprints() | {opt_fingerprint()}
 
 
 @dataclass(frozen=True)

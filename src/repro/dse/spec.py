@@ -87,8 +87,7 @@ class Shard:
         """Whether a config-hash key lands in this shard.
 
         Re-hashing the key keeps the split uniform and stable for any
-        key format (evaluation grids and sim campaigns alike),
-        independent of process and ``PYTHONHASHSEED``.
+        key format, independent of process and ``PYTHONHASHSEED``.
         """
         digest = hashlib.sha256(key.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.count == self.index

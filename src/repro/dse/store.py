@@ -382,7 +382,7 @@ class ResultStore:
             return None
         payload = record.get("result")
         if not isinstance(payload, Mapping) or "workload" not in payload:
-            return None  # e.g. a sim-validation suite record
+            return None  # not an evaluation result
         return result_from_dict(payload)
 
     def evaluation(self, key: str) -> NetworkEvaluation | None:
@@ -392,7 +392,7 @@ class ResultStore:
             return None
         payload = record.get("result")
         if not isinstance(payload, Mapping) or "workload" not in payload:
-            return None  # e.g. a sim-validation suite record
+            return None  # not an evaluation result
         if payload.get("backend", "model") != "model":
             return None  # no analytical breakdown to reconstruct
         return evaluation_from_dict(payload)

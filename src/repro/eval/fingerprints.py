@@ -3,10 +3,10 @@
 Persisted results are only valid for the code that produced them, so
 every store namespace derives from one digest of every ``*.py`` file
 under the installed ``repro`` package, computed once per process.  The
-model namespace is the bare digest; the simulator, co-search and
-sim-validation namespaces prefix it with ``simnet-``, ``opt-`` and
-``sim-``.  Any edit under ``src/repro`` rotates every namespace (one
-cold start), and :mod:`repro.dse.gc` treats the old ones as stale.
+model namespace is the bare digest; the simulator and co-search
+namespaces prefix it with ``simnet-`` and ``opt-``.  Any edit under
+``src/repro`` rotates every namespace (one cold start), and
+:mod:`repro.dse.gc` treats the old ones as stale.
 
 Nothing narrower is worth its cost: a hand-kept package list misses the
 next new import, and both backends' ``evaluate`` methods live in
@@ -60,7 +60,7 @@ def live_fingerprints() -> frozenset[str]:
 
     Every other namespace under a store root was written by an earlier
     revision of the code; :func:`repro.dse.gc.live_namespaces` adds the
-    sim-validation and co-search namespaces to this set.
+    co-search namespace to this set.
     """
     from repro.eval.registry import backend_names, get_backend
 

@@ -13,8 +13,10 @@ its weights' index bytes, and output contexts beyond the spatial
 without running a GEMM.
 
 :func:`analytic_compute_cycles` is the matching analytical-model half
-(BitWave's lock-stepped column cycle formula), shared by the Section
-V-B validation harness and the cross-backend deviation metrics.
+(BitWave's lock-stepped column cycle formula).  :func:`lower_layer`
+puts both halves of one layer into a :class:`repro.eval.result.LayerResult`
+-- the unit the ``sim-vectorized`` backend stores and the Section V-B
+validation table reads.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.arch import ArchSpec
+from repro.eval.result import LayerResult
 from repro.obs import trace
 from repro.sim.energy import (
     SimEnergyBreakdown,
@@ -239,3 +242,62 @@ def energy_deviation(simulated_pj: float, analytic_pj: float) -> float:
     if simulated_pj == 0.0:
         return 0.0 if analytic_pj == 0.0 else float("inf")
     return abs(simulated_pj - analytic_pj) / simulated_pj
+
+
+def lower_layer(
+    spec: LayerSpec,
+    arch: ArchSpec,
+    weights: np.ndarray | None = None,
+) -> LayerResult:
+    """One layer's simulated counters next to the matched analytical
+    predictions and their deviations (the Section V-B methodology).
+
+    ``weights`` is the layer's ``(K, reduction)`` int8 matrix; it
+    defaults to the workload's synthetic weights.
+    """
+    if weights is None:
+        with trace("eval.lower.weights", layer=spec.name):
+            weights = layer_matmul_weights(spec)
+    run = simulate_layer(spec, BitWaveNPU(arch=arch), weights=weights)
+    with trace("eval.lower.stats", layer=spec.name):
+        stats = layer_stats_for_sim(spec, arch.group_size, weights=weights)
+    reduction = matmul_reduction(spec)
+    analytic = analytic_compute_cycles(
+        stats,
+        k=spec.k,
+        reduction=reduction,
+        rows=run.total_rows,
+        group_size=arch.group_size,
+        ku=arch.ku,
+        oxu=arch.oxu,
+        dense_precision=(arch.dense_precision
+                         if arch.columns == "dense" else None),
+    )
+    analytic_pj = analytic_energy_pj(
+        stats, spec, k=spec.k, reduction=reduction, rows=run.total_rows,
+        arch=arch)
+    return LayerResult(
+        name=spec.name,
+        macs=spec.macs,
+        cycles=float(run.total_cycles),
+        energy_pj=run.energy.total_pj,
+        energy=run.energy.components(),
+        traffic={
+            "weight_bits_fetched": float(run.weight_bits_fetched),
+            "dense_weight_bits": float(run.dense_weight_bits),
+            "act_words_fetched": float(run.act_words),
+        },
+        detail={
+            "kind": spec.kind,
+            "compute_cycles": run.compute_cycles,
+            "fetch_cycles": run.fetch_cycles,
+            "column_ops": run.column_ops,
+            "analytic_cycles": analytic,
+            "model_deviation": model_vs_sim_deviation(
+                run.compute_cycles, analytic),
+            "analytic_energy_pj": analytic_pj,
+            "energy_deviation": energy_deviation(
+                run.energy.total_pj, analytic_pj),
+            "total_rows": run.total_rows,
+        },
+    )

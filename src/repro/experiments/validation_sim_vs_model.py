@@ -1,168 +1,101 @@
-"""Section V-B validation: a thin model-vs-sim backend diff.
+"""Section V-B validation: the model-vs-simulator table.
 
 The paper validates its analytical performance model against BitWave's
 RTL at <6% deviation.  We reproduce the methodology with the structural
-simulator standing in for RTL: run a suite of fully-connected *and*
-convolution layers through :class:`repro.sim.BitWaveNPU` and compare
-the measured compute cycles against the analytical cycle model.
+simulator standing in for RTL: count a suite of fully-connected *and*
+convolution layers on :class:`repro.sim.BitWaveNPU` and compare the
+counted compute cycles against the analytical cycle model.
 
-Both halves of the comparison live in :mod:`repro.eval` now -- the
-simulator lowering and the matched analytical formula are
-:func:`repro.eval.lowering.analytic_compute_cycles` /
-:func:`repro.eval.lowering.model_vs_sim_deviation`, the same code every
-``sim-*`` backend result reports its per-layer deviation with -- so
-this harness only owns the suite definition (cases, weights) and the
-diff table.
+Both halves of the comparison are the ``sim-vectorized`` backend's own
+per-layer lowering (:func:`repro.eval.lowering.lower_layer`), so the
+table reads the same ``compute_cycles``, ``analytic_cycles`` and
+``model_deviation`` every simulated workload layer stores.  This
+harness only owns the suite (layer shapes and their weights) and the
+table.
 
 The suite mixes synthetic FC shapes with layers drawn from the real
 workload spec tables (:mod:`repro.workloads.nets`): the FC heads of
 ResNet18/MobileNetV2, a BERT-Base attention projection, and two
 convolutions whose kernel geometry (K, C, FY, FX) comes straight from
-the ResNet18/MobileNetV2 layer tables (run at a reduced spatial extent
-so the whole suite stays interactive on the vectorized backend).
+the ResNet18/MobileNetV2 layer tables, at a reduced spatial extent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
-from repro.eval.lowering import analytic_compute_cycles, model_vs_sim_deviation
-from repro.sim.npu import BitWaveNPU
-from repro.sparsity.stats import compute_layer_stats
+from repro.arch import DEFAULT_ARCH, parse_arch
+from repro.eval.lowering import lower_layer
 from repro.utils.rng import seeded_rng
 from repro.utils.tables import format_table
 from repro.workloads.nets import network_layers
 from repro.workloads.spec import LayerSpec
 
-
-@dataclass(frozen=True)
-class ValidationCase:
-    """One suite entry: an FC matmul or an im2col'd convolution."""
-
-    name: str
-    kind: str  # "fc" | "conv"
-    k: int
-    c: int  #: input channels (conv) / reduction width (fc)
-    contexts: int  #: fc batch rows, or conv input spatial extent (H = W)
-    fy: int = 1
-    fx: int = 1
-    stride: int = 1
-    padding: int = 0
+#: Network tag of the suite's layers.
+SUITE = "validation"
 
 
-def _spec_case(network: str, layer: str, contexts: int,
-               padding: int = 0) -> ValidationCase:
-    """Build a case from a real workload spec's kernel geometry."""
-    spec: LayerSpec = next(
-        s for s in network_layers(network) if s.name == layer)
-    kind = "fc" if spec.kind == "fc" else "conv"
-    return ValidationCase(
-        name=f"{network}/{layer}", kind=kind, k=spec.k, c=spec.c,
-        contexts=contexts, fy=spec.fy, fx=spec.fx, padding=padding)
+def _fc(name: str, k: int, c: int, rows: int) -> LayerSpec:
+    return LayerSpec(name, SUITE, "fc", k=k, c=c, ox=rows)
 
 
-def _suite() -> tuple[ValidationCase, ...]:
+def _spec_case(network: str, layer: str, extent: int) -> LayerSpec:
+    """A real workload layer's kernel geometry over ``extent`` output
+    rows (FC) or an ``extent x extent`` output map (conv)."""
+    spec = next(s for s in network_layers(network) if s.name == layer)
+    conv = spec.kind != "fc"
+    return replace(spec, name=f"{network}/{layer}", network=SUITE,
+                   kind="conv" if conv else "fc", ox=extent,
+                   oy=extent if conv else 1)
+
+
+def _suite() -> tuple[LayerSpec, ...]:
     synthetic = (
-        ValidationCase("fc-32x64", "fc", 32, 64, 16),
-        ValidationCase("fc-64x128", "fc", 64, 128, 16),
-        ValidationCase("fc-16x256", "fc", 16, 256, 8),
-        ValidationCase("fc-64x64", "fc", 64, 64, 32),
-        ValidationCase("fc-128x96", "fc", 128, 96, 16),
+        _fc("fc-32x64", 32, 64, 16),
+        _fc("fc-64x128", 64, 128, 16),
+        _fc("fc-16x256", 16, 256, 8),
+        _fc("fc-64x64", 64, 64, 32),
+        _fc("fc-128x96", 128, 96, 16),
     )
     from_specs = (
-        _spec_case("resnet18", "fc", contexts=8),
-        _spec_case("mobilenetv2", "fc", contexts=4),
-        _spec_case("bert_base", "Layer.0.attention.query", contexts=4),
+        _spec_case("resnet18", "fc", 8),
+        _spec_case("mobilenetv2", "fc", 4),
+        _spec_case("bert_base", "Layer.0.attention.query", 4),
         # Convs at the papers' kernel geometry, reduced spatial extent.
-        _spec_case("resnet18", "layer2.0.conv1", contexts=14, padding=1),
-        _spec_case("mobilenetv2", "L.3", contexts=12),
+        _spec_case("resnet18", "layer2.0.conv1", 14),
+        _spec_case("mobilenetv2", "L.3", 12),
     )
     return synthetic + from_specs
 
 
-#: Validation suite; grown from five toy FC layers once the vectorized
-#: backend made realistic shapes (and convolutions) cheap to simulate.
+#: Validation suite: five synthetic FC shapes plus five real layers.
 VALIDATION_SUITE = _suite()
 
 
-def _weights(case: ValidationCase) -> np.ndarray:
-    rng = seeded_rng("validation", case.k, case.c * case.fy * case.fx)
-    shape = ((case.k, case.c) if case.kind == "fc"
-             else (case.k, case.c, case.fy, case.fx))
-    return np.clip(np.round(rng.laplace(0, 11, shape)), -127, 127).astype(
-        np.int8)
-
-
-def _activations(case: ValidationCase) -> np.ndarray:
-    rng = seeded_rng("validation-acts", case.k, case.c * case.fy * case.fx)
-    if case.kind == "fc":
-        return rng.integers(-128, 128, (case.contexts, case.c)).astype(
-            np.int32)
-    return rng.integers(
-        -128, 128, (1, case.c, case.contexts, case.contexts)).astype(
-            np.int32)
-
-
-def _im2col_weights(case: ValidationCase, weights: np.ndarray) -> np.ndarray:
-    """The (K, FY*FX*C) matrix the conv path actually streams."""
-    if case.kind == "fc":
-        return weights
+def _weights(spec: LayerSpec) -> np.ndarray:
+    """The suite's own ``(K, FY*FX*C)`` int8 weights: Laplace scale 11,
+    rounded and clipped without amax scaling, input channels innermost
+    (the im2col layout the simulator streams)."""
+    rng = seeded_rng("validation", spec.k, spec.c * spec.fy * spec.fx)
+    weights = rng.laplace(0, 11, (spec.k, spec.c, spec.fy, spec.fx))
+    weights = np.clip(np.round(weights), -127, 127).astype(np.int8)
     return np.ascontiguousarray(weights.transpose(0, 2, 3, 1)).reshape(
-        case.k, case.fy * case.fx * case.c)
+        spec.k, -1)
 
 
-def _output_rows(case: ValidationCase) -> int:
-    """Output contexts the simulator serializes over OXu."""
-    if case.kind == "fc":
-        return case.contexts
-    span = case.contexts + 2 * case.padding
-    out_y = (span - case.fy) // case.stride + 1
-    out_x = (span - case.fx) // case.stride + 1
-    return out_y * out_x
-
-
-def simulate_case(case: ValidationCase, group_size: int = 8, ku: int = 32,
-                  oxu: int = 16, backend: str = "vectorized"):
-    """Run one suite case through the structural simulator.
-
-    This is the datapath half of the validation (what the benchmark
-    times); :func:`run` adds the analytical-model half on top.
-    """
-    npu = BitWaveNPU(group_size=group_size, ku=ku, oxu=oxu, backend=backend)
-    if case.kind == "fc":
-        return npu.run_fc(_weights(case), _activations(case))
-    return npu.run_conv(_weights(case), _activations(case),
-                        stride=case.stride, padding=case.padding)
-
-
-def run(group_size: int = 8, ku: int = 32, oxu: int = 16,
-        backend: str = "vectorized") -> list[dict]:
+def run(arch: str = DEFAULT_ARCH) -> list[dict]:
+    machine = parse_arch(arch)
     results = []
     for case in VALIDATION_SUITE:
-        weights = _weights(case)
-        run_ = simulate_case(case, group_size=group_size, ku=ku, oxu=oxu,
-                             backend=backend)
-
-        stats = compute_layer_stats(_im2col_weights(case, weights),
-                                    group_sizes=(group_size,))
-        analytic = analytic_compute_cycles(
-            stats,
-            k=case.k,
-            reduction=case.c * case.fy * case.fx,
-            rows=_output_rows(case),
-            group_size=group_size,
-            ku=ku,
-            oxu=oxu,
-        )
-        deviation = model_vs_sim_deviation(run_.compute_cycles, analytic)
+        detail = lower_layer(case, machine, weights=_weights(case)).detail
         results.append({
             "layer": case.name,
             "kind": case.kind,
-            "simulated_cycles": int(run_.compute_cycles),
-            "analytic_cycles": float(analytic),
-            "deviation": float(deviation),
+            "simulated_cycles": int(detail["compute_cycles"]),
+            "analytic_cycles": float(detail["analytic_cycles"]),
+            "deviation": float(detail["model_deviation"]),
         })
     return results
 

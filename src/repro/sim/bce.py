@@ -12,6 +12,8 @@ activations each cycle, following the five steps of Fig. 8:
 
 The BCE holds activations and signs in registers across the non-zero
 columns of the same weight group; only the weight bits change per cycle.
+:class:`BitPlaneEngine` computes what the whole array of BCEs computes,
+one shared-significance bit plane at a time.
 """
 
 from __future__ import annotations
@@ -21,80 +23,21 @@ import numpy as np
 from repro import faults
 from repro.core.signmag import MAGNITUDE_PLANES, PLANE_SIGNIFICANCE
 from repro.obs import trace
-from repro.sim.smm import smm_column_sum, smm_plane_gemm
-from repro.sim.zcip import ParsedIndex
-
-
-class BitColumnEngine:
-    """One BCE lane-group; processes one column group at a time."""
-
-    def __init__(self, group_size: int = 8) -> None:
-        if group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {group_size}")
-        self.group_size = group_size
-        self.cycles = 0
-        self.column_ops = 0
-
-    def process_group(
-        self,
-        activations: np.ndarray,
-        columns: np.ndarray,
-        signs: np.ndarray,
-        parsed: ParsedIndex,
-    ) -> np.ndarray:
-        """Run one group against a batch of activation contexts.
-
-        Parameters
-        ----------
-        activations:
-            ``(..., G)`` int activations; leading axes are independent
-            output contexts served by spatially-parallel BCEs (they do
-            not add cycles -- the weight column is broadcast).
-        columns:
-            ``(n_nonzero_columns, G)`` magnitude column bits in streaming
-            order (matching ``parsed.shifts``).
-        signs:
-            ``(G,)`` sign bits of the grouped weights.
-        parsed:
-            ZCIP output carrying the shift schedule.
-
-        Returns
-        -------
-        numpy.ndarray
-            Partial sums, shape ``activations.shape[:-1]`` (int64).
-        """
-        activations = np.asarray(activations, dtype=np.int64)
-        if activations.shape[-1] != self.group_size:
-            raise ValueError(
-                f"expected {self.group_size} activations, got "
-                f"{activations.shape[-1]}")
-        if columns.shape[0] != len(parsed.shifts):
-            raise ValueError(
-                f"{columns.shape[0]} columns but {len(parsed.shifts)} shifts")
-        accumulator = np.zeros(activations.shape[:-1], dtype=np.int64)
-        for column_bits, shift in zip(columns, parsed.shifts):
-            partial = smm_column_sum(activations, column_bits, signs)
-            accumulator += partial << np.int64(shift)
-            self.cycles += 1
-            self.column_ops += 1
-        if parsed.sign_request:
-            # Sign-column fetch occupies the pipe for one cycle.
-            self.cycles += 1
-        return accumulator
+from repro.sim.smm import smm_plane_gemm
 
 
 class BitPlaneEngine:
     """Plane-level batch view of the whole BCE array.
 
-    Where :class:`BitColumnEngine` streams one bit column of one weight
-    group per call, the plane engine multiplies *every* group of *every*
-    kernel against one shared-significance bit plane in a single GEMM
+    Where one BCE streams one bit column of one weight group per
+    cycle, the plane engine multiplies *every* group of *every* kernel
+    against one shared-significance bit plane in a single GEMM
     (:func:`repro.sim.smm.smm_plane_gemm`) and applies the plane's
     single shift to the whole partial-sum matrix.  Zero columns carry
     all-zero plane bits and contribute nothing to the GEMM, so the
-    accumulated outputs are bit-identical to the column-serial engine
-    (int64 addition is exact and order-independent); only the cycle
-    accounting moves out of the datapath, into the ZCIP lookup tables.
+    accumulated outputs are bit-identical to streaming the columns one
+    by one (int64 addition is exact and order-independent); the cycle
+    accounting lives in the ZCIP lookup tables instead.
     """
 
     def __init__(self, group_size: int = 8) -> None:

@@ -9,22 +9,8 @@ feed the array directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Segment granularity of the weight SRAM layout (Fig. 10).
 SEGMENT_BITS = 64
-
-
-@dataclass
-class FetchReport:
-    """Traffic moved for one layer execution."""
-
-    weight_segments: int = 0
-    act_words: int = 0
-
-    @property
-    def weight_bits(self) -> int:
-        return self.weight_segments * SEGMENT_BITS
 
 
 class DataFetcher:
@@ -36,17 +22,14 @@ class DataFetcher:
                 f"weight bandwidth must be a multiple of {SEGMENT_BITS} bits")
         self.weight_bw_bits = weight_bw_bits
         self.act_bw_bits = act_bw_bits
-        self.report = FetchReport()
 
     def fetch_weight_columns(self, total_column_bits: int) -> int:
         """Fetch compressed column payload; returns fetch cycles."""
         segments = -(-total_column_bits // SEGMENT_BITS)
-        self.report.weight_segments += segments
         segments_per_cycle = self.weight_bw_bits // SEGMENT_BITS
         return -(-segments // segments_per_cycle)
 
     def fetch_activations(self, n_words: int) -> int:
         """Fetch 8-bit activation words; returns fetch cycles."""
-        self.report.act_words += n_words
         words_per_cycle = max(self.act_bw_bits // 8, 1)
         return -(-n_words // words_per_cycle)

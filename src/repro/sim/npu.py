@@ -10,24 +10,16 @@ each group's index byte fixes its ZCIP sync counter, and activation
 values never change the count.  :meth:`BitWaveNPU.matmul_counters`
 computes exactly those counters -- index bytes encoded, decoded through
 the ZCIP lookup tables, reduced under segment lockstep -- with no
-activations, bit planes, GEMM or energy; whole-network evaluation
-(:mod:`repro.eval.lowering`) runs on it.  :meth:`BitWaveNPU.run_fc`
-runs the full datapath and takes its counters from the same epilog.
+activations, bit planes, GEMM or energy; whole-network evaluation and
+the Section V-B table (:mod:`repro.eval.lowering`) run on it.
 
-Two backends implement the datapath:
-
-- ``"vectorized"`` (default) decodes the whole ``(K, n_groups)`` index
-  array through the ZCIP lookup tables and computes the outputs as one
-  batched GEMM per streamed bit plane
-  (:class:`repro.sim.bce.BitPlaneEngine`) -- orders of magnitude faster
-  on realistic layers;
-- ``"reference"`` streams every group column-by-column through a
-  :class:`repro.sim.bce.BitColumnEngine`, one ZCIP parse per group --
-  the structural gold model, which computes its own sync counters.
-
-Both produce bit-identical outputs and identical cycle/traffic/column
-counts, equal to the counters entry's (pinned by the backend-equivalence
-tests).
+:meth:`BitWaveNPU.run_fc` is the functional simulator: it decodes the
+whole ``(K, n_groups)`` index array through the ZCIP lookup tables,
+computes the outputs as one batched GEMM per streamed bit plane
+(:class:`repro.sim.bce.BitPlaneEngine`) and takes its counters from
+the same epilog.  The backend-equivalence tests hold its outputs and
+counters to a column-serial oracle (one ZCIP parse and one bit-column
+pass per group) that lives with the tests.
 
 Cycle semantics match the analytical model of
 :mod:`repro.accelerators.bitwave`:
@@ -51,15 +43,11 @@ from repro.arch.spec import SEGMENT_KERNELS  # noqa: F401  (canonical home)
 from repro.core.bitcolumn import index_bytes, weight_bytes
 from repro.core.signmag import as_int8
 from repro.obs import counter, trace
-from repro.sim.bce import BitColumnEngine, BitPlaneEngine
-from repro.sim.dispatcher import DataDispatcher
+from repro.sim.bce import BitPlaneEngine
 from repro.sim.energy import SimEnergyBreakdown, price_matmul
 from repro.sim.fetcher import DataFetcher
 from repro.sim.zcip import ZeroColumnIndexParser
 from repro.utils.bits import unpack_bits
-
-#: Datapath implementations selectable on :class:`BitWaveNPU`.
-BACKENDS = ("vectorized", "reference")
 
 
 @dataclass(frozen=True)
@@ -108,51 +96,23 @@ class BitWaveNPU:
     """Structural simulator of the 512-BCE array.
 
     The PE-array geometry -- BCS group size, kernel/spatial unrolls,
-    fetch bandwidths -- and the technology point pricing the energy
-    epilog come from one :class:`repro.arch.ArchSpec` (the same typed
-    hardware description the analytical model consumes).  The legacy
-    keyword spellings remain accepted and are folded into a spec, so
-    every construction path gets the spec's validation (e.g. ``ku``
-    must sit on the 8-kernel weight-segment grid).
+    fetch bandwidths, ZCIP column mode -- and the technology point
+    pricing the energy epilog come from one :class:`repro.arch.ArchSpec`
+    (the same typed hardware description the analytical model
+    consumes), defaulting to the paper's system point.
     """
 
-    def __init__(
-        self,
-        group_size: int | None = None,
-        ku: int | None = None,
-        oxu: int | None = None,
-        weight_bw_bits: int | None = None,
-        act_bw_bits: int | None = None,
-        dense_mode_precision: int | None = None,
-        backend: str = "vectorized",
-        arch: ArchSpec | None = None,
-    ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; one of {BACKENDS}")
-        base = arch if arch is not None else default_arch()
-        overrides = {
-            name: value for name, value in (
-                ("group_size", group_size), ("ku", ku), ("oxu", oxu),
-                ("weight_bw_bits", weight_bw_bits),
-                ("act_bw_bits", act_bw_bits),
-            ) if value is not None
-        }
-        if overrides:
-            base = replace(base, **overrides)
-        self.arch = base
-        self.tech = base.technology()
-        self.group_size = base.group_size
-        self.ku = base.ku
-        self.oxu = base.oxu
-        self.backend = backend
-        # The spec's precision/columns mode engages the ZCIP dense
-        # schedule; the legacy kwarg stays as an explicit override.
-        if dense_mode_precision is None and base.columns == "dense":
-            dense_mode_precision = base.dense_precision
-        self.parser = ZeroColumnIndexParser(dense_mode_precision)
-        self.fetcher = DataFetcher(base.weight_bw_bits, base.act_bw_bits)
-        self.dispatcher = DataDispatcher()
+    def __init__(self, arch: ArchSpec | None = None) -> None:
+        self.arch = arch if arch is not None else default_arch()
+        self.tech = self.arch.technology()
+        self.group_size = self.arch.group_size
+        self.ku = self.arch.ku
+        self.oxu = self.arch.oxu
+        self.parser = ZeroColumnIndexParser(
+            self.arch.dense_precision if self.arch.columns == "dense"
+            else None)
+        self.fetcher = DataFetcher(self.arch.weight_bw_bits,
+                                   self.arch.act_bw_bits)
 
     # ------------------------------------------------------------------
     def _group_bytes(
@@ -227,58 +187,28 @@ class BitWaveNPU:
         k, c = weights.shape
         with trace("sim.encode", kernels=k, reduction=c):
             _, index = self._group_bytes(weights)
-        with trace("sim.decode", backend="counters"):
+        with trace("sim.decode", entry="counters"):
             parsed = self.parser.parse_array(index)
         return self._counters(parsed.sync_counters,
                               int(parsed.magnitude_columns.sum()),
                               contexts, c)
 
-    # -- datapath backends ---------------------------------------------
-    def _compute_reference(
+    def _compute(
         self,
         acts: np.ndarray,
         planes: np.ndarray,
         signs: np.ndarray,
         index_bytes: np.ndarray,
     ) -> tuple[np.ndarray, int, np.ndarray]:
-        """Column-serial gold datapath: one ZCIP parse per group, one
-        :class:`BitColumnEngine` pass per (kernel, group) pair.
+        """The datapath step of :meth:`run_fc`: LUT index decode plus
+        one GEMM per streamed bit plane.
 
-        Returns ``(outputs, column_ops, sync)`` with ``sync`` the
+        ``acts`` is ``(N, n_groups, G)``, ``planes``/``signs`` and
+        ``index_bytes`` come from :meth:`_encode_groups`.  Returns
+        ``(outputs, column_ops, sync)`` with ``sync`` the
         ``(K, n_groups)`` per-group sync counters.
         """
-        k, n_groups = index_bytes.shape
-        n = acts.shape[0]
-        outputs = np.zeros((n, k), dtype=np.int64)
-        sync = np.zeros((k, n_groups), dtype=np.int64)
-        column_ops = 0
-        engine = BitColumnEngine(self.group_size)
-        for ki in range(k):
-            for gi in range(n_groups):
-                parsed = self.parser.parse(int(index_bytes[ki, gi]))
-                # Plane index of each streamed column (MSB-first
-                # magnitude order); dense mode streams every column of
-                # the configured precision.
-                selected = [7 - s for s in parsed.shifts]
-                columns = planes[ki, gi, selected, :]
-                outputs[:, ki] += engine.process_group(
-                    acts[:, gi, :], columns, signs[ki, gi], parsed)
-                column_ops += len(parsed.shifts)
-                sync[ki, gi] = parsed.sync_counter
-        return outputs, column_ops, sync
-
-    def _compute_vectorized(
-        self,
-        acts: np.ndarray,
-        planes: np.ndarray,
-        signs: np.ndarray,
-        index_bytes: np.ndarray,
-    ) -> tuple[np.ndarray, int, np.ndarray]:
-        """Plane-level batch datapath: LUT index decode + per-plane GEMMs.
-
-        Same contract as :meth:`_compute_reference`.
-        """
-        with trace("sim.decode", backend="vectorized"):
+        with trace("sim.decode", entry="datapath"):
             parsed = self.parser.parse_array(index_bytes)
         engine = BitPlaneEngine(self.group_size)
         outputs = engine.process_layer(
@@ -312,18 +242,13 @@ class BitWaveNPU:
         with trace("sim.encode", kernels=k, reduction=c):
             planes, signs, index_bytes = self._encode_groups(weights)
 
-        compute = (self._compute_vectorized if self.backend == "vectorized"
-                   else self._compute_reference)
-        with trace("sim.compute", backend=self.backend, kernels=k,
-                   contexts=n):
-            outputs, column_ops, sync = compute(
+        with trace("sim.compute", kernels=k, contexts=n):
+            outputs, column_ops, sync = self._compute(
                 acts, planes, signs, index_bytes)
-        counter("sim.kernel_dispatch", backend=self.backend)
+        counter("sim.kernel_dispatch")
         counters = self._counters(sync, column_ops, n, c)
 
         payload_bits = int(sync.sum()) * g
-        self.dispatcher.dispatch_weights(payload_bits // 8)
-        self.dispatcher.dispatch_activations(n * c)
 
         # Energy epilog: price this run's counters with the spec's
         # technology.  Each streamed column engages the group's G lanes

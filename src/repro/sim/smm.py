@@ -12,44 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def smm_partial_products(
-    activations: np.ndarray,
-    weight_bits: np.ndarray,
-    weight_signs: np.ndarray,
-) -> np.ndarray:
-    """Per-lane partial products of one bit column.
-
-    Parameters
-    ----------
-    activations:
-        Integer activations (two's complement values), shape ``(..., G)``.
-    weight_bits:
-        0/1 bits of the streamed column, broadcastable to activations.
-    weight_signs:
-        0/1 sign bits of the grouped weights (1 = negative).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``bit * (sign ? -activation : activation)`` per lane, int64.
-    """
-    activations = np.asarray(activations, dtype=np.int64)
-    bits = np.asarray(weight_bits, dtype=np.int64)
-    signs = np.asarray(weight_signs, dtype=np.int64)
-    signed_acts = np.where(signs.astype(bool), -activations, activations)
-    return bits * signed_acts
-
-
-def smm_column_sum(
-    activations: np.ndarray,
-    weight_bits: np.ndarray,
-    weight_signs: np.ndarray,
-) -> np.ndarray:
-    """Step 3 of Fig. 8: accumulate all lane partial products of a column."""
-    return smm_partial_products(
-        activations, weight_bits, weight_signs).sum(axis=-1)
-
-
 def smm_plane_gemm(
     activations: np.ndarray,
     plane_bits: np.ndarray,
@@ -57,10 +19,10 @@ def smm_plane_gemm(
 ) -> np.ndarray:
     """Every SMM of the array against one bit plane, as a single GEMM.
 
-    Where :func:`smm_column_sum` evaluates one column of one group, this
-    folds the whole plane -- all kernels, all groups -- into one integer
-    matmul: ``bit * (sign ? -act : act)`` summed over the group lanes
-    *and* the groups is exactly ``acts @ (bits * (1 - 2 * signs)).T``.
+    Where one SMM lane multiplies one weight bit, this folds the whole
+    plane -- all kernels, all groups -- into one integer matmul:
+    ``bit * (sign ? -act : act)`` summed over the group lanes *and* the
+    groups is exactly ``acts @ (bits * (1 - 2 * signs)).T``.
 
     Parameters
     ----------

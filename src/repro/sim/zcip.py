@@ -12,8 +12,8 @@ so deeply-quantized dense weights skip the index overhead entirely.
 Because the index byte only has 256 values, the whole parse is
 precomputed into module-level lookup tables; :meth:`parse_array` decodes
 an arbitrary ``(K, n_groups)`` index array with a handful of
-fancy-indexing operations, which is what the vectorized NPU datapath
-runs on.  :meth:`parse` remains the scalar reference decoder.
+fancy-indexing operations, which is what the NPU simulator runs on.
+The tests pin the tables to a scalar bit-by-bit decoder.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ SIGN_REQUEST_LUT = PLANE_SELECT_LUT[:, 0].copy()
 SIGN_REQUEST_LUT.setflags(write=False)
 
 #: ``MAGNITUDE_COLUMNS_LUT[byte]`` -- number of non-zero magnitude
-#: columns (``len(parse(byte).shifts)``).
+#: columns (bits 6..0 set in ``byte``).
 MAGNITUDE_COLUMNS_LUT = _BYTE_BITS[:, 1:].sum(axis=1).astype(np.int64)
 MAGNITUDE_COLUMNS_LUT.setflags(write=False)
 
@@ -62,27 +62,15 @@ def dense_plane_select(precision: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ParsedIndex:
-    """Decoded control for one column group.
-
-    ``shifts`` lists the bit significance (0 = LSB) of every non-zero
-    magnitude column in streaming order (MSB first), matching the
-    single-shift alignment applied after the BCE adder stage.
-    """
-
-    sign_request: bool
-    shifts: tuple[int, ...]
-    sync_counter: int
-
-
-@dataclass(frozen=True)
 class ParsedIndexArray:
-    """Vectorized :class:`ParsedIndex` over a whole index-byte array.
+    """Decoded control for a whole index-byte array.
 
-    All fields are aligned with the input array's shape; the decoded
-    per-column shift list is replaced by the equivalent plane-select
-    mask (``shape + (8,)``) since the batch datapath consumes planes,
-    not streamed columns.
+    All fields are aligned with the input array's shape.  Each group's
+    shift schedule -- the significance of every non-zero magnitude
+    column, streamed MSB first -- appears as the equivalent plane-select
+    mask (``shape + (8,)``), since the batch datapath consumes planes,
+    not streamed columns; ``sync_counters`` is ``Sync.ctr``, the
+    magnitude columns plus the sign column when requested.
     """
 
     sign_requests: np.ndarray
@@ -111,35 +99,11 @@ class ZeroColumnIndexParser:
     def dense_mode(self) -> bool:
         return self.dense_precision is not None
 
-    def parse(self, index_byte: int) -> ParsedIndex:
-        """Decode one weight-index byte (ignored in dense mode)."""
-        if self.dense_mode:
-            magnitude_columns = self.dense_precision - 1
-            shifts = tuple(range(magnitude_columns - 1, -1, -1))
-            return ParsedIndex(
-                sign_request=True,
-                shifts=shifts,
-                sync_counter=self.dense_precision,
-            )
-        if not 0 <= index_byte <= 0xFF:
-            raise ValueError(f"index byte out of range: {index_byte}")
-        sign_request = bool(index_byte & 0x80)
-        shifts = tuple(
-            significance
-            for significance in range(6, -1, -1)
-            if index_byte & (1 << significance)
-        )
-        sync = len(shifts) + (1 if sign_request else 0)
-        return ParsedIndex(
-            sign_request=sign_request, shifts=shifts, sync_counter=sync)
-
     def parse_array(self, index_bytes: np.ndarray) -> ParsedIndexArray:
-        """Decode a whole index array through the lookup tables.
-
-        Equivalent to calling :meth:`parse` element-wise (the tables are
-        pinned to the scalar decoder by tests) but costs four
-        fancy-indexing ops regardless of array size.
-        """
+        """Decode a whole index array through the lookup tables: four
+        fancy-indexing ops regardless of array size.  In dense mode the
+        index bytes are ignored and every group streams the configured
+        precision."""
         index_bytes = np.asarray(index_bytes)
         if index_bytes.dtype != np.uint8:
             if (index_bytes.size

@@ -59,4 +59,4 @@ class TestVersions:
         assert main(["versions", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
-        assert len(data["schemas"]) == 6
+        assert len(data["schemas"]) == 5

@@ -18,7 +18,7 @@ from repro.analysis.versions import (
 
 GUARDED = (
     "REQUEST_VERSION", "RESULT_VERSION", "RECORD_VERSION",
-    "SPEC_VERSION", "SIM_SPEC_VERSION", "COSEARCH_PROBE_VERSION",
+    "SPEC_VERSION", "COSEARCH_PROBE_VERSION",
 )
 
 

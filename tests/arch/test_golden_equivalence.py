@@ -48,6 +48,24 @@ to change, by dumping ``{arch: {network: sim_golden(arch, network)}}``
 over ``SIM_GOLDEN_ARCHS`` x ``SIM_GOLDEN_NETWORKS`` as JSON; the test
 compares decoded trees, so any layout passes (the committed file keeps
 one layer per line).
+
+``tests/arch/golden/validation_outputs.json`` pins the Section V-B
+table (:mod:`repro.experiments.validation_sim_vs_model`) at five archs,
+keyed by arch spelling, captured from the harness that ran real
+activations through ``run_fc``/``run_conv`` before the table became a
+view over the simulator backend's per-layer lowering.  Regenerate it,
+only when the simulator or the analytical cycle model is meant to
+change, with::
+
+    PYTHONPATH=src python -c "
+    import json
+    from repro.experiments import validation_sim_vs_model
+    archs = ('bitwave-16nm', 'bitwave-16nm@group=4+oxu=8',
+             'bitwave-16nm@group=4+oxu=16', 'bitwave-16nm@group=8+oxu=8',
+             'bitwave-16nm@ku=64')
+    json.dump({arch: validation_sim_vs_model.run(arch=arch) for arch in archs},
+              open('tests/arch/golden/validation_outputs.json', 'w'),
+              indent=2, sort_keys=True)"
 """
 
 from __future__ import annotations
@@ -63,6 +81,12 @@ SIM_GOLDEN_PATH = Path(__file__).parent / "golden" / "sim_outputs.json"
 SIM_GOLDEN_ARCHS = ("bitwave-16nm", "bitwave-16nm@group=16",
                     "bitwave-dense-16nm")
 SIM_GOLDEN_NETWORKS = ("cnn_lstm", "mobilenetv2", "resnet18")
+VALIDATION_GOLDEN_PATH = (Path(__file__).parent / "golden"
+                          / "validation_outputs.json")
+VALIDATION_GOLDEN_ARCHS = (
+    "bitwave-16nm", "bitwave-16nm@group=4+oxu=8",
+    "bitwave-16nm@group=4+oxu=16", "bitwave-16nm@group=8+oxu=8",
+    "bitwave-16nm@ku=64")
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +214,21 @@ class TestGoldenSim:
     def test_sim_backend(self, sim_golden_tree, arch, network):
         assert _canonical(sim_golden(arch, network)) \
             == sim_golden_tree[arch][network]
+
+
+class TestGoldenValidation:
+    """The Section V-B model-vs-simulator table, bit-identical."""
+
+    @pytest.fixture(scope="class")
+    def validation_golden(self):
+        return json.loads(VALIDATION_GOLDEN_PATH.read_text())
+
+    def test_golden_covers_every_arch(self, validation_golden):
+        assert sorted(validation_golden) == sorted(VALIDATION_GOLDEN_ARCHS)
+
+    @pytest.mark.parametrize("arch", VALIDATION_GOLDEN_ARCHS)
+    def test_validation_table(self, validation_golden, arch):
+        from repro.experiments import validation_sim_vs_model
+
+        assert _canonical(validation_sim_vs_model.run(arch=arch)) \
+            == validation_golden[arch]

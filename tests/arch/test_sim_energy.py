@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from datapath_reference import ReferenceNPU
 from repro.arch import parse_arch
 from repro.eval import EvalRequest, evaluate
 from repro.eval.lowering import layer_matmul_weights, output_rows
@@ -54,10 +55,8 @@ class TestSimEnergyPriced:
             weights = layer_matmul_weights(spec)
             acts = seeded_rng("tests", "energy", spec.name).integers(
                 -128, 128, (output_rows(spec), weights.shape[1]))
-            vec = BitWaveNPU(arch=arch, backend="vectorized").run_fc(
-                weights, acts).energy
-            ref = BitWaveNPU(arch=arch, backend="reference").run_fc(
-                weights, acts).energy
+            vec = BitWaveNPU(arch).run_fc(weights, acts).energy
+            ref = ReferenceNPU(arch).run_fc(weights, acts).energy
             assert vec == ref, spec.name
             for component in ("sram", "reg", "compute"):
                 assert layer.energy[component] \
@@ -238,13 +237,17 @@ class TestNpuArchConstruction:
         with pytest.raises(TypeError, match="tech= keyword"):
             SCNN(TECH_16NM)
 
-    def test_kwargs_route_through_spec_validation(self):
-        """The silent Ku mis-accounting bugfix reaches the legacy kwargs
-        path too."""
-        from repro.sim.npu import BitWaveNPU
-
-        with pytest.raises(ValueError, match="8-kernel weight-segment"):
-            BitWaveNPU(ku=12)
+    @pytest.mark.parametrize("label", (
+        "bitwave-dense-16nm",
+        "bitwave-16nm@columns=dense+dense_precision=4"))
+    def test_npu_reports_the_arch_it_runs(self, label):
+        """The spec is the machine: what the NPU reports is what its
+        parser and fetcher run."""
+        arch = parse_arch(label)
+        npu = BitWaveNPU(arch=arch)
+        assert npu.arch == arch
+        assert npu.parser.dense_precision == arch.dense_precision
+        assert npu.fetcher.weight_bw_bits == arch.weight_bw_bits
 
     def test_arch_configures_geometry_and_tech(self):
         from repro.arch import parse_arch

@@ -8,6 +8,7 @@ weight patterns.
 import numpy as np
 import pytest
 
+from datapath_reference import arch_with
 from repro.core.bitcolumn import (
     bit_sparsity,
     column_sparsity,
@@ -78,7 +79,7 @@ class TestInt8Validation:
         lambda w: bcs_compression_ratio(w, 4),
         lambda w: zero_column_mask(w.reshape(1, -1)),
         lambda w: flip_layer(w, 4, 4),
-        lambda w: BitWaveNPU(group_size=4).run_fc(
+        lambda w: BitWaveNPU(arch_with(group_size=4)).run_fc(
             w.reshape(1, -1), np.ones((1, w.size), dtype=np.int64)),
     ], ids=["compute_layer_stats", "group_weights", "bit_sparsity",
             "column_sparsity", "bcs_compress", "bcs_compression_ratio",

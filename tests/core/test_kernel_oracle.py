@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bitcolumn_reference as reference
+from datapath_reference import arch_with
 from repro.core.bitcolumn import (
     FORMATS,
     bit_sparsity,
@@ -87,7 +88,7 @@ def test_bcs_stream_and_ratio_match_reference(weights, group_size):
 @given(kernel_matrices, st.sampled_from(GROUP_SIZES))
 @settings(deadline=None)
 def test_encoder_matches_reference(weights, group_size):
-    got = BitWaveNPU(group_size=group_size)._encode_groups(weights)
+    got = BitWaveNPU(arch_with(group_size=group_size))._encode_groups(weights)
     want = reference.encode_groups(weights, group_size)
     for got_part, want_part in zip(got, want):
         _assert_identical(got_part, want_part)

@@ -24,7 +24,11 @@ from repro.dse.records import RECORD_VERSION, make_record, result_from_dict
 from repro.dse.spec import CampaignSpec, Shard
 from repro.dse.store import ResultStore, StoreRouter
 from repro.dse.summary import summary_data, summary_table
-from repro.eval.fingerprints import code_fingerprint
+from repro.eval.fingerprints import (
+    code_fingerprint,
+    opt_fingerprint,
+    sim_backend_fingerprint,
+)
 from repro.eval.registry import get_backend
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -309,11 +313,35 @@ class TestGc:
         return store
 
     def test_live_namespaces_cover_every_backend(self):
-        live = live_namespaces()
-        assert code_fingerprint() in live
-        assert any(ns.startswith("simnet-") for ns in live)
-        assert any(ns.startswith("sim-") and not ns.startswith("simnet-")
-                   for ns in live)
+        assert live_namespaces() == {code_fingerprint(),
+                                     sim_backend_fingerprint(),
+                                     opt_fingerprint()}
+
+    def test_leftover_sim_namespace_is_stale(self, tmp_path):
+        # The retired sim-validation campaigns wrote a ``sim-`` prefix
+        # on the current digest; nothing reads it any more.
+        leftover = "sim-" + code_fingerprint()
+        for live_ns in live_namespaces():
+            ResultStore(tmp_path, namespace=live_ns).put(
+                "k", {"version": RECORD_VERSION})
+        store = self._stale(tmp_path, leftover, age_days=10)
+        assert live_namespaces() == {code_fingerprint(),
+                                     sim_backend_fingerprint(),
+                                     opt_fingerprint()}
+        now = time.time()
+        kept = collect_garbage(tmp_path, max_age_days=30, now=now)
+        entry = next(ns for ns in kept.namespaces
+                     if ns.namespace == leftover)
+        assert (entry.live, entry.action) == (False, "keep")
+        assert store.path.exists()
+        assert all(ns.live for ns in kept.namespaces if ns is not entry)
+        evicted = collect_garbage(tmp_path, max_age_days=30,
+                                  now=now + 21 * 86400)
+        actions = {ns.namespace: ns.action for ns in evicted.namespaces}
+        assert actions[leftover] == "evict"
+        assert not store.path.parent.exists()
+        assert all(action != "evict" for ns, action in actions.items()
+                   if ns != leftover)
 
     def test_stale_namespace_evicted_by_age(self, tmp_path):
         self._stale(tmp_path, "deadbeef0001", age_days=90)
@@ -541,25 +569,6 @@ class TestFailureTolerance:
                          "--networks", "cnn_lstm", "--quiet"])
         assert code == 0
         assert "cached=1 evaluated=1" in capsys.readouterr().out
-
-    def test_sim_summaries_report_failures(self):
-        from repro.dse.simcampaign import (
-            SimCampaignSpec,
-            SimPoint,
-            sim_summary_data,
-            sim_summary_rows,
-        )
-
-        point = SimPoint()
-        run: CampaignRun = CampaignRun(
-            spec=SimCampaignSpec(name="simfail"),
-            store_path=Path("unused"), points=[point], total=1)
-        run.failed[point.key()] = "RuntimeError: boom"
-        (row,) = sim_summary_rows(run)
-        assert "FAILED" in row[-1]
-        (entry,) = sim_summary_data(run)
-        assert entry["error"] == "RuntimeError: boom"
-        assert entry["layers"] is None
 
 
 class TestDedupeAndRecommits:

@@ -14,6 +14,7 @@ from dataclasses import fields
 
 import pytest
 
+from datapath_reference import ReferenceNPU
 from repro.arch import parse_arch
 from repro.eval import (
     EvalRequest,
@@ -28,7 +29,7 @@ from repro.eval.lowering import (
     simulate_layer,
 )
 from repro.eval.registry import register_backend
-from repro.sim.npu import BACKENDS, BitWaveNPU, MatmulCounters
+from repro.sim.npu import BitWaveNPU, MatmulCounters
 from repro.utils.rng import seeded_rng
 from repro.workloads.nets import network_layers
 
@@ -52,13 +53,14 @@ def _mini_requests(backend: str) -> list[EvalRequest]:
 
 
 def _datapath_runs(spec, arch, weights):
-    """``run_fc`` of ``spec``'s matmul on both datapaths over all of its
-    output rows, with real activations."""
+    """``run_fc`` of ``spec``'s matmul on the simulator and on the
+    column-serial oracle over all of its output rows, with real
+    activations."""
     acts = seeded_rng("tests", "lowering", spec.name).integers(
         -128, 128, (output_rows(spec), weights.shape[1]))
-    return {datapath: BitWaveNPU(arch=arch, backend=datapath).run_fc(
-                weights, acts)
-            for datapath in BACKENDS}
+    return {datapath: npu(arch).run_fc(weights, acts)
+            for datapath, npu in (("vectorized", BitWaveNPU),
+                                  ("reference", ReferenceNPU))}
 
 
 class TestBuiltinRegistry:
@@ -236,15 +238,3 @@ class TestExplicitStore:
         result = evaluate(request, store=mine)
         assert request.key() in mine  # written despite the warm memo
         assert result == evaluate(request)
-
-    def test_sim_run_grid_raises_cleanly(self, tmp_path):
-        from repro.dse.simcampaign import (
-            SimCampaignSpec,
-            run_sim_campaign,
-            sim_store,
-        )
-
-        run = run_sim_campaign(SimCampaignSpec("g", oxus=(16,)),
-                               sim_store(tmp_path))
-        with pytest.raises(TypeError, match="evaluation-grid"):
-            run.grid()

@@ -2,7 +2,7 @@
 
 A module left out of a fingerprint can change a result without
 rotating the namespace that serves it, so any source edit must rotate
-all four namespaces: model, ``simnet-``, ``opt-`` and ``sim-``.
+all three namespaces: model, ``simnet-`` and ``opt-``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.dse.simcampaign import sim_code_fingerprint
 from repro.eval.fingerprints import (
     code_fingerprint,
     opt_fingerprint,
@@ -32,21 +31,19 @@ FEEDERS = ("eval/backends.py", "eval/result.py", "quant/quantizer.py",
            "utils/rng.py", "utils/bits.py", "core/bitcolumn.py")
 
 PRINT_NAMESPACES = """
-from repro.dse.simcampaign import sim_code_fingerprint
 from repro.eval.fingerprints import (
     code_fingerprint, opt_fingerprint, sim_backend_fingerprint)
-print(code_fingerprint(), sim_backend_fingerprint(), opt_fingerprint(),
-      sim_code_fingerprint())
+print(code_fingerprint(), sim_backend_fingerprint(), opt_fingerprint())
 """
 
 
 def namespaces() -> tuple[str, ...]:
     return (code_fingerprint(), sim_backend_fingerprint(),
-            opt_fingerprint(), sim_code_fingerprint())
+            opt_fingerprint())
 
 
 def namespaces_of(root: Path) -> tuple[str, ...]:
-    """The four namespaces as a fresh process importing ``root``
+    """The three namespaces as a fresh process importing ``root``
     computes them."""
     env = {**os.environ, "PYTHONPATH": str(root.parent)}
     out = subprocess.run(
@@ -74,8 +71,7 @@ def tree_copy(tmp_path):
 def test_namespaces_prefix_one_digest():
     digest = tree_digest(INSTALLED)
     assert len(digest) == 12
-    assert namespaces() == (digest, "simnet-" + digest, "opt-" + digest,
-                            "sim-" + digest)
+    assert namespaces() == (digest, "simnet-" + digest, "opt-" + digest)
 
 
 def test_every_module_edit_rotates_the_digest(tree_copy):
@@ -100,6 +96,6 @@ def test_feeder_edit_rotates_every_namespace(tree_copy, module):
     before = namespaces()
     append_line(tree_copy / module)
     after = namespaces_of(tree_copy)
-    assert len(after) == 4
+    assert len(after) == 3
     unchanged = [ns for ns, old in zip(after, before) if ns == old]
     assert not unchanged, f"{module} edit left {unchanged} in place"

@@ -1,4 +1,5 @@
-"""Reference vs vectorized backend: bit-identical outputs, identical
+"""The plane-GEMM datapath against the column-serial oracle
+(:mod:`datapath_reference`): bit-identical outputs, identical
 cycle/traffic/column accounting (equal to the counters-only entry's),
 and LUT-vs-scalar parser agreement."""
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datapath_reference import ReferenceNPU, ReferenceParser, arch_with
 from repro.sim.bce import BitPlaneEngine
-from repro.sim.npu import BACKENDS, BitWaveNPU, MatmulCounters
+from repro.sim.npu import BitWaveNPU, MatmulCounters
 from repro.sim.zcip import (
     MAGNITUDE_COLUMNS_LUT,
     PLANE_SELECT_LUT,
@@ -32,9 +34,9 @@ def _acts(n, c, seed=1, low=-128, high=128):
     return rng.integers(low, high, (n, c)).astype(np.int64)
 
 
-def _pair(**kwargs):
-    return (BitWaveNPU(backend="reference", **kwargs),
-            BitWaveNPU(backend="vectorized", **kwargs))
+def _pair(**fields):
+    arch = arch_with(**fields)
+    return ReferenceNPU(arch), BitWaveNPU(arch)
 
 
 def _counters(run):
@@ -43,17 +45,16 @@ def _counters(run):
                              for field in fields(MatmulCounters)})
 
 
-def assert_counted_like(runs, weights, contexts, **kwargs):
+def assert_counted_like(runs, weights, contexts, **fields):
     """The counters-only entry reports every run's counters."""
-    npu = BitWaveNPU(**kwargs)
-    counted = npu.matmul_counters(weights, contexts)
+    counted = BitWaveNPU(arch_with(**fields)).matmul_counters(
+        weights, contexts)
     for run in runs:
         assert counted == _counters(run)
-    return npu
 
 
-def assert_equivalent_fc(weights, acts, **kwargs):
-    ref_npu, vec_npu = _pair(**kwargs)
+def assert_equivalent_fc(weights, acts, **fields):
+    ref_npu, vec_npu = _pair(**fields)
     ref = ref_npu.run_fc(weights, acts)
     vec = vec_npu.run_fc(weights, acts)
     np.testing.assert_array_equal(ref.outputs, vec.outputs)
@@ -62,18 +63,14 @@ def assert_equivalent_fc(weights, acts, **kwargs):
     assert ref.column_ops == vec.column_ops
     assert ref.weight_bits_fetched == vec.weight_bits_fetched
     assert ref.dense_weight_bits == vec.dense_weight_bits
-    assert ref_npu.fetcher.report == vec_npu.fetcher.report
-    assert ref_npu.dispatcher.weight_words == vec_npu.dispatcher.weight_words
-    assert ref_npu.dispatcher.act_words == vec_npu.dispatcher.act_words
-    counter_npu = assert_counted_like((ref, vec), weights, acts.shape[0],
-                                      **kwargs)
-    assert counter_npu.fetcher.report == ref_npu.fetcher.report
+    assert ref.energy == vec.energy
+    assert_counted_like((ref, vec), weights, acts.shape[0], **fields)
     return ref, vec
 
 
 class TestLutAgainstScalarParser:
     def test_all_256_bytes(self):
-        parser = ZeroColumnIndexParser()
+        parser = ReferenceParser()
         for byte in range(256):
             parsed = parser.parse(byte)
             assert SIGN_REQUEST_LUT[byte] == parsed.sign_request
@@ -90,7 +87,7 @@ class TestLutAgainstScalarParser:
 
     @pytest.mark.parametrize("precision", range(1, 9))
     def test_dense_schedule_matches_scalar_parser(self, precision):
-        parser = ZeroColumnIndexParser(dense_precision=precision)
+        parser = ReferenceParser(dense_precision=precision)
         parsed = parser.parse(0x00)
         select = dense_plane_select(precision)
         assert select[0]  # sign plane always streams in dense mode
@@ -103,7 +100,7 @@ class TestLutAgainstScalarParser:
     def test_parse_array_matches_parse_elementwise(self):
         rng = np.random.default_rng(7)
         index_bytes = rng.integers(0, 256, (5, 9)).astype(np.uint8)
-        parser = ZeroColumnIndexParser()
+        parser = ReferenceParser()
         batch = parser.parse_array(index_bytes)
         for pos, byte in np.ndenumerate(index_bytes):
             parsed = parser.parse(int(byte))
@@ -117,13 +114,6 @@ class TestLutAgainstScalarParser:
 
 
 class TestBackendEquivalence:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            BitWaveNPU(backend="fpga")
-
-    def test_backends_are_published(self):
-        assert set(BACKENDS) == {"vectorized", "reference"}
-
     @given(k=st.integers(1, 24), c=st.integers(1, 48),
            n=st.integers(1, 8), g=st.sampled_from([1, 4, 8, 13]))
     @settings(max_examples=30, deadline=None)
@@ -137,7 +127,7 @@ class TestBackendEquivalence:
         w = _weights(12, 40, seed=precision)
         a = _acts(3, 40, seed=precision + 50)
         ref, _ = assert_equivalent_fc(
-            w, a, group_size=8, dense_mode_precision=precision)
+            w, a, group_size=8, columns="dense", dense_precision=precision)
         if precision == 8:
             expected = a.astype(np.int64) @ w.astype(np.int64).T
             np.testing.assert_array_equal(ref.outputs, expected)
@@ -180,10 +170,8 @@ class TestBackendEquivalence:
         w = np.clip(np.round(rng.laplace(0, 10, (6, 5, 3, 3))),
                     -127, 127).astype(np.int8)
         x = rng.integers(-20, 20, (2, 5, 7, 7)).astype(np.int32)
-        ref = BitWaveNPU(backend="reference").run_conv(
-            w, x, stride=2, padding=1)
-        vec = BitWaveNPU(backend="vectorized").run_conv(
-            w, x, stride=2, padding=1)
+        ref = ReferenceNPU().run_conv(w, x, stride=2, padding=1)
+        vec = BitWaveNPU().run_conv(w, x, stride=2, padding=1)
         np.testing.assert_array_equal(ref.outputs, vec.outputs)
         assert ref.compute_cycles == vec.compute_cycles
         assert ref.fetch_cycles == vec.fetch_cycles
@@ -204,6 +192,6 @@ class TestBitPlaneEngine:
     def test_matches_plain_matmul(self):
         w = _weights(6, 24, seed=9)
         a = _acts(3, 24, seed=10)
-        run = BitWaveNPU(backend="vectorized").run_fc(w, a)
+        run = BitWaveNPU().run_fc(w, a)
         np.testing.assert_array_equal(
             run.outputs, a.astype(np.int64) @ w.astype(np.int64).T)

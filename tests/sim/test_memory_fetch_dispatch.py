@@ -1,81 +1,17 @@
-"""Tests for the simulator's memory, fetcher and dispatcher models."""
+"""Tests for the simulator's fetcher model."""
 
-import numpy as np
 import pytest
 
-from repro.sim.dispatcher import DataDispatcher
 from repro.sim.fetcher import DataFetcher, SEGMENT_BITS
-from repro.sim.memory import BankedSram, DramStream, SramBank
-
-
-class TestSramBank:
-    def test_write_read_roundtrip(self):
-        bank = SramBank(256)
-        payload = np.arange(16, dtype=np.uint8)
-        bank.write(32, payload)
-        assert np.array_equal(bank.read(32, 16), payload)
-
-    def test_access_counters_in_words(self):
-        bank = SramBank(256, word_bits=64)
-        bank.write(0, np.zeros(16, dtype=np.uint8))  # 2 x 64b words
-        bank.read(0, 8)                              # 1 word
-        assert bank.writes == 2
-        assert bank.reads == 1
-
-    def test_partial_word_rounds_up(self):
-        bank = SramBank(256, word_bits=64)
-        bank.read(0, 3)
-        assert bank.reads == 1
-
-    def test_out_of_bounds(self):
-        bank = SramBank(64)
-        with pytest.raises(IndexError, match="outside bank"):
-            bank.read(60, 8)
-
-    def test_negative_address(self):
-        bank = SramBank(64)
-        with pytest.raises(IndexError):
-            bank.read(-1, 4)
-
-    def test_non_byte_word_width_rejected(self):
-        with pytest.raises(ValueError, match="whole number of bytes"):
-            SramBank(64, word_bits=12)
-
-
-class TestBankedSram:
-    def test_interleaving(self):
-        banked = BankedSram(banks=4, bank_bytes=64)
-        assert banked.bank_for(0) is banked.banks[0]
-        assert banked.bank_for(5) is banked.banks[1]
-
-    def test_total_counters(self):
-        banked = BankedSram(banks=2, bank_bytes=64)
-        banked.banks[0].read(0, 8)
-        banked.banks[1].write(0, np.zeros(8, dtype=np.uint8))
-        assert banked.total_reads == 1
-        assert banked.total_writes == 1
-
-
-class TestDramStream:
-    def test_transfer_cycles(self):
-        dram = DramStream(bits_per_cycle=512)
-        dram.read(640)   # 10 cycles at 64 B/cycle
-        dram.write(64)   # 1 cycle
-        assert dram.transfer_cycles == pytest.approx(11.0)
-
-    def test_counters(self):
-        dram = DramStream()
-        dram.read(100)
-        dram.read(28)
-        assert dram.bytes_read == 128
 
 
 class TestDataFetcher:
     def test_weight_segments_rounded_up(self):
+        # 100 bits occupy 2 segments: 2 cycles at one segment per cycle.
+        fetcher = DataFetcher(weight_bw_bits=64, act_bw_bits=1024)
+        assert fetcher.fetch_weight_columns(100) == 2
         fetcher = DataFetcher(weight_bw_bits=256, act_bw_bits=1024)
-        cycles = fetcher.fetch_weight_columns(100)  # 2 segments
-        assert fetcher.report.weight_segments == 2
-        assert cycles == 1  # 4 segments/cycle available
+        assert fetcher.fetch_weight_columns(100) == 1  # 4 segments/cycle
 
     def test_weight_bw_limits_cycles(self):
         fetcher = DataFetcher(weight_bw_bits=64, act_bw_bits=1024)
@@ -90,28 +26,3 @@ class TestDataFetcher:
     def test_invalid_weight_bw(self):
         with pytest.raises(ValueError, match="multiple"):
             DataFetcher(weight_bw_bits=100, act_bw_bits=64)
-
-    def test_report_accumulates(self):
-        fetcher = DataFetcher(weight_bw_bits=256, act_bw_bits=1024)
-        fetcher.fetch_weight_columns(64)
-        fetcher.fetch_weight_columns(64)
-        assert fetcher.report.weight_bits == 128
-
-
-class TestDataDispatcher:
-    def test_weight_plan_unicast(self):
-        plan = DataDispatcher().weight_plan(cu=8, ku=32)
-        assert plan.unicast_targets == 32
-        assert plan.broadcast_factor == 1
-
-    def test_activation_plan_broadcasts_over_k(self):
-        plan = DataDispatcher().activation_plan(cu=8, oxu=16, ku=32)
-        assert plan.broadcast_factor == 32
-        assert plan.total_destinations == 16 * 32
-
-    def test_word_counters(self):
-        dispatcher = DataDispatcher()
-        dispatcher.dispatch_weights(100)
-        dispatcher.dispatch_activations(50)
-        assert dispatcher.weight_words == 100
-        assert dispatcher.act_words == 50

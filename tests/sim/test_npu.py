@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from datapath_reference import arch_with
 from repro.sim.npu import BitWaveNPU
 
 
@@ -24,7 +25,7 @@ class TestRunFc:
     def test_bit_exact_vs_matmul(self):
         w = _weights(16, 64)
         a = _acts(4, 64)
-        run = BitWaveNPU(group_size=8).run_fc(w, a)
+        run = BitWaveNPU().run_fc(w, a)
         expected = a.astype(np.int64) @ w.astype(np.int64).T
         assert np.array_equal(run.outputs, expected)
 
@@ -34,7 +35,7 @@ class TestRunFc:
     def test_bit_exact_property(self, k, c, n, g):
         w = _weights(k, c, seed=k * 100 + c)
         a = _acts(n, c, seed=n)
-        run = BitWaveNPU(group_size=g).run_fc(w, a)
+        run = BitWaveNPU(arch_with(group_size=g)).run_fc(w, a)
         expected = a.astype(np.int64) @ w.astype(np.int64).T
         assert np.array_equal(run.outputs, expected)
 
@@ -42,7 +43,7 @@ class TestRunFc:
         # C not a multiple of G exercises the zero-padding path.
         w = _weights(8, 13)
         a = _acts(2, 13)
-        run = BitWaveNPU(group_size=8).run_fc(w, a)
+        run = BitWaveNPU().run_fc(w, a)
         expected = a.astype(np.int64) @ w.astype(np.int64).T
         assert np.array_equal(run.outputs, expected)
 
@@ -55,7 +56,7 @@ class TestRunFc:
             BitWaveNPU().run_fc(_weights(4, 8), _acts(2, 16))
 
     def test_compression_ratio_above_one_for_real_weights(self):
-        run = BitWaveNPU(group_size=8).run_fc(_weights(32, 128), _acts(1, 128))
+        run = BitWaveNPU().run_fc(_weights(32, 128), _acts(1, 128))
         assert run.compression_ratio > 1.0
 
     def test_sparse_weights_cost_fewer_cycles(self):
@@ -63,22 +64,23 @@ class TestRunFc:
         w_sparse = w_dense.copy()
         w_sparse[np.abs(w_sparse) < 20] = 0
         a = _acts(4, 64)
-        dense_run = BitWaveNPU(group_size=8).run_fc(w_dense, a)
-        sparse_run = BitWaveNPU(group_size=8).run_fc(w_sparse, a)
+        dense_run = BitWaveNPU().run_fc(w_dense, a)
+        sparse_run = BitWaveNPU().run_fc(w_sparse, a)
         assert sparse_run.compute_cycles < dense_run.compute_cycles
 
     def test_dense_mode_same_outputs_more_cycles(self):
         w = _weights(16, 64)
         a = _acts(2, 64)
-        sparse = BitWaveNPU(group_size=8).run_fc(w, a)
-        dense = BitWaveNPU(group_size=8, dense_mode_precision=8).run_fc(w, a)
+        sparse = BitWaveNPU().run_fc(w, a)
+        dense = BitWaveNPU(arch_with(columns="dense")).run_fc(w, a)
         assert np.array_equal(sparse.outputs, dense.outputs)
         assert dense.compute_cycles >= sparse.compute_cycles
 
     def test_more_output_contexts_than_oxu_serialize(self):
         w = _weights(8, 32)
-        few = BitWaveNPU(group_size=8, oxu=16).run_fc(w, _acts(16, 32))
-        many = BitWaveNPU(group_size=8, oxu=16).run_fc(w, _acts(32, 32))
+        npu = BitWaveNPU(arch_with(oxu=16))
+        few = npu.run_fc(w, _acts(16, 32))
+        many = npu.run_fc(w, _acts(32, 32))
         assert many.compute_cycles == 2 * few.compute_cycles
 
 
@@ -88,7 +90,7 @@ class TestRunConv:
         w = np.clip(np.round(rng.laplace(0, 10, (4, 3, 3, 3))),
                     -127, 127).astype(np.int8)
         x = rng.integers(-10, 10, (2, 3, 6, 6)).astype(np.int32)
-        run = BitWaveNPU(group_size=8).run_conv(w, x, stride=1, padding=1)
+        run = BitWaveNPU().run_conv(w, x, stride=1, padding=1)
         from repro.nn import functional as F
 
         expected = F.conv2d(x.astype(np.float64), w.astype(np.float64),
@@ -99,7 +101,7 @@ class TestRunConv:
         rng = np.random.default_rng(4)
         w = rng.integers(-20, 20, (2, 4, 3, 3)).astype(np.int8)
         x = rng.integers(-5, 5, (1, 4, 9, 9)).astype(np.int32)
-        run = BitWaveNPU(group_size=8).run_conv(w, x, stride=2, padding=1)
+        run = BitWaveNPU().run_conv(w, x, stride=2, padding=1)
         from repro.nn import functional as F
 
         expected = F.conv2d(x.astype(np.float64), w.astype(np.float64),
@@ -125,7 +127,7 @@ class TestSimulatorValidatesAnalyticalModel:
 
         w = _weights(k, c, seed=k + c)
         a = _acts(n, c, seed=n)
-        npu = BitWaveNPU(group_size=8, ku=32, oxu=16)
+        npu = BitWaveNPU(arch_with(group_size=8, ku=32, oxu=16))
         run = npu.run_fc(w, a)
 
         stats = compute_layer_stats(w)

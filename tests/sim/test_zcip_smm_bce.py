@@ -1,4 +1,5 @@
-"""Tests for the ZCIP parser, the SMM and the BCE pipeline."""
+"""Tests for the ZCIP parser, the SMM and the BCE pipeline, on the
+column-serial reference datapath."""
 
 import numpy as np
 import pytest
@@ -6,39 +7,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from datapath_reference import (
+    BitColumnEngine,
+    ParsedIndex,
+    ReferenceParser,
+    smm_column_sum,
+    smm_partial_products,
+)
 from repro.core.compression import bcs_compress
-from repro.sim.bce import BitColumnEngine
-from repro.sim.smm import smm_column_sum, smm_partial_products
 from repro.sim.zcip import ZeroColumnIndexParser
 
 
 class TestZcip:
     def test_zero_index_is_empty_group(self):
-        parsed = ZeroColumnIndexParser().parse(0x00)
+        parsed = ReferenceParser().parse(0x00)
         assert not parsed.sign_request
         assert parsed.shifts == ()
         assert parsed.sync_counter == 0
 
     def test_msb_is_sign_request(self):
-        parsed = ZeroColumnIndexParser().parse(0x80)
+        parsed = ReferenceParser().parse(0x80)
         assert parsed.sign_request
         assert parsed.shifts == ()
         assert parsed.sync_counter == 1
 
     def test_shift_order_msb_first(self):
         # Index 0b0100_0101: magnitude columns at significances 6, 2, 0.
-        parsed = ZeroColumnIndexParser().parse(0b0100_0101)
+        parsed = ReferenceParser().parse(0b0100_0101)
         assert parsed.shifts == (6, 2, 0)
 
     def test_full_index(self):
-        parsed = ZeroColumnIndexParser().parse(0xFF)
+        parsed = ReferenceParser().parse(0xFF)
         assert parsed.sign_request
         assert parsed.shifts == (6, 5, 4, 3, 2, 1, 0)
         assert parsed.sync_counter == 8
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            ZeroColumnIndexParser().parse(256)
+            ReferenceParser().parse(256)
 
     def test_matches_bcs_compression_indices(self):
         """The parser must agree with the compressor's accounting."""
@@ -46,20 +52,20 @@ class TestZcip:
         w = rng.integers(-127, 128, 64).astype(np.int8)
         w[w == -128] = -127
         compressed = bcs_compress(w, 8)
-        parser = ZeroColumnIndexParser()
+        parser = ReferenceParser()
         total_columns = sum(
             parser.parse(int(b)).sync_counter for b in compressed.indices)
         # Payload columns + sign columns = total non-zero columns.
         assert total_columns * 8 == compressed.payload_bits
 
     def test_dense_mode_ignores_index(self):
-        parser = ZeroColumnIndexParser(dense_precision=8)
+        parser = ReferenceParser(dense_precision=8)
         parsed = parser.parse(0x00)
         assert parsed.shifts == (6, 5, 4, 3, 2, 1, 0)
         assert parsed.sync_counter == 8
 
     def test_dense_mode_reduced_precision(self):
-        parser = ZeroColumnIndexParser(dense_precision=4)
+        parser = ReferenceParser(dense_precision=4)
         parsed = parser.parse(0xFF)
         assert parsed.shifts == (2, 1, 0)
         assert parsed.sync_counter == 4
@@ -109,7 +115,7 @@ class TestBce:
         planes = planes.T  # (8, G)
         nz = planes.any(axis=1)
         index = int((nz * (1 << np.arange(7, -1, -1))).sum())
-        parser = ZeroColumnIndexParser()
+        parser = ReferenceParser()
         parsed = parser.parse(index)
         columns = planes[[7 - s for s in parsed.shifts], :]
         engine = BitColumnEngine(g)
@@ -158,8 +164,6 @@ class TestBce:
 
     def test_group_size_mismatch(self):
         engine = BitColumnEngine(8)
-        from repro.sim.zcip import ParsedIndex
-
         with pytest.raises(ValueError, match="activations"):
             engine.process_group(
                 np.ones(4), np.zeros((0, 4)), np.zeros(4),
@@ -167,8 +171,6 @@ class TestBce:
 
     def test_column_shift_mismatch(self):
         engine = BitColumnEngine(4)
-        from repro.sim.zcip import ParsedIndex
-
         with pytest.raises(ValueError, match="shifts"):
             engine.process_group(
                 np.ones(4), np.zeros((2, 4)), np.zeros(4),

@@ -12,6 +12,7 @@ from repro.core.compression import bcs_compress, bcs_decompress
 from repro.core.pipeline import BitWavePipeline
 from repro.models import build_cnn_lstm
 from repro.models.fidelity import make_evaluator
+from datapath_reference import arch_with
 from repro.sim.npu import BitWaveNPU
 
 
@@ -30,7 +31,7 @@ class TestFlipCompressDeploySimulate:
         restored = bcs_decompress(compressed)
         assert np.array_equal(restored, flipped)
 
-        run = BitWaveNPU(group_size=16).run_fc(restored, acts)
+        run = BitWaveNPU(arch_with(group_size=16)).run_fc(restored, acts)
         expected = acts.astype(np.int64) @ flipped.astype(np.int64).T
         assert np.array_equal(run.outputs, expected)
 
@@ -40,9 +41,9 @@ class TestFlipCompressDeploySimulate:
                           -127, 127).astype(np.int8)
         acts = rng.integers(-64, 64, (4, 64)).astype(np.int32)
 
-        base_run = BitWaveNPU(group_size=16).run_fc(weights, acts)
+        base_run = BitWaveNPU(arch_with(group_size=16)).run_fc(weights, acts)
         flipped = flip_layer(weights, 5, 16).weights
-        flip_run = BitWaveNPU(group_size=16).run_fc(flipped, acts)
+        flip_run = BitWaveNPU(arch_with(group_size=16)).run_fc(flipped, acts)
         assert flip_run.compute_cycles < base_run.compute_cycles
         assert flip_run.weight_bits_fetched < base_run.weight_bits_fetched
 
