@@ -20,6 +20,7 @@ memory overhead").
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -34,23 +35,39 @@ INTERLEAVE = 8
 
 
 def _binomial_cdf(v: np.ndarray, n: int, p: float) -> np.ndarray:
-    """CDF of Binomial(n, p) at integer points ``v``."""
+    """CDF of Binomial(n, p) at integer points ``v``.
+
+    The ``n + 1`` point probabilities are computed once, with ``k`` as
+    numpy ints, and each CDF value sums a prefix of them with
+    ``np.sum``.  Both choices are part of the numbers: Python-int
+    exponents or a running sum round differently.
+    """
+    pmf = [comb(n, int(kk)) * p ** kk * (1 - p) ** (n - kk)
+           for kk in np.arange(0, n + 1)]
     out = np.zeros(len(v))
     for i, vi in enumerate(v):
-        k = np.arange(0, min(int(vi), n) + 1)
-        out[i] = float(np.sum(
-            [comb(n, int(kk)) * p ** kk * (1 - p) ** (n - kk) for kk in k]))
+        out[i] = float(np.sum(pmf[:min(int(vi), n) + 1]))
     return np.minimum(out, 1.0)
 
 
 def expected_max_significance_population(
     occupancy: np.ndarray, m: int = INTERLEAVE
 ) -> float:
-    """E[max over significances of Binomial(m, p_j)]."""
+    """E[max over significances of Binomial(m, p_j)].
+
+    Memoized on the occupancy values: an evaluation prices each layer
+    twice (SU selection, then the chosen SU), and again on every arch
+    of a campaign.
+    """
+    return _expected_max(tuple(float(p) for p in occupancy), m)
+
+
+@lru_cache(maxsize=None)
+def _expected_max(occupancy: tuple[float, ...], m: int) -> float:
     values = np.arange(0, m + 1)
     cdf_product = np.ones(m + 1)
     for p in occupancy:
-        cdf_product *= _binomial_cdf(values, m, float(p))
+        cdf_product *= _binomial_cdf(values, m, p)
     pmf = np.diff(np.concatenate([[0.0], cdf_product]))
     return float((values * pmf).sum())
 

@@ -31,6 +31,7 @@ SPAN_NAMES = frozenset({
     "dse.drive",
     "dse.persist",
     "dse.point",
+    "dse.profile",
     "dse.retry.backoff",
     "dse.worker.queue_wait",
     "eval.evaluate",
@@ -77,6 +78,8 @@ COUNTER_NAMES = frozenset({
     "dse.points.retried",
     "dse.points.timed_out",
     "dse.points.total",
+    "dse.profile.dropped",
+    "dse.profile.layers",
     "dse.worker.killed",
     "eval.cache",
     "faults.injected",

@@ -27,10 +27,22 @@ land in per-backend stores: model-backed points go to the campaign's
 store, simulator-backed points to the sibling ``simnet-`` namespace
 under the same root.  Both namespaces derive from one digest of the
 whole source tree, so any edit re-evaluates every point.
+
+Before a pool of two or more workers starts, a *profile pass* splits
+the weight profiling of the pending model points' networks layer by
+layer over its own :class:`~repro.dse.pool.WatchdogPool` (same retry
+policy, same stop signal).  The parent installs the returned
+profiles, so the point workers it forks next -- respawns included --
+inherit them, and no layer is profiled twice.  A profile task that
+fails or is killed is dropped, not retried: the point's worker then
+profiles that layer itself, under the per-point watchdog.  Serial
+runs and simulator-only campaigns profile lazily in the evaluating
+process, as before.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -48,11 +60,25 @@ from repro.dse.retry import RetryPolicy
 from repro.dse.spec import CampaignSpec, EvalPoint, Shard
 from repro.dse.store import ResultStore, StoreRouter
 from repro.eval.registry import get_backend
+from repro.eval.request import MODEL_BACKEND
 from repro.eval.result import EvalResult
 from repro.obs import counter, flush, observe, trace
+from repro.sparsity.profiles import (
+    install_layer_stats,
+    layer_weight_stats,
+    network_weight_stats,
+    unprofiled_layers,
+)
+from repro.sparsity.stats import LayerWeightStats
+from repro.workloads.spec import LayerSpec
 
 #: ``progress(done, total, label, *, cached, elapsed_s)``
 ProgressFn = Callable[..., None]
+
+#: ``before_fork(pending, jobs, policy, should_stop)`` (see
+#: :func:`drive_points`).
+BeforeForkFn = Callable[
+    [list[Any], int, RetryPolicy, Callable[[], bool]], None]
 
 
 class CampaignPoint(Protocol):
@@ -332,6 +358,7 @@ def drive_points(
     force: bool = False,
     progress: ProgressFn | None = None,
     policy: RetryPolicy | None = None,
+    before_fork: BeforeForkFn | None = None,
 ) -> None:
     """Shared campaign driver: cache scan, supervised fan-out, retries,
     store commits.
@@ -343,7 +370,11 @@ def drive_points(
     - ``cached_result(point)`` -- decoded stored value or ``None``;
     - ``make_point_record(point, payload, elapsed_s)`` -- store record;
     - ``decode_result(payload)`` -- worker payload to stored value;
-    - ``store_for(point)`` -- the store a point's record lands in.
+    - ``store_for(point)`` -- the store a point's record lands in;
+    - ``before_fork(pending, jobs, policy, should_stop)`` -- optional;
+      runs in the parent after the cache scan, inside the signal
+      guard, when the pending points go to a pool of two or more
+      workers, which inherit whatever it caches.
 
     ``run`` accumulates ``results``/``cached``/``evaluated``/``failed``
     (and the self-healing counters) in place.  The parent process owns
@@ -502,11 +533,17 @@ def drive_points(
         use_pool = bool(pending) and (
             (jobs > 1 and len(pending) > 1) or policy.needs_watchdog())
         if use_pool:
-            pool = WatchdogPool(safe_worker, min(jobs, len(pending)),
-                                policy, should_stop=guard.stop_requested)
-            completed = pool.run(pending, on_outcome)
-            if not completed:
+            workers = min(jobs, len(pending))
+            if before_fork is not None and workers > 1:
+                before_fork(pending, jobs, policy, guard.stop_requested)
+            if guard.stop_requested():
+                # Interrupted during before_fork: fork no point pool.
                 run.interrupted = True
+            else:
+                pool = WatchdogPool(safe_worker, workers,
+                                    policy, should_stop=guard.stop_requested)
+                if not pool.run(pending, on_outcome):
+                    run.interrupted = True
         else:
             for point in pending:
                 if guard.stop_requested():
@@ -552,6 +589,60 @@ def drive_points(
     flush()
 
 
+def _profile_task(spec: LayerSpec,
+                  attempt: int = 0) -> tuple[str, Any, float]:
+    """Profile-pass pool task: the layer's profile, or its error text.
+
+    Never raises, as a pool task must not, and fires no faults: the
+    pass only warms caches, and a fault plan targets campaign points.
+    """
+    start = time.perf_counter()
+    try:
+        payload: Any = layer_weight_stats(spec)
+    except Exception as exc:  # noqa: BLE001 -- dropped; profiled lazily
+        payload = f"{type(exc).__name__}: {exc}"
+    return spec.name, payload, time.perf_counter() - start
+
+
+def _profile_pass(points: list[EvalPoint], jobs: int, policy: RetryPolicy,
+                  should_stop: Callable[[], bool]) -> None:
+    """Profile the pending model points' networks once, layer by layer
+    over ``jobs`` workers, and cache the profiles in this process.
+
+    Each network whose layers all came back is also loaded into
+    :func:`~repro.sparsity.profiles.network_weight_stats`.  A network
+    with a dropped layer (or one an interrupt left unprofiled) is not:
+    loading it here would profile that layer in the parent, outside
+    any watchdog.
+    """
+    if multiprocessing.get_start_method() != "fork":
+        return  # spawned point workers would inherit nothing
+    networks = list(dict.fromkeys(
+        point.network for point in points if point.backend == MODEL_BACKEND))
+    layers = unprofiled_layers(networks)
+    if not layers:
+        return
+    profiled: list[tuple[LayerSpec, LayerWeightStats]] = []
+
+    def keep(spec: LayerSpec, attempt: int, key: Any, payload: Any,
+             elapsed: float, reason: str) -> None:
+        if isinstance(payload, LayerWeightStats):
+            profiled.append((spec, payload))
+        else:
+            counter("dse.profile.dropped", network=spec.network,
+                    layer=spec.name,
+                    reason=payload if reason == "ok" else reason)
+
+    with trace("dse.profile", networks=len(networks), layers=len(layers)):
+        WatchdogPool(_profile_task, jobs, policy,
+                     should_stop=should_stop).run(layers, keep)
+        install_layer_stats(profiled)
+        for network in networks:
+            if not unprofiled_layers([network]):
+                network_weight_stats(network)
+    counter("dse.profile.layers", n=len(profiled))
+
+
 def run_campaign(
     spec: CampaignSpec,
     store: ResultStore | None = None,
@@ -566,11 +657,12 @@ def run_campaign(
 
     Points whose key already exists in their backend's store are served
     from disk unless ``force`` re-evaluates them.  ``jobs > 1``
-    evaluates the pending points on a supervised process pool;
-    ``jobs=0`` uses every CPU.  ``store`` holds the model-backed
-    records; points on other backends persist next to it under the
-    backend's own fingerprint namespace.  ``shard`` restricts the run
-    to one deterministic slice of the grid (see
+    evaluates the pending points on a supervised process pool, after a
+    profile pass (see the module docstring) has profiled their
+    networks once; ``jobs=0`` uses every CPU.  ``store`` holds the
+    model-backed records; points on other backends persist next to it
+    under the backend's own fingerprint namespace.  ``shard`` restricts
+    the run to one deterministic slice of the grid (see
     :class:`repro.dse.spec.Shard`) so N processes/hosts can split a
     campaign and later ``merge`` their stores.  ``policy`` (default:
     the spec's ``retry`` field, else :class:`RetryPolicy`'s defaults)
@@ -600,5 +692,6 @@ def run_campaign(
         force=force,
         progress=progress,
         policy=policy,
+        before_fork=_profile_pass,
     )
     return run

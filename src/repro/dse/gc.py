@@ -2,8 +2,9 @@
 
 A store root accumulates one namespace directory per source
 fingerprint that ever ran a campaign.  Every namespace digests the
-whole ``repro`` tree, so any source edit rotates all of them and the
-old namespaces silently stop being read -- they are pure disk weight.
+whole ``repro`` tree and numpy's version, so any source edit or numpy
+upgrade rotates all of them and the old namespaces silently stop being
+read -- they are pure disk weight.
 :func:`collect_garbage` walks a root, compacts the namespaces the
 current source tree still produces (dropping superseded ``--force``
 duplicates and torn lines), and evicts stale namespaces by age and an

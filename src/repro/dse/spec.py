@@ -267,10 +267,13 @@ class CampaignSpec:
                 "campaign needs at least one accelerator or variant")
 
     def points(self) -> list[EvalPoint]:
-        """Expand the grid, deduplicated, grouped by network.
+        """Expand the grid, deduplicated, in a stable order: by arch,
+        then backend, then network, with each network's accelerator
+        and variant points together.
 
-        Grouping by network keeps the expensive per-network sparsity
-        profiling local to a worker when the executor chunks the list.
+        The executor dispatches points in this order, and its profile
+        pass profiles their networks in it.  The order never changes a
+        result.
         """
         self.validate()
         points: list[EvalPoint] = []

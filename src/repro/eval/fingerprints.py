@@ -2,11 +2,14 @@
 
 Persisted results are only valid for the code that produced them, so
 every store namespace derives from one digest of every ``*.py`` file
-under the installed ``repro`` package, computed once per process.  The
-model namespace is the bare digest; the simulator and co-search
-namespaces prefix it with ``simnet-`` and ``opt-``.  Any edit under
-``src/repro`` rotates every namespace (one cold start), and
-:mod:`repro.dse.gc` treats the old ones as stale.
+under the installed ``repro`` package and of numpy's version, computed
+once per process.  numpy counts because every cached number derives
+from a ``Generator`` draw, and numpy promises no stable stream across
+releases (NEP 19).  The model namespace is the bare digest; the
+simulator and co-search namespaces prefix it with ``simnet-`` and
+``opt-``.  Any edit under ``src/repro``, or another numpy, rotates
+every namespace (one cold start), and :mod:`repro.dse.gc` treats the
+old ones as stale.
 
 Nothing narrower is worth its cost: a hand-kept package list misses the
 next new import, and both backends' ``evaluate`` methods live in
@@ -22,10 +25,13 @@ from pathlib import Path
 
 
 def tree_digest(root: str | Path) -> str:
-    """Uncached digest of every ``*.py`` file under ``root``: each
-    file's path relative to ``root``, then its bytes."""
+    """Uncached digest of numpy's version and every ``*.py`` file
+    under ``root``: each file's path relative to ``root``, then its
+    bytes."""
+    import numpy
+
     base = Path(root)
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(f"numpy {numpy.__version__}\0".encode())
     for path in sorted(base.rglob("*.py")):
         digest.update(path.relative_to(base).as_posix().encode("utf-8"))
         digest.update(b"\0")
@@ -41,7 +47,7 @@ def _installed_digest() -> str:
 
 
 def code_fingerprint() -> str:
-    """The model namespace: the whole-tree digest."""
+    """The model namespace: the installed tree's :func:`tree_digest`."""
     return _installed_digest()
 
 

@@ -1,8 +1,11 @@
-"""Every store namespace digests the whole ``repro`` tree.
+"""Every store namespace digests the whole ``repro`` tree and numpy's
+version.
 
 A module left out of a fingerprint can change a result without
 rotating the namespace that serves it, so any source edit must rotate
-all three namespaces: model, ``simnet-`` and ``opt-``.
+all three namespaces: model, ``simnet-`` and ``opt-``.  So must another
+numpy: every cached number is a ``Generator`` draw, and numpy promises
+no stable stream across releases (NEP 19).
 """
 
 from __future__ import annotations
@@ -42,12 +45,12 @@ def namespaces() -> tuple[str, ...]:
             opt_fingerprint())
 
 
-def namespaces_of(root: Path) -> tuple[str, ...]:
+def namespaces_of(root: Path, prelude: str = "") -> tuple[str, ...]:
     """The three namespaces as a fresh process importing ``root``
-    computes them."""
+    computes them, after running ``prelude``."""
     env = {**os.environ, "PYTHONPATH": str(root.parent)}
     out = subprocess.run(
-        [sys.executable, "-c", PRINT_NAMESPACES], env=env,
+        [sys.executable, "-c", prelude + PRINT_NAMESPACES], env=env,
         capture_output=True, text=True, check=True, timeout=300).stdout
     return tuple(out.split())
 
@@ -72,6 +75,16 @@ def test_namespaces_prefix_one_digest():
     digest = tree_digest(INSTALLED)
     assert len(digest) == 12
     assert namespaces() == (digest, "simnet-" + digest, "opt-" + digest)
+
+
+def test_another_numpy_rotates_every_namespace():
+    same = namespaces_of(INSTALLED)
+    other = namespaces_of(
+        INSTALLED, "import numpy\nnumpy.__version__ = '0.0.0+other'\n")
+    assert same == namespaces()
+    assert len(other) == 3
+    unchanged = [ns for ns, old in zip(other, same) if ns == old]
+    assert not unchanged, f"another numpy left {unchanged} in place"
 
 
 def test_every_module_edit_rotates_the_digest(tree_copy):
