@@ -12,12 +12,15 @@ name, optionally followed by ``@`` and ``+``-joined overrides::
 :class:`~repro.arch.spec.ArchSpec`; :func:`canonical_arch` gives every
 equivalent spelling one canonical form (overrides equal to the preset's
 own value are dropped, the rest sort by name), so equivalent spellings
-share one evaluation-cache key and one campaign grid point.
+share one evaluation-cache key and one campaign grid point.  Both
+memoize per spelling (every request key and validation resolves its
+arch), and :func:`register_arch` clears the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from repro.arch.spec import ArchSpec, TechSpec
@@ -150,6 +153,8 @@ def register_arch(name: str, spec: ArchSpec,
     ARCH_PRESETS[name] = spec
     if description:
         PRESET_DESCRIPTIONS[name] = description
+    _parse_spelling.cache_clear()
+    canonical_arch.cache_clear()
     return spec
 
 
@@ -214,6 +219,11 @@ def parse_arch(spec: "str | ArchSpec") -> ArchSpec:
     """
     if isinstance(spec, ArchSpec):
         return spec
+    return _parse_spelling(spec)
+
+
+@lru_cache(maxsize=4096)
+def _parse_spelling(spec: str) -> ArchSpec:
     base, overrides = arch_overrides(spec)
     resolved = ARCH_PRESETS[base]
     for name, value in overrides.items():
@@ -221,6 +231,7 @@ def parse_arch(spec: "str | ArchSpec") -> ArchSpec:
     return resolved
 
 
+@lru_cache(maxsize=4096)
 def canonical_arch(spec: str) -> str:
     """One spelling per design point: no-op overrides dropped, the rest
     sorted by field name.

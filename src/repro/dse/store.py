@@ -370,14 +370,19 @@ class ResultStore:
         return MergeStats(written, skipped)
 
     # -- convenience -----------------------------------------------------
-    def result(self, key: str) -> EvalResult | None:
+    def result(self, key: str, *, load: bool = True) -> EvalResult | None:
         """Deserialize the stored canonical result for ``key``.
 
         Records from an older layout (``version`` mismatch) count as
         misses, so a record-format change re-evaluates instead of
-        feeding a stale dict to the deserializer.
+        feeding a stale dict to the deserializer.  ``load=False`` never
+        reads the file: it consults the in-memory index only, and a
+        store that has not loaded it misses.
         """
-        record = self.get(key)
+        if load:
+            record = self.get(key)
+        else:
+            record = self._records.get(key) if self._loaded else None
         if record is None or record.get("version") != RECORD_VERSION:
             return None
         payload = record.get("result")

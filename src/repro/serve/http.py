@@ -4,6 +4,12 @@ Stdlib-only by design (``asyncio.start_server`` + manual request
 parsing): the service must run anywhere the reproduction runs.  One
 request per connection (``Connection: close``), JSON in and out.
 
+Every JSON body is :func:`~repro.serve.service.encode_json` of its
+payload.  An answered evaluation's result is not re-encoded: its bytes,
+encoded once when the service filled its hot-tier entry, are spliced
+into the ``/eval`` and ``/eval/batch`` bodies, which stay byte-identical
+to encoding the whole payload dict (:func:`outcome_payload`).
+
 Endpoints::
 
     GET  /eval?workload=W[&accelerator=A][&variant=V][&backend=B]
@@ -33,7 +39,7 @@ from repro.dse.store import ResultStore
 from repro.dse.summary import METRICS, pareto_data, summary_data
 from repro.eval.request import EvalOptions, EvalRequest
 from repro.serve.dashboard import DASHBOARD_HTML
-from repro.serve.service import EvalService, Outcome
+from repro.serve.service import EvalService, Outcome, encode_json
 
 #: Hard parse limits: a service facing a network owes itself bounds.
 MAX_REQUEST_LINE = 8192
@@ -70,7 +76,11 @@ def outcome_status(outcome: Outcome) -> int:
 
 
 def outcome_payload(outcome: Outcome) -> dict[str, Any]:
-    """The JSON body for one settled evaluation outcome."""
+    """The JSON payload of one settled evaluation outcome, as a dict.
+
+    :func:`outcome_body` encodes failures through it; an answered
+    outcome's body is this dict's encoding, built without it.
+    """
     payload: dict[str, Any] = {
         "key": outcome.key,
         "source": outcome.source,
@@ -88,6 +98,29 @@ def outcome_payload(outcome: Outcome) -> dict[str, Any]:
             "last_error": outcome.error,
         })
     return payload
+
+
+def splice_json(payload: Mapping[str, Any], name: str, raw: bytes) -> bytes:
+    """``encode_json({**payload, name: value})`` for ``raw``, the
+    encoding of ``value``, without decoding or re-encoding it.
+
+    Keys sort, so ``raw`` lands between the keys before and after
+    ``name``; ``payload`` must not hold ``name`` itself.
+    """
+    before = encode_json({k: v for k, v in payload.items() if k < name})
+    after = encode_json({k: v for k, v in payload.items() if k > name})
+    parts = (before[1:-1], encode_json(name) + b": " + raw, after[1:-1])
+    return b"{" + b", ".join(part for part in parts if part) + b"}"
+
+
+def outcome_body(outcome: Outcome, **fields: Any) -> bytes:
+    """The JSON bytes of ``outcome_payload(outcome)`` plus ``fields``."""
+    if not outcome.ok:
+        return encode_json({**outcome_payload(outcome), **fields})
+    assert outcome.result_json is not None
+    return splice_json({"key": outcome.key, "source": outcome.source,
+                        "attempts": outcome.attempts, **fields},
+                       "result", outcome.result_json)
 
 
 def _first(query: Mapping[str, list[str]], name: str,
@@ -180,7 +213,7 @@ class HttpFrontend:
             outcome = await self.service.submit(request)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
-        return outcome_status(outcome), outcome_payload(outcome)
+        return outcome_status(outcome), outcome_body(outcome)
 
     async def _eval_batch(self, body: bytes) -> tuple[int, Any]:
         try:
@@ -193,18 +226,18 @@ class HttpFrontend:
                                  "{'requests': [...]}) of request objects")
         requests = [request_from_dict(entry) for entry in entries]
 
-        async def one(request: EvalRequest) -> dict[str, Any]:
+        async def one(request: EvalRequest) -> bytes:
             try:
                 outcome = await self.service.submit(request)
             except ValueError as exc:
-                return {"ok": False, "status": 400, "error": str(exc)}
-            payload = outcome_payload(outcome)
-            payload.update({"ok": outcome.ok,
-                            "status": outcome_status(outcome)})
-            return payload
+                return encode_json({"ok": False, "status": 400,
+                                    "error": str(exc)})
+            return outcome_body(outcome, ok=outcome.ok,
+                                status=outcome_status(outcome))
 
         results = await asyncio.gather(*(one(r) for r in requests))
-        return 200, {"count": len(results), "results": list(results)}
+        return 200, splice_json({"count": len(results)}, "results",
+                                b"[" + b", ".join(results) + b"]")
 
     def _base_store(self) -> ResultStore:
         return ResultStore(self.service.store_root)
@@ -240,7 +273,11 @@ class HttpFrontend:
     async def dispatch(self, method: str, path: str,
                        query: Mapping[str, list[str]],
                        body: bytes) -> tuple[int, Any, str]:
-        """Route one request; returns (status, payload, content type)."""
+        """Route one request; returns (status, payload, content type).
+
+        The payload is HTML text, an encoded JSON body (the ``/eval``
+        endpoints) or a JSON-able object.
+        """
         if path in ("/", "/dashboard"):
             if method != "GET":
                 raise HttpError(405, f"{path} supports GET only")
@@ -306,25 +343,32 @@ class HttpFrontend:
             writer.close()
 
 
+async def _head_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line of the request head; over-long ones are a 400."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # past the StreamReader's own (64 KiB) limit
+        raise HttpError(400, f"{what} too long") from None
+    if len(line) > MAX_REQUEST_LINE:
+        raise HttpError(400, f"{what} too long")
+    return line
+
+
 async def _read_request(reader: asyncio.StreamReader
                         ) -> tuple[str, str, dict[str, list[str]], bytes]:
     """Parse one HTTP/1.1 request head + body from the stream."""
-    line = await reader.readline()
+    line = await _head_line(reader, "request line")
     if not line:
         raise ConnectionError("empty request")
-    if len(line) > MAX_REQUEST_LINE:
-        raise HttpError(400, "request line too long")
     try:
         method, target, _version = line.decode("latin-1").split()
     except ValueError:
         raise HttpError(400, "malformed request line") from None
     headers: dict[str, str] = {}
-    for _ in range(MAX_HEADERS):
-        raw = await reader.readline()
+    for _ in range(MAX_HEADERS + 1):  # the blank line ending the head
+        raw = await _head_line(reader, "header line")
         if raw in (b"\r\n", b"\n", b""):
             break
-        if len(raw) > MAX_REQUEST_LINE:
-            raise HttpError(400, "header line too long")
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     else:
@@ -334,6 +378,8 @@ async def _read_request(reader: asyncio.StreamReader
     if length is not None:
         try:
             n = int(length)
+            if n < 0:
+                raise ValueError(length)
         except ValueError:
             raise HttpError(400, "bad Content-Length") from None
         if n > MAX_BODY_BYTES:
@@ -347,11 +393,14 @@ async def _read_request(reader: asyncio.StreamReader
 def _write_response(writer: asyncio.StreamWriter, status: int,
                     payload: Any,
                     content_type: str = "application/json") -> None:
-    """Serialize one response (JSON unless told otherwise) and send it."""
-    if isinstance(payload, str):
+    """Send one response: ``bytes`` as they are, text as UTF-8, and any
+    other payload as :func:`encode_json`."""
+    if isinstance(payload, bytes):
+        body = payload
+    elif isinstance(payload, str):
         body = payload.encode("utf-8")
     else:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = encode_json(payload)
     reason = _REASONS.get(status, "Unknown")
     head = (f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"

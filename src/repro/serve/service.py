@@ -4,7 +4,8 @@
 questions through four tiers, cheapest first:
 
 1. **hot** -- an in-memory LRU (:class:`~repro.serve.cache.HotCache`)
-   over deserialized results;
+   of settled outcomes, each holding its deserialized result and that
+   result's JSON bytes, encoded once when the entry was filled;
 2. **in-flight coalescing** -- identical concurrent requests (same
    config-hash key) attach to the one evaluation already running
    instead of starting their own.  This is the *single-flight* layer
@@ -12,7 +13,10 @@ questions through four tiers, cheapest first:
    not safe for concurrent callers (see that module's docstring);
 3. **store** -- the fcntl-locked persistent
    :class:`~repro.dse.store.ResultStore`, one namespace per backend
-   fingerprint, shared with every campaign and CLI run;
+   fingerprint, shared with every campaign and CLI run.  A key already
+   in a loaded namespace's in-memory index is answered on the event
+   loop; only a read of the file (the first load, or the refresh after
+   a miss) goes to a thread;
 4. **compute** -- a bounded background worker pool.  ``workers=0``
    evaluates misses inline on the dispatch thread (no subprocesses;
    the low-latency single-host mode); ``workers>=1`` fans each batch
@@ -26,8 +30,9 @@ the service process owns every store write -- worker processes only
 compute, exactly like the campaign executor.
 
 The service is asyncio-native: :meth:`EvalService.submit` is awaited
-by the HTTP layer, blocking work (store reads, evaluation batches)
-runs via ``asyncio.to_thread``, and draining
+by the HTTP layer, and blocking work runs via ``asyncio.to_thread``:
+evaluation batches, and the store lookups that must read the file or
+may stall under an armed fault plan.  Draining
 (:meth:`EvalService.drain`) lets in-flight evaluations finish while
 new misses are rejected -- the graceful half of a SIGTERM.
 """
@@ -35,6 +40,7 @@ new misses are rejected -- the graceful half of a SIGTERM.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -59,6 +65,11 @@ DEFAULT_QUEUE_MAX = 64
 #: Fault kinds the service worker executes at ``site=serve`` (the
 #: ``slow_io`` half of the site belongs to the store-read hook).
 _WORKER_FAULT_KINDS = ("crash", "hang", "die")
+
+
+def encode_json(payload: Any) -> bytes:
+    """The service's one JSON encoding: sorted keys, UTF-8 bytes."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -97,7 +108,9 @@ class Outcome:
     and ``error``/``etype``/``kind`` describe the last attempt;
     ``kind`` is ``"exception"``, a watchdog kind (``timeout``,
     ``heartbeat-silent``, ``worker-died``), ``"rejected"`` (queue
-    saturated), or ``"draining"``.
+    saturated), or ``"draining"``.  ``result_json`` is
+    :func:`encode_json` of ``result.to_dict()``, encoded once (here,
+    when not given) and carried along by every copy of the outcome.
     """
 
     key: str
@@ -108,6 +121,12 @@ class Outcome:
     etype: str | None = None
     kind: str = "exception"
     poisoned: bool = False
+    result_json: bytes | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.result is not None and self.result_json is None:
+            object.__setattr__(self, "result_json",
+                               encode_json(self.result.to_dict()))
 
     @property
     def ok(self) -> bool:
@@ -214,9 +233,12 @@ class EvalService:
     async def submit(self, request: EvalRequest) -> Outcome:
         """Answer one request through hot -> coalesce -> store -> compute.
 
-        Raises ``ValueError`` for an invalid request; every other
-        failure mode comes back as a settled :class:`Outcome` (the HTTP
-        layer maps those to status codes).
+        A hot hit, and a store hit from a loaded namespace's in-memory
+        index, settle without an await, so a duplicate key later in
+        the same batch finds the hot tier rather than a flight to
+        coalesce onto.  Raises ``ValueError`` for an invalid request;
+        every other failure mode comes back as a settled
+        :class:`Outcome` (the HTTP layer maps those to status codes).
         """
         if self._queue is None:
             raise RuntimeError("service not started; await start() first")
@@ -228,13 +250,23 @@ class EvalService:
             hot = self.hot.get(key)
             if hot is not None:
                 self.metrics.incr("serve.cache.hot_hit")
-                return Outcome(key=key, result=hot, source="hot")
+                return hot
 
             inflight = self._inflight.get(key)
             if inflight is not None:
                 self.metrics.incr("serve.coalesced")
                 outcome = await asyncio.shield(inflight)
                 return replace(outcome, source="coalesced")
+
+            store = self._stores.get(request.backend)
+            if store is not None and not faults.enabled():
+                # The in-memory index answers on the loop; a miss (or a
+                # lookup racing a refresh) takes the thread path below,
+                # as does every lookup while a fault plan may stall it.
+                with trace("serve.store_lookup", backend=request.backend):
+                    stored = store.result(key, load=False)
+                if stored is not None:
+                    return self._store_hit(key, stored)
 
             future: "asyncio.Future[Outcome]" = \
                 asyncio.get_running_loop().create_future()
@@ -244,10 +276,7 @@ class EvalService:
                 stored = await asyncio.to_thread(
                     self._load_stored, request, key)
                 if stored is not None:
-                    self.hot.put(key, stored)
-                    self.metrics.incr("serve.cache.store_hit")
-                    self._settle(key, Outcome(key=key, result=stored,
-                                              source="store"))
+                    self._settle(key, self._store_hit(key, stored))
                 else:
                     self.metrics.incr("serve.cache.miss")
                     if self._draining:
@@ -277,6 +306,17 @@ class EvalService:
             self.metrics.observe_latency(elapsed)
             observe("serve.request", elapsed, key=key)
 
+    def _remember(self, key: str, result: EvalResult) -> Outcome:
+        """Encode ``result`` once and fill the hot tier with it; returns
+        the outcome every later hot hit on ``key`` answers with."""
+        hot = Outcome(key=key, result=result, source="hot")
+        self.hot.put(key, hot)
+        return hot
+
+    def _store_hit(self, key: str, result: EvalResult) -> Outcome:
+        self.metrics.incr("serve.cache.store_hit")
+        return replace(self._remember(key, result), source="store")
+
     def _settle(self, key: str, outcome: Outcome) -> None:
         """Resolve ``key``'s future (leader and coalesced waiters)."""
         future = self._inflight.pop(key, None)
@@ -294,9 +334,12 @@ class EvalService:
     def _load_stored(self, request: EvalRequest, key: str) -> EvalResult | None:
         """Blocking store lookup (runs off-loop; chaos-instrumented).
 
-        A miss re-reads the backing file once before giving up: another
-        process (a campaign shard, a sibling service) may have appended
-        the record after this process first loaded the namespace.
+        :meth:`submit` calls it for a namespace not loaded yet, for a
+        key its in-memory index missed, and for every lookup while a
+        fault plan is armed.  A miss re-reads the backing file once
+        before giving up: another process (a campaign shard, a sibling
+        service) may have appended the record after this process first
+        loaded the namespace.
         """
         if faults.serve_read_fault(key) is not None:
             self.metrics.incr("serve.faults.slow_read")
@@ -424,13 +467,13 @@ class EvalService:
         except OSError:
             # An unwritable store costs persistence, not the answer.
             self.metrics.incr("serve.persist_failures")
-        self.hot.put(key, result)
+        hot = self._remember(key, result)
         self.metrics.incr("serve.evaluated")
         if attempts > 1:
             self.metrics.incr("serve.retried")
         if last_error is not None and "InjectedFault" in last_error:
             self.metrics.incr("serve.faults.recovered")
-        return Outcome(key=key, result=result, attempts=attempts)
+        return replace(hot, source="computed", attempts=attempts)
 
     def _classify_failure(self, key: str, failure: PointFailure,
                           attempt: int, elapsed: float) -> Outcome | None:

@@ -5,12 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.arch import (
+    ARCH_PRESETS,
     DEFAULT_ARCH,
+    PRESET_DESCRIPTIONS,
     arch_overrides,
     canonical_arch,
     default_arch,
     parse_arch,
+    register_arch,
 )
+from repro.arch import presets
 
 
 class TestParseArch:
@@ -104,3 +108,34 @@ class TestErrors:
     def test_bad_value(self):
         with pytest.raises(ValueError, match="must be a number"):
             parse_arch("bitwave-16nm@sram_pj=cheap")
+
+
+class TestMemo:
+    """Both resolvers memoize per spelling; registering forgets."""
+
+    @pytest.fixture
+    def scratch_name(self):
+        name = "memo-test-16nm"
+        yield name
+        ARCH_PRESETS.pop(name, None)
+        PRESET_DESCRIPTIONS.pop(name, None)
+        presets._parse_spelling.cache_clear()
+        canonical_arch.cache_clear()
+
+    def test_reregistering_a_name_changes_what_it_resolves_to(
+            self, scratch_name):
+        narrow, wide = default_arch(), ARCH_PRESETS["bitwave-su2-16nm"]
+        override = f"{scratch_name}@group={wide.group_size}"
+        register_arch(scratch_name, narrow)
+        assert parse_arch(scratch_name) == narrow
+        assert canonical_arch(override) == override
+        register_arch(scratch_name, wide)
+        assert parse_arch(scratch_name) == wide
+        assert canonical_arch(override) == scratch_name  # now a no-op
+
+    def test_a_bad_spelling_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown arch preset"):
+                parse_arch("tpu-v4")
+            with pytest.raises(ValueError, match="unknown arch field"):
+                canonical_arch("bitwave-16nm@voltage=0.8")

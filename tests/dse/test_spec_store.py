@@ -325,3 +325,13 @@ class TestResultStore:
         assert "k2" not in other  # loaded index is a snapshot
         other.refresh()
         assert "k2" in other
+
+    def test_result_without_load_reads_only_the_index(self, tmp_path):
+        store = ResultStore(tmp_path, namespace="ns")
+        store.put("k1", self._record("k1", 1))
+        other = ResultStore(tmp_path, namespace="ns")
+        assert other.result("k1", load=False) is None  # file never read
+        assert other.result("k1") is not None          # this loads it
+        store.put("k2", self._record("k2", 2))
+        assert other.result("k2", load=False) is None  # index snapshot
+        assert other.result("k1", load=False) == other.result("k1")

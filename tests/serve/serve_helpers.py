@@ -10,6 +10,7 @@ process).
 from __future__ import annotations
 
 import asyncio
+import json
 from typing import Any, Awaitable, Callable, TypeVar
 
 import pytest
@@ -44,17 +45,13 @@ def fake_result(request: EvalRequest, cycles: float = 100.0) -> EvalResult:
     )
 
 
-async def http_request(port: int, method: str, path: str,
-                       body: Any = None,
-                       ) -> tuple[int, dict[str, str], Any]:
+async def http_raw(port: int, method: str, path: str,
+                   body: Any = None) -> tuple[int, dict[str, str], bytes]:
     """One raw HTTP/1.1 exchange against a local server.
 
-    Returns ``(status, headers, payload)`` with the payload JSON-decoded
-    when the response says so.  ``path`` is sent verbatim -- callers
-    quote their own query values.
+    Returns ``(status, headers, body bytes)`` exactly as sent.
+    ``path`` is sent verbatim -- callers quote their own query values.
     """
-    import json
-
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         payload = (b"" if body is None
@@ -76,6 +73,15 @@ async def http_request(port: int, method: str, path: str,
     for line in lines[1:]:
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
+    return status, headers, body_bytes
+
+
+async def http_request(port: int, method: str, path: str,
+                       body: Any = None,
+                       ) -> tuple[int, dict[str, str], Any]:
+    """:func:`http_raw`, with the payload JSON-decoded when the
+    response says so."""
+    status, headers, body_bytes = await http_raw(port, method, path, body)
     decoded: Any = body_bytes
     if headers.get("content-type", "").startswith("application/json"):
         decoded = json.loads(body_bytes.decode("utf-8"))

@@ -8,9 +8,19 @@ status mapping, and JSON serialization are all on the hook.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
+import threading
+import time
 from urllib.parse import quote, urlencode
 
+import pytest
+
+from repro.dse.retry import RetryPolicy
+from repro.eval.request import EvalRequest
+from repro.serve import http
 from repro.serve.http import (
+    outcome_payload,
     outcome_status,
     request_from_query,
     spec_from_query,
@@ -21,6 +31,7 @@ from serve_helpers import (
     MINI_WORKLOAD,
     counting_backend,
     fake_result,
+    http_raw,
     http_request,
     mini_request,
     run_async,
@@ -298,3 +309,296 @@ class TestQueryHelpers:
         assert outcome_status(Outcome(key="k", kind="draining")) == 503
         assert outcome_status(Outcome(key="k", poisoned=True)) == 422
         assert outcome_status(Outcome(key="k", error="boom")) == 500
+
+
+# -- parse limits -----------------------------------------------------------
+
+def _exchange(port: int, data: bytes) -> bytes:
+    """Send ``data`` on a blocking socket and read the reply to EOF.
+
+    The server may answer and close before it has read everything it
+    was sent (a refused head or body), which resets the connection;
+    the exchange then ends with whatever reply had arrived.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(data)
+        except ConnectionError:
+            pass
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(1 << 16)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _head(request_line: bytes, *headers: bytes) -> bytes:
+    return b"\r\n".join((request_line, *headers)) + b"\r\n\r\n"
+
+
+def _header_lines(n: int) -> list[bytes]:
+    return [b"Host: localhost"] + [b"X-Pad-%d: %d" % (i, i)
+                                   for i in range(1, n)]
+
+
+KIB = 1024
+PARSE_LIMITS = [
+    pytest.param(_head(b"GET /healthz?" + b"x" * 9 * KIB + b" HTTP/1.1"),
+                 400, "request line too long", id="9KiB-request-line"),
+    pytest.param(_head(b"GET /healthz?" + b"x" * 70 * KIB + b" HTTP/1.1"),
+                 400, "request line too long", id="70KiB-request-line"),
+    pytest.param(_head(b"GET /healthz HTTP/1.1",
+                       b"X-Big: " + b"x" * 70 * KIB),
+                 400, "header line too long", id="70KiB-header"),
+    pytest.param(_head(b"GET /healthz HTTP/1.1", *_header_lines(64)),
+                 200, None, id="64-headers"),
+    pytest.param(_head(b"GET /healthz HTTP/1.1", *_header_lines(65)),
+                 400, "too many headers", id="65-headers"),
+    pytest.param(_head(b"POST /eval/batch HTTP/1.1", b"Content-Length: -5"),
+                 400, "bad Content-Length", id="negative-length"),
+    pytest.param(_head(b"POST /eval/batch HTTP/1.1", b"Content-Length: abc"),
+                 400, "bad Content-Length", id="non-integer-length"),
+    pytest.param(_head(b"POST /eval/batch HTTP/1.1",
+                       b"Content-Length: 5000000") + b"x" * 5_000_000,
+                 413, "body too large", id="5MB-body"),
+    pytest.param(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n",
+                 408, "timed out", id="stalled-head"),
+]
+
+
+class TestParseLimits:
+    @pytest.mark.parametrize("data, status, error", PARSE_LIMITS)
+    def test_limits_over_a_real_socket(self, tmp_path, monkeypatch,
+                                       data, status, error):
+        monkeypatch.setattr(http, "READ_TIMEOUT_S", 1.0)  # the stalled head
+
+        async def main():
+            service, server, port = await _served(tmp_path)
+            reply = await asyncio.to_thread(_exchange, port, data)
+            await _shutdown(service, server)
+            return reply
+
+        reply = run_async(main())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == str(status).encode()
+        if error is not None:
+            assert error in json.loads(body)["error"]
+
+
+# -- reply bytes ------------------------------------------------------------
+
+def _canonical(workload: str) -> str:
+    return EvalRequest(workload=workload).workload
+
+
+#: Workloads the fated backend below fails, holds or answers.
+POISON = _canonical("cnn_lstm@frames=2+bins=32+hidden=16")
+FLAKY = _canonical("cnn_lstm@frames=2+bins=32+hidden=24")
+SLOW = _canonical("cnn_lstm@frames=2+bins=32+hidden=40")
+OTHER = _canonical("cnn_lstm@frames=2+bins=32+hidden=48")
+
+#: One attempt per evaluation, so a transient failure settles as a 500.
+ONE_TRY = RetryPolicy(max_attempts=1, backoff_s=0.0, jitter=0.0)
+
+
+def _eval_path(workload: str) -> str:
+    return "/eval?" + urlencode({"workload": workload})
+
+
+def _fated_backend(monkeypatch, release: threading.Event) -> None:
+    """The model backend, stubbed: POISON raises a poison error, FLAKY
+    a transient one, SLOW waits for ``release``, the rest answer with
+    floats that need every digit to round-trip."""
+    def evaluate(request):
+        if request.workload == POISON:
+            raise ValueError("deterministically broken")
+        if request.workload == FLAKY:
+            raise OSError("transient weather")
+        if request.workload == SLOW:
+            release.wait(timeout=10)
+        return fake_result(request, cycles=1 / 3)
+
+    counting_backend(monkeypatch, "model", fn=evaluate)
+
+
+def _record_outcomes(service: EvalService) -> list:
+    """Wrap ``service.submit``; the list keeps, in call order, what each
+    call settled to: its Outcome, or the ValueError it raised."""
+    settled: list = []
+    submit = service.submit
+
+    async def spy(request):
+        slot = len(settled)
+        settled.append(None)
+        try:
+            settled[slot] = await submit(request)
+        except ValueError as exc:
+            settled[slot] = exc
+            raise
+        return settled[slot]
+
+    service.submit = spy
+    return settled
+
+
+def _encode(payload) -> bytes:
+    """The dict path: the whole payload through ``json.dumps``."""
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def _entry(settled) -> dict:
+    """One ``/eval/batch`` entry's payload dict."""
+    if isinstance(settled, ValueError):
+        return {"ok": False, "status": 400, "error": str(settled)}
+    return {**outcome_payload(settled), "ok": settled.ok,
+            "status": outcome_status(settled)}
+
+
+async def _until(predicate, timeout_s: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
+def _result_bytes(body: bytes) -> bytes:
+    return body[body.find(b'"result": ') + 10:body.rfind(b', "source": "')]
+
+
+class TestReplyBytes:
+    """Answered results are spliced in from bytes encoded once, and
+    every body stays byte-identical to encoding its payload dict."""
+
+    @pytest.mark.parametrize("hot_max", [8, 0])
+    def test_eval_bodies_match_the_dict_path(self, tmp_path, monkeypatch,
+                                             hot_max):
+        release = threading.Event()
+        _fated_backend(monkeypatch, release)
+
+        async def main():
+            answered = []  # (reply, the outcome it answers)
+            for _ in range(2):  # the second instance reads the first's store
+                service, server, port = await _served(
+                    tmp_path, hot_max=hot_max, policy=ONE_TRY)
+                settled = _record_outcomes(service)
+                for workload in (MINI_WORKLOAD, MINI_WORKLOAD, POISON, FLAKY):
+                    reply = await http_raw(port, "GET", _eval_path(workload))
+                    answered.append((reply, settled[-1]))
+                await _shutdown(service, server)
+            service, server, port = await _served(
+                tmp_path, hot_max=hot_max, policy=ONE_TRY)
+            settled = _record_outcomes(service)
+            pair = [asyncio.create_task(
+                        http_raw(port, "GET", _eval_path(SLOW)))
+                    for _ in range(2)]
+            await _until(lambda: service.metrics.count("serve.coalesced") == 1)
+            release.set()
+            pair_replies = await asyncio.gather(*pair)
+            pair_outcomes = list(settled)
+            await service.drain(timeout_s=5)
+            reply = await http_raw(port, "GET", _eval_path(OTHER))
+            answered.append((reply, settled[-1]))
+            server.close()
+            await server.wait_closed()
+            return answered, pair_replies, pair_outcomes
+
+        answered, pair_replies, pair_outcomes = run_async(main())
+        for (status, _, body), outcome in answered:
+            assert status == outcome_status(outcome)
+            assert body == _encode(outcome_payload(outcome))
+        assert sorted(body for _, _, body in pair_replies) == \
+            sorted(_encode(outcome_payload(o)) for o in pair_outcomes)
+        outcomes = [o for _, o in answered] + pair_outcomes
+        tiers = {"computed", "store", "coalesced", "hot"}
+        if not hot_max:
+            tiers.remove("hot")
+        assert {o.source for o in outcomes if o.ok} == tiers
+        assert {outcome_status(o) for o in outcomes} == {200, 422, 500, 503}
+
+    @pytest.mark.parametrize("hot_max", [8, 0])
+    def test_batch_entries_match_the_dict_path(self, tmp_path, monkeypatch,
+                                               hot_max):
+        _fated_backend(monkeypatch, threading.Event())
+        entries = [{"workload": w}
+                   for w in (MINI_WORKLOAD, MINI_WORKLOAD, POISON, FLAKY)]
+        entries.append({"workload": MINI_WORKLOAD, "accelerator": "Nope"})
+
+        async def main():
+            answered = []  # (reply, what its entries settled to)
+            for instance in range(2):  # the second reads the first's store
+                service, server, port = await _served(
+                    tmp_path, hot_max=hot_max, policy=ONE_TRY)
+                settled = _record_outcomes(service)
+                for _ in range(2):  # the repeat finds what the first filled
+                    start = len(settled)
+                    reply = await http_raw(port, "POST", "/eval/batch",
+                                           body=entries)
+                    answered.append((reply, settled[start:]))
+                if instance:
+                    await service.drain(timeout_s=5)
+                    start = len(settled)
+                    reply = await http_raw(port, "POST", "/eval/batch",
+                                           body=[{"workload": OTHER}])
+                    answered.append((reply, settled[start:]))
+                await _shutdown(service, server)
+            return answered
+
+        answered = run_async(main())
+        for (status, _, body), settled in answered:
+            assert status == 200
+            results = [_entry(s) for s in settled]
+            assert body == _encode({"count": len(results),
+                                    "results": results})
+        entries = [_entry(s) for _, settled in answered for s in settled]
+        tiers = {"computed", "store", "coalesced", "hot"}
+        if not hot_max:
+            tiers.remove("hot")
+        assert {e["source"] for e in entries if e["ok"]} == tiers
+        assert {e["status"] for e in entries} == {200, 400, 422, 500, 503}
+
+    def test_one_key_keeps_its_result_bytes_through_every_tier(self,
+                                                               tmp_path):
+        """Real model results: computed, hot, evicted by another key,
+        then read back from the store, the result's bytes never
+        change."""
+        async def main():
+            service, server, port = await _served(tmp_path, hot_max=1)
+            replies = [await http_raw(port, "GET", _eval_path(workload))
+                       for workload in (MINI_WORKLOAD, MINI_WORKLOAD, OTHER,
+                                        MINI_WORKLOAD)]
+            await _shutdown(service, server)
+            return replies
+
+        replies = run_async(main())
+        bodies = [replies[i][2] for i in (0, 1, 3)]
+        assert [json.loads(b)["source"] for b in bodies] == \
+            ["computed", "hot", "store"]
+        assert len({_result_bytes(b) for b in bodies}) == 1
+        assert json.loads(replies[2][2])["source"] == "computed"
+
+    def test_duplicate_stored_key_in_a_batch_answers_store_then_hot(
+            self, tmp_path, monkeypatch):
+        """Nothing separates a loop-side store hit from its answer, so
+        the duplicate finds the hot tier; misses still coalesce."""
+        counting_backend(monkeypatch, "model")
+
+        async def main():
+            service, server, port = await _served(tmp_path, hot_max=1)
+            await http_raw(port, "GET", EVAL_PATH)         # stored, loaded
+            await http_raw(port, "GET", _eval_path(OTHER))  # evicts it
+            stored = await http_request(port, "POST", "/eval/batch",
+                                        body=[{"workload": MINI_WORKLOAD}] * 2)
+            missed = await http_request(port, "POST", "/eval/batch",
+                                        body=[{"workload": SLOW}] * 2)
+            await _shutdown(service, server)
+            return stored, missed
+
+        stored, missed = run_async(main())
+        assert [e["source"] for e in stored[2]["results"]] == ["store", "hot"]
+        assert [e["source"] for e in missed[2]["results"]] == \
+            ["computed", "coalesced"]

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 
 import pytest
 
+from repro import faults
 from repro.dse.retry import RetryPolicy
 from repro.eval.request import EvalRequest
 from repro.serve.service import EvalService, Outcome, ServeJob
@@ -149,6 +151,108 @@ class TestCacheTiers:
         assert first.source == "computed"
         assert second.source == "store"
         assert service.metrics.count("serve.cache.hot_hit") == 0
+
+
+class TestStoreLookupOnTheLoop:
+    def test_loaded_namespace_hit_skips_the_thread(self, tmp_path,
+                                                   monkeypatch):
+        """A key in a loaded namespace's index is answered on the loop;
+        with a fault plan armed it goes through ``_load_stored``, so a
+        ``slow_io`` stall never blocks the loop."""
+        counting_backend(monkeypatch, "model")
+        request = mini_request()
+
+        async def main():
+            service = await _started(tmp_path, hot_max=0)
+            lookups = []
+            load = service._load_stored
+
+            def spy(*args):
+                lookups.append(args)
+                return load(*args)
+
+            monkeypatch.setattr(service, "_load_stored", spy)
+            outcomes = [await service.submit(request)]   # reads the file
+            counts = [len(lookups)]
+            outcomes.append(await service.submit(request))
+            counts.append(len(lookups))
+            faults.configure("seed=7,slow_s=0.01,slow_io:1:site=serve")
+            outcomes.append(await service.submit(request))
+            counts.append(len(lookups))
+            await service.drain(timeout_s=5)
+            return service, outcomes, counts
+
+        service, outcomes, counts = run_async(main())
+        assert [o.source for o in outcomes] == ["computed", "store", "store"]
+        assert counts == [1, 1, 2]
+        assert service.metrics.count("serve.faults.slow_read") == 1
+        assert service.metrics.count("serve.cache.store_hit") == 2
+
+    def test_index_miss_refreshes_on_the_thread(self, tmp_path,
+                                                monkeypatch):
+        """A record another writer appended after this service loaded
+        the namespace misses the loop-side index; the thread path's
+        refresh finds it instead of recomputing."""
+        calls = counting_backend(monkeypatch, "model")
+        first = mini_request()
+        later = EvalRequest(workload="cnn_lstm@frames=2+bins=32+hidden=32")
+
+        async def main():
+            reader = await _started(tmp_path, hot_max=0)
+            writer = await _started(tmp_path)
+            await reader.submit(first)                 # loads the namespace
+            await writer.submit(later)                 # appended after it
+            outcome = await reader.submit(later)
+            for service in (reader, writer):
+                await service.drain(timeout_s=5)
+            return outcome
+
+        outcome = run_async(main())
+        assert outcome.source == "store"
+        assert len(calls) == 2                         # later computed once
+
+    def test_loop_reads_racing_refreshes_answer_right(self, tmp_path,
+                                                      monkeypatch):
+        """Stored keys read on the loop while misses refresh the same
+        namespace on several threads: every answer is its own key's
+        result, and its bytes are that result's encoding."""
+        def answer(request):
+            return fake_result(request,
+                               cycles=float(len(request.workload)) / 7)
+
+        counting_backend(monkeypatch, "model", fn=answer)
+
+        def mini(frames: int, hidden: int) -> EvalRequest:
+            return EvalRequest(
+                workload=f"cnn_lstm@frames={frames}+bins=32+hidden={hidden}")
+
+        stored = [mini(2, h) for h in range(1, 25)]
+        missing = [mini(3, h) for h in range(1, 25)]
+
+        async def main():
+            writer = await _started(tmp_path)
+            await asyncio.gather(*(writer.submit(r) for r in stored))
+            await writer.drain(timeout_s=5)
+            service = await _started(tmp_path, hot_max=0)
+            await service.submit(stored[0])        # loads the namespace
+            requests = [r for pair in zip(stored, missing) for r in pair] * 4
+            outcomes = await asyncio.wait_for(asyncio.gather(
+                *(service.submit(r) for r in requests)), timeout=30)
+            await service.drain(timeout_s=5)
+            return requests, outcomes
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            requests, outcomes = run_async(main())
+        finally:
+            sys.setswitchinterval(interval)
+        for request, outcome in zip(requests, outcomes):
+            assert outcome.ok and outcome.key == request.key()
+            expected = answer(request).to_dict()
+            assert outcome.result.to_dict() == expected
+            assert outcome.result_json == json.dumps(
+                expected, sort_keys=True).encode()
 
 
 class TestBackpressure:
