@@ -25,15 +25,10 @@ chaos-tested through deterministic fault injection (:mod:`repro.faults`,
 CLI: ``python -m repro.dse {init,points,run,summary,pareto,merge,gc,opt}``.
 """
 
-from repro.dse.executor import (
-    CampaignRun,
-    PointFailure,
-    evaluate_point,
-    run_campaign,
-)
+from repro.dse.executor import CampaignRun, evaluate_point, run_campaign
 from repro.dse.gc import collect_garbage, live_namespaces
 from repro.dse.pool import WatchdogPool
-from repro.dse.retry import RetryPolicy
+from repro.dse.retry import PointFailure, RetryPolicy
 from repro.dse.records import (
     evaluation_from_dict,
     evaluation_to_dict,

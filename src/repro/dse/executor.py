@@ -9,15 +9,18 @@ re-evaluates only the missing points.
 Failure handling is layered so one bad point -- or one bad worker --
 costs exactly itself:
 
-- a worker exception streams back as a :class:`PointFailure` payload
-  (the pool keeps draining, completed results still persist);
+- a worker exception streams back as a
+  :class:`~repro.dse.retry.PointFailure` payload (the pool keeps
+  draining, completed results still persist);
 - a worker that hangs past the :class:`~repro.dse.retry.RetryPolicy`
   deadline, goes heartbeat-silent, or dies without a payload
   (OOM-killed) is detected by the parent-side watchdog, killed, and
   replaced;
 - failed attempts are retried with exponential backoff up to the
   policy's budget, except *poison* errors (deterministic bugs that
-  would fail identically every time), which are quarantined at once;
+  would fail identically every time), which are quarantined at once
+  (:meth:`~repro.dse.retry.RetryPolicy.settle` decides, for the pool
+  and the serial :func:`~repro.dse.pool.run_inline` alike);
 - SIGINT/SIGTERM stop dispatch gracefully: completed results are
   already on disk, the summary says how to resume, and the exit code
   is ``128 + signum``.
@@ -54,9 +57,9 @@ from types import FrameType
 from typing import Any, Callable, Generic, Protocol, TypeVar, cast
 
 from repro import faults
-from repro.dse.pool import WatchdogPool
+from repro.dse.pool import WatchdogPool, run_inline
 from repro.dse.records import make_record, result_from_dict, result_to_dict
-from repro.dse.retry import RetryPolicy
+from repro.dse.retry import PointFailure, RetryPolicy
 from repro.dse.spec import CampaignSpec, EvalPoint, Shard
 from repro.dse.store import ResultStore, StoreRouter
 from repro.eval.registry import get_backend
@@ -114,21 +117,6 @@ def _worker(point: EvalPoint) -> tuple[str, dict[str, Any], float]:
     return point.key(), result_to_dict(result), time.perf_counter() - start
 
 
-@dataclass(frozen=True)
-class PointFailure:
-    """A worker exception, streamed back in place of a result payload.
-
-    ``etype`` (the exception class name) is what the retry policy
-    classifies; ``kind`` distinguishes in-worker exceptions from
-    failures the parent synthesized after killing a worker
-    (:data:`~repro.dse.retry.WORKER_FAILURE_KINDS`).
-    """
-
-    error: str
-    etype: str = ""
-    kind: str = "exception"
-
-
 #: perf_counter stamp of this worker process's previous point, so the
 #: gap to the next point (pool queue/dispatch wait plus idling) can be
 #: reported as ``dse.worker.queue_wait``.
@@ -169,10 +157,8 @@ class _FailureTolerant:
         except Exception as exc:  # noqa: BLE001 -- any worker fault
             counter("dse.point.exception", error=type(exc).__name__,
                     label=point.label)
-            failure = PointFailure(
-                error=f"{type(exc).__name__}: {exc}",
-                etype=type(exc).__name__)
-            return point.key(), failure, time.perf_counter() - start
+            return (point.key(), PointFailure.from_exception(exc),
+                    time.perf_counter() - start)
         finally:
             faults.clear_point_context()
             _WORKER_LAST_DONE = time.perf_counter()
@@ -496,10 +482,7 @@ def drive_points(
             # payload. Synthesize the failure the policy classifies.
             if reason in ("timeout", "heartbeat-silent"):
                 run.timed_out += 1
-            failure = PointFailure(
-                error=f"{reason} after {elapsed:.1f}s "
-                      f"(attempt {attempt + 1})",
-                etype=reason, kind=reason)
+            failure = PointFailure.killed(reason, elapsed, attempt)
         elif isinstance(payload, PointFailure):
             failure = payload
         else:
@@ -512,16 +495,15 @@ def drive_points(
             return None
 
         run.last_error[key] = failure.error
-        retryable = policy.is_retryable(failure.etype, failure.kind)
-        if retryable and attempt + 1 < policy.max_attempts:
-            backoff = policy.backoff_for(key, attempt)
+        backoff = policy.settle(key, attempt, failure)
+        if backoff is not None:
             observe("dse.retry.backoff", backoff, label=point.label,
                     attempt=attempt + 1, error=failure.etype)
             return backoff
         run.attempts[key] = attempt + 1
         if attempt > 0:
             run.retried += 1
-        if not retryable and failure.kind == "exception":
+        if policy.poisoned(failure):
             run.poisoned += 1
             counter("dse.point.poison", label=point.label,
                     error=failure.etype)
@@ -544,26 +526,9 @@ def drive_points(
                                     policy, should_stop=guard.stop_requested)
                 if not pool.run(pending, on_outcome):
                     run.interrupted = True
-        else:
-            for point in pending:
-                if guard.stop_requested():
-                    run.interrupted = True
-                    break
-                attempt = 0
-                while True:
-                    backoff = on_outcome(
-                        point, attempt, *safe_worker(point, attempt), "ok")
-                    if backoff is None:
-                        break
-                    if guard.stop_requested():
-                        # Leave the point unsettled; the next run
-                        # resumes it from a clean first attempt.
-                        run.interrupted = True
-                        break
-                    time.sleep(backoff)
-                    attempt += 1
-                if run.interrupted:
-                    break
+        elif not run_inline(safe_worker, pending, on_outcome,
+                            guard.stop_requested):
+            run.interrupted = True
         run.interrupt_signum = guard.signum
 
     # Run-level accounting, emitted by the parent (the one process that

@@ -21,8 +21,9 @@ the whole iteration.  This pool gives the parent full custody:
 The pool is deliberately policy-free: every outcome -- success,
 worker exception, timeout, heartbeat silence, death -- is reported to
 a single ``handle`` callback which returns either ``None`` (point
-settled) or a backoff delay in seconds (schedule a retry).  Retry
-*decisions* stay in the executor next to the bookkeeping they mutate.
+settled) or a backoff delay in seconds (schedule a retry).  Handlers
+keep the bookkeeping; :meth:`~repro.dse.retry.RetryPolicy.settle`
+makes the decision.  :func:`run_inline` is the in-process twin.
 """
 
 from __future__ import annotations
@@ -270,3 +271,26 @@ class WatchdogPool:
                 worker.process.join(KILL_JOIN_S)
             worker.tasks.close()
             worker.tasks.cancel_join_thread()
+
+
+def run_inline(worker: TaskFn, points: list[Any], handle: OutcomeFn,
+               should_stop: Callable[[], bool] | None = None) -> bool:
+    """:meth:`WatchdogPool.run` in this process, with no watchdog.
+
+    The stop signal is checked before each point and before each
+    backoff sleep; a point stopped between attempts is left unsettled.
+    """
+    stopped = should_stop or (lambda: False)
+    for point in points:
+        if stopped():
+            return False
+        attempt = 0
+        while True:
+            backoff = handle(point, attempt, *worker(point, attempt), "ok")
+            if backoff is None:
+                break
+            if stopped():
+                return False
+            time.sleep(backoff)
+            attempt += 1
+    return True

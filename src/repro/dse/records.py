@@ -29,7 +29,7 @@ from repro.eval.result import (
 RECORD_VERSION = 2
 
 
-class _Keyed(Protocol):
+class Keyed(Protocol):
     """What a record needs from its evaluation point / request."""
 
     def key(self) -> str: ...
@@ -56,7 +56,7 @@ def evaluation_from_dict(data: Mapping[str, Any]) -> NetworkEvaluation:
 
 
 def make_record(
-    point: _Keyed,
+    point: Keyed,
     result: EvalResult | Mapping[str, Any],
     elapsed_s: float | None = None,
     fingerprint: str | None = None,

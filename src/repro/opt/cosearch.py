@@ -14,19 +14,20 @@ nondominated archive over ``(accuracy, TOPS/W)`` -- via
 :func:`repro.core.pareto.pareto_front` -- emits the accuracy-vs-TOPS/W
 frontier across ``{strategy x arch}``.
 
-Pricing probes persist in an ``opt-`` fingerprinted namespace of the
+Pricing probes go through :meth:`repro.opt.objective.Objective.answer`
+like every guided probe (same counters, fault site, retries and record
+stamping), and persist in an ``opt-`` fingerprinted namespace of the
 shared store root (keys hash the strategy + arch + workload), so
 re-running a co-search re-prices nothing, and records carry
-``origin="opt:cosearch"`` provenance like every guided probe.
+``origin="opt:cosearch"`` provenance.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
-from repro import faults
 from repro.accelerators import build_accelerator
 from repro.arch import canonical_arch, parse_arch
 from repro.core.pareto import pareto_front
@@ -36,17 +37,16 @@ from repro.core.search import (
     empty_strategy,
     greedy_bitflip_search,
 )
-from repro.dse.records import make_record
 from repro.dse.retry import RetryPolicy
 from repro.dse.store import ResultStore
 from repro.dse.summary import METRICS
-from repro.eval.backends import model_network_evaluation
 from repro.eval.fingerprints import opt_fingerprint
 from repro.eval.request import config_hash
 from repro.eval.result import EvalResult, from_network_evaluation
 from repro.models import BUILDERS
 from repro.models.fidelity import make_evaluator
 from repro.obs import counter, trace
+from repro.opt.objective import Objective
 from repro.sparsity.profiles import network_weight_stats
 from repro.workloads.nets import network_layers
 
@@ -202,81 +202,6 @@ def _price(probe: CosearchProbe) -> EvalResult:
         clock_hz=accelerator.arch.tech.clock_frequency_hz)
 
 
-class _ProbeCache:
-    """Store-backed pricing with retry/fault/provenance discipline.
-
-    The co-search analogue of :class:`repro.opt.objective.Objective`:
-    same counters, same ``opt`` fault site, same record stamping --
-    but keyed by :class:`CosearchProbe` (strategies are not grid
-    points) and namespaced by :func:`opt_fingerprint`.
-    """
-
-    def __init__(self, store: ResultStore, policy: RetryPolicy) -> None:
-        self.store = ResultStore(store.root, namespace=opt_fingerprint())
-        self.policy = policy
-        self.trajectory: list[str] = []
-        self.evaluated = 0
-        self.saved = 0
-        self.failed = 0
-
-    def price(self, probe: CosearchProbe,
-              round_index: int) -> EvalResult | None:
-        key = probe.key()
-        self.trajectory.append(key)
-        with trace("opt.probe", origin=COSEARCH_ORIGIN, round=round_index,
-                   backend="model", workload=probe.workload):
-            cached = self.store.result(key)
-            if cached is not None:
-                self.saved += 1
-                counter("opt.probes.saved", origin=COSEARCH_ORIGIN)
-                return cached
-            attempt = 0
-            last_error: str | None = None
-            while True:
-                faults.set_point_context(key, attempt)
-                try:
-                    faults.fire("opt")
-                    start = time.perf_counter()
-                    result = _price(probe)
-                    elapsed = time.perf_counter() - start
-                except Exception as exc:
-                    etype = type(exc).__name__
-                    last_error = f"{etype}: {exc}"
-                    counter("opt.probe_errors", origin=COSEARCH_ORIGIN,
-                            etype=etype)
-                    if (attempt + 1 >= self.policy.max_attempts
-                            or not self.policy.is_retryable(etype)):
-                        self.failed += 1
-                        counter("opt.probes.failed", origin=COSEARCH_ORIGIN)
-                        return None
-                    backoff = self.policy.backoff_for(key, attempt)
-                    if backoff > 0:
-                        time.sleep(backoff)
-                    attempt += 1
-                    continue
-                finally:
-                    faults.clear_point_context()
-                record = make_record(
-                    probe, result, elapsed_s=elapsed,
-                    fingerprint=opt_fingerprint(),
-                    attempts=attempt + 1 if attempt else None,
-                    last_error=last_error if attempt else None,
-                    extra={"origin": COSEARCH_ORIGIN, "round": round_index},
-                )
-                self.store.put(key, record)
-                self.evaluated += 1
-                counter("opt.probes.evaluated", origin=COSEARCH_ORIGIN)
-                return result
-
-    def counts(self) -> dict[str, int]:
-        return {
-            "probes": len(self.trajectory),
-            "evaluated": self.evaluated,
-            "saved": self.saved,
-            "failed": self.failed,
-        }
-
-
 def cosearch(
     store: ResultStore,
     config: CosearchConfig | None = None,
@@ -290,8 +215,8 @@ def cosearch(
     move history, probe trajectory, archive, and frontier.
     """
     config = config or CosearchConfig()
-    policy = policy or RetryPolicy()
-    cache = _ProbeCache(store, policy)
+    objective = Objective(store, origin=COSEARCH_ORIGIN, policy=policy)
+    probe_store = ResultStore(store.root, namespace=opt_fingerprint())
 
     with trace("opt.round", origin=COSEARCH_ORIGIN, round=0,
                phase="accuracy-search"):
@@ -328,7 +253,10 @@ def cosearch(
                 probe = CosearchProbe(
                     workload=config.network, arch=arch,
                     preset=config.preset, strategy=strategy)
-                result = cache.price(probe, round_index)
+                result, _, _ = objective.answer(
+                    probe, probe_store, partial(_price, probe),
+                    opt_fingerprint, round_index=round_index,
+                    backend="model", workload=probe.workload)
                 if result is None:
                     continue
                 efficiency = tops_per_w.extract(result)
@@ -353,6 +281,6 @@ def cosearch(
         history=tuple(search.history),
         rows=tuple(rows),
         front=tuple(row for _, _, row in front),
-        trajectory=tuple(cache.trajectory),
-        counts=cache.counts(),
+        trajectory=tuple(objective.trajectory),
+        counts=objective.counts(),
     )

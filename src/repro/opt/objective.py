@@ -3,10 +3,12 @@
 An :class:`Objective` turns ``repro.eval.evaluate``'s machinery into a
 deterministic callback for guided drivers: store lookup first (guided
 and exhaustive runs share the fingerprint-namespaced cache keyspace),
-backend compute on a miss with bounded retries under a
-:class:`repro.dse.retry.RetryPolicy`, and a store record stamped with
-search provenance (``origin`` and round index in ``extra``) so mixed
-guided+exhaustive stores stay auditable.
+backend compute on a miss with bounded retries
+(:meth:`repro.dse.retry.RetryPolicy.call`), and a store record stamped
+with search provenance (``origin`` and round index in ``extra``) so
+mixed guided+exhaustive stores stay auditable.  :meth:`Objective.probe`
+answers grid points; :meth:`Objective.answer` is the same path for any
+keyed subject (the co-search's strategy snapshots).
 
 Probes are chaos-testable: each attempt binds the fault-injection point
 context and fires the ``opt`` site, so an ``--inject
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro import faults
-from repro.dse.records import make_record
+from repro.dse.records import Keyed, make_record
 from repro.dse.retry import RetryPolicy
 from repro.dse.spec import EvalPoint
 from repro.dse.store import ResultStore, StoreRouter
@@ -65,15 +68,10 @@ class Objective:
         *,
         origin: str,
         policy: RetryPolicy | None = None,
-        sleep: bool = True,
     ) -> None:
         self.router = StoreRouter(store)
         self.origin = origin
         self.policy = policy or RetryPolicy()
-        #: Suppress real backoff sleeps (tests pin trajectories, not
-        #: wall clock; the backoff durations stay deterministic either
-        #: way).
-        self.sleep = sleep
         self.trajectory: list[str] = []
         self.evaluated = 0
         self.saved = 0
@@ -90,67 +88,66 @@ class Objective:
         """
         request = point.request()
         request.validate()
-        key = request.key()
+        backend = get_backend(request.backend)
+        result, attempts, error = self.answer(
+            request, self.router.for_point(point),
+            lambda: backend.evaluate(request), backend.fingerprint,
+            round_index=round_index, backend=point.backend,
+            workload=point.network)
+        return Probe(point=point, request=request, result=result,
+                     cached=attempts == 0, attempts=attempts, error=error)
+
+    def answer(self, subject: Keyed, store: ResultStore,
+               evaluate: Callable[[], EvalResult],
+               fingerprint: Callable[[], str], *, round_index: int,
+               backend: str, workload: str,
+               ) -> tuple[EvalResult | None, int, str | None]:
+        """``subject``'s result from ``store``, else ``evaluate()`` under
+        the retry policy, recorded under ``fingerprint()``.
+
+        Returns ``(result, attempts, error)``; a store hit took 0
+        attempts, and a failure has ``result=None`` and its last error.
+        """
+        key = subject.key()
         self.trajectory.append(key)
-        store = self.router.for_point(point)
         with trace("opt.probe", origin=self.origin, round=round_index,
-                   backend=point.backend, workload=point.network):
+                   backend=backend, workload=workload):
             cached = store.result(key)
             if cached is not None:
                 self.saved += 1
                 counter("opt.probes.saved", origin=self.origin)
-                return Probe(point=point, request=request, result=cached,
-                             cached=True, attempts=0)
-            return self._evaluate(point, request, key, store, round_index)
+                return cached, 0, None
 
-    def _evaluate(
-        self,
-        point: EvalPoint,
-        request: EvalRequest,
-        key: str,
-        store: ResultStore,
-        round_index: int,
-    ) -> Probe:
-        backend = get_backend(request.backend)
-        last_error: str | None = None
-        attempt = 0
-        while True:
-            faults.set_point_context(key, attempt)
-            try:
-                faults.fire("opt")
-                start = time.perf_counter()
-                result = backend.evaluate(request)
-                elapsed = time.perf_counter() - start
-            except Exception as exc:
-                etype = type(exc).__name__
-                last_error = f"{etype}: {exc}"
-                counter("opt.probe_errors", origin=self.origin, etype=etype)
-                if (attempt + 1 >= self.policy.max_attempts
-                        or not self.policy.is_retryable(etype)):
-                    self.failed += 1
-                    counter("opt.probes.failed", origin=self.origin)
-                    return Probe(point=point, request=request, result=None,
-                                 cached=False, attempts=attempt + 1,
-                                 error=last_error)
-                backoff = self.policy.backoff_for(key, attempt)
-                if self.sleep and backoff > 0:
-                    time.sleep(backoff)
-                attempt += 1
-                continue
-            finally:
-                faults.clear_point_context()
-            record = make_record(
-                request, result, elapsed_s=elapsed,
-                fingerprint=backend.fingerprint(),
-                attempts=attempt + 1 if attempt else None,
-                last_error=last_error if attempt else None,
+            def attempt(n: int) -> tuple[EvalResult, float]:
+                faults.set_point_context(key, n)
+                try:
+                    faults.fire("opt")
+                    start = time.perf_counter()
+                    return evaluate(), time.perf_counter() - start
+                finally:
+                    faults.clear_point_context()
+
+            value, failures = self.policy.call(key, attempt)
+            for failure in failures:
+                counter("opt.probe_errors", origin=self.origin,
+                        etype=failure.etype)
+            last_error = failures[-1].error if failures else None
+            if value is None:
+                self.failed += 1
+                counter("opt.probes.failed", origin=self.origin)
+                return None, len(failures), last_error
+            result, elapsed = value
+            attempts = len(failures) + 1
+            store.put(key, make_record(
+                subject, result, elapsed_s=elapsed,
+                fingerprint=fingerprint(),
+                attempts=attempts if failures else None,
+                last_error=last_error,
                 extra={"origin": self.origin, "round": round_index},
-            )
-            store.put(key, record)
+            ))
             self.evaluated += 1
             counter("opt.probes.evaluated", origin=self.origin)
-            return Probe(point=point, request=request, result=result,
-                         cached=False, attempts=attempt + 1)
+            return result, attempts, None
 
     def counts(self) -> dict[str, int]:
         """Probe accounting for reports and BENCH artifacts."""

@@ -6,9 +6,9 @@ OpenNVRAM's characterizer binary search, adapted to our cached
 value, and it brackets the target (widening the bounds geometrically
 when the initial ones miss it), then bisects until the value is within
 tolerance or the try budget runs out.  Probes are failure-tolerant:
-an ``fn`` that raises is retried under a
-:class:`repro.dse.retry.RetryPolicy` (deterministic backoff), and a
-probe that stays broken ends the search with the best point found so
+an ``fn`` that raises is retried by
+:meth:`repro.dse.retry.RetryPolicy.call` (deterministic backoff), and
+a probe that stays broken ends the search with the best point found so
 far rather than an exception.
 
 :func:`tune_arch_field` adapts the driver to one hardware-description
@@ -19,7 +19,6 @@ tuning runs populate the same cache campaigns read.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -85,7 +84,6 @@ def bound_expanding_search(
     increasing: bool = True,
     integer: bool = False,
     policy: RetryPolicy | None = None,
-    sleep: bool = True,
 ) -> ScalarSearchResult:
     """Find ``x`` in (an expansion of) ``[lo, hi]`` with
     ``fn(x) ~ target``.
@@ -125,23 +123,10 @@ def bound_expanding_search(
 
     def probe(x: float) -> float | None:
         x = snap(x)
-        attempt = 0
-        while True:
-            try:
-                value = fn(x)
-            except Exception as exc:
-                etype = type(exc).__name__
-                counter("opt.probe_errors", origin=TUNE_ORIGIN, etype=etype)
-                if (attempt + 1 >= policy.max_attempts
-                        or not policy.is_retryable(etype)):
-                    value = None
-                else:
-                    backoff = policy.backoff_for(f"scalar|{x!r}", attempt)
-                    if sleep and backoff > 0:
-                        time.sleep(backoff)
-                    attempt += 1
-                    continue
-            break
+        value, failures = policy.call(f"scalar|{x!r}", lambda attempt: fn(x))
+        for failure in failures:
+            counter("opt.probe_errors", origin=TUNE_ORIGIN,
+                    etype=failure.etype)
         probes.append((x, value))
         nonlocal best
         if value is not None:

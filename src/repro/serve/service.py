@@ -24,10 +24,11 @@ questions through four tiers, cheapest first:
    :class:`~repro.dse.pool.WatchdogPool`, so a crashing or hanging
    evaluation costs one worker process, never the service.
 
-Both compute paths retry transient failures per the
-:class:`~repro.dse.retry.RetryPolicy` (poison errors fail fast), and
-the service process owns every store write -- worker processes only
-compute, exactly like the campaign executor.
+Both compute modes report to one outcome handler, which retries
+transient failures per the :class:`~repro.dse.retry.RetryPolicy`
+(poison errors fail fast), and the service process owns every store
+write -- worker processes only compute, exactly like the campaign
+executor.
 
 The service is asyncio-native: :meth:`EvalService.submit` is awaited
 by the HTTP layer, and blocking work runs via ``asyncio.to_thread``:
@@ -47,9 +48,9 @@ from pathlib import Path
 from typing import Any
 
 from repro import faults
-from repro.dse.pool import WatchdogPool
+from repro.dse.pool import WatchdogPool, run_inline
 from repro.dse.records import make_record, result_from_dict, result_to_dict
-from repro.dse.retry import RetryPolicy
+from repro.dse.retry import PointFailure, RetryPolicy
 from repro.dse.store import ResultStore
 from repro.eval.registry import get_backend
 from repro.eval.request import EvalRequest
@@ -87,15 +88,6 @@ class ServeJob:
 
     def to_dict(self) -> dict[str, Any]:
         return self.request.to_dict()
-
-
-@dataclass(frozen=True)
-class PointFailure:
-    """A worker exception payload (mirrors the campaign executor's)."""
-
-    error: str
-    etype: str = ""
-    kind: str = "exception"
 
 
 @dataclass(frozen=True)
@@ -153,9 +145,8 @@ def _serve_worker(job: ServeJob, attempt: int = 0) -> tuple[str, Any, float]:
             result = backend.evaluate(job.request)
             return key, result_to_dict(result), time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 -- any evaluation fault
-        failure = PointFailure(error=f"{type(exc).__name__}: {exc}",
-                               etype=type(exc).__name__)
-        return key, failure, time.perf_counter() - start
+        return (key, PointFailure.from_exception(exc),
+                time.perf_counter() - start)
     finally:
         faults.clear_point_context()
         flush()
@@ -382,41 +373,10 @@ class EvalService:
                 self._settle(key, outcome)
 
     def _run_batch(self, jobs: list[ServeJob]) -> dict[str, Outcome]:
-        """Evaluate one batch of misses (blocking; runs off-loop)."""
-        by_key = {job.key(): job for job in jobs}
-        if self.workers == 0:
-            outcomes = {}
-            for key, job in by_key.items():
-                outcomes[key] = self._run_inline(job)
-            return outcomes
-        return self._run_pool(list(by_key.values()))
-
-    def _run_inline(self, job: ServeJob) -> Outcome:
-        """Sequential in-process evaluation with policy-driven retries.
-
-        No subprocess, so watchdog deadlines cannot be enforced here --
-        a truly hung backend stalls the dispatch thread.  ``workers>=1``
-        buys the supervised pool when that matters.
-        """
-        key = job.key()
-        last_error: str | None = None
-        attempt = 0
-        while True:
-            _, payload, elapsed = _serve_worker(job, attempt)
-            if not isinstance(payload, PointFailure):
-                return self._commit(job, payload, elapsed,
-                                    attempts=attempt + 1,
-                                    last_error=last_error)
-            last_error = payload.error
-            outcome = self._classify_failure(
-                key, payload, attempt, elapsed)
-            if outcome is not None:
-                return outcome
-            time.sleep(self.policy.backoff_for(key, attempt))
-            attempt += 1
-
-    def _run_pool(self, jobs: list[ServeJob]) -> dict[str, Outcome]:
-        """Fan one batch out over a supervised self-healing pool."""
+        """Evaluate one batch of misses (blocking; runs off-loop).  No
+        watchdog can end a hung inline attempt; ``workers>=1`` buys the
+        supervised pool when that matters."""
+        unique = list({job.key(): job for job in jobs}.values())
         outcomes: dict[str, Outcome] = {}
         last_error: dict[str, str] = {}
 
@@ -427,10 +387,7 @@ class EvalService:
             if reason != "ok":
                 if reason in ("timeout", "heartbeat-silent"):
                     self.metrics.incr("serve.timed_out")
-                failure = PointFailure(
-                    error=f"{reason} after {elapsed:.1f}s "
-                          f"(attempt {attempt + 1})",
-                    etype=reason, kind=reason)
+                failure = PointFailure.killed(reason, elapsed, attempt)
             elif isinstance(payload, PointFailure):
                 failure = payload
             else:
@@ -439,15 +396,19 @@ class EvalService:
                     last_error=last_error.get(key))
                 return None
             last_error[key] = failure.error
-            if self.policy.is_retryable(failure.etype, failure.kind) \
-                    and attempt + 1 < self.policy.max_attempts:
-                return self.policy.backoff_for(key, attempt)
+            backoff = self.policy.settle(key, attempt, failure)
+            if backoff is not None:
+                observe("serve.retry.backoff", backoff,
+                        key=key, attempt=attempt + 1)
+                return backoff
             outcomes[key] = self._failed(key, failure, attempt + 1)
             return None
 
-        pool = WatchdogPool(_serve_worker, min(self.workers, len(jobs)),
-                            self.policy)
-        pool.run(list(jobs), handle)
+        if self.workers == 0:
+            run_inline(_serve_worker, unique, handle)
+        else:
+            WatchdogPool(_serve_worker, min(self.workers, len(unique)),
+                         self.policy).run(unique, handle)
         return outcomes
 
     def _commit(self, job: ServeJob, payload: dict[str, Any],
@@ -475,23 +436,10 @@ class EvalService:
             self.metrics.incr("serve.faults.recovered")
         return replace(hot, source="computed", attempts=attempts)
 
-    def _classify_failure(self, key: str, failure: PointFailure,
-                          attempt: int, elapsed: float) -> Outcome | None:
-        """``None`` to retry (inline path), else the terminal outcome."""
-        if self.policy.is_retryable(failure.etype, failure.kind) \
-                and attempt + 1 < self.policy.max_attempts:
-            observe("serve.retry.backoff",
-                    self.policy.backoff_for(key, attempt),
-                    key=key, attempt=attempt + 1)
-            return None
-        return self._failed(key, failure, attempt + 1)
-
     def _failed(self, key: str, failure: PointFailure,
                 attempts: int) -> Outcome:
         """Account one settled failure (budget exhausted or poison)."""
-        poisoned = (failure.kind == "exception"
-                    and not self.policy.is_retryable(failure.etype,
-                                                     failure.kind))
+        poisoned = self.policy.poisoned(failure)
         self.metrics.incr("serve.failed")
         if poisoned:
             self.metrics.incr("serve.poisoned")

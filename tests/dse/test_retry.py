@@ -1,5 +1,6 @@
 """Retry-policy semantics: validation, failure classification,
-deterministic backoff, and spec round-tripping.
+deterministic backoff, the settle/call decision, and spec
+round-tripping.
 
 The acceptance pin: two runs of the same campaign compute identical
 backoff schedules (jitter is drawn from the point key, not a clock or
@@ -8,7 +9,12 @@ RNG), so chaos runs are reproducible end to end.
 
 import pytest
 
-from repro.dse.retry import POISON_TYPES, WORKER_FAILURE_KINDS, RetryPolicy
+from repro.dse.retry import (
+    POISON_TYPES,
+    WORKER_FAILURE_KINDS,
+    PointFailure,
+    RetryPolicy,
+)
 from repro.dse.spec import CampaignSpec
 
 
@@ -22,6 +28,13 @@ class TestValidation:
         dict(jitter=1.5),
         dict(jitter=-0.1),
         dict(heartbeat_timeout_s=0),
+        # Spec-file values (``"retry"`` in ``dse run --spec``):
+        dict(poison="ValueError"),    # would iterate as characters
+        dict(max_backoff_s=-1),       # a negative sleep
+        dict(max_attempts=2.5),
+        dict(max_attempts=True),
+        dict(max_attempts="3"),       # was a TypeError, not a CLI error
+        dict(backoff_s=float("nan")),
     ])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError):
@@ -56,6 +69,65 @@ class TestClassification:
         assert policy.is_retryable("ValueError")
 
 
+class TestSettle:
+    def test_transient_failure_backs_off_within_budget(self):
+        policy = RetryPolicy(max_attempts=3)
+        failure = PointFailure("OSError: weather", etype="OSError")
+        assert policy.settle("abcd", 0, failure) == \
+            policy.backoff_for("abcd", 0)
+        assert policy.settle("abcd", 1, failure) == \
+            policy.backoff_for("abcd", 1)
+        assert policy.settle("abcd", 2, failure) is None  # budget spent
+
+    def test_poison_is_terminal_on_the_first_attempt(self):
+        failure = PointFailure("ValueError: bug", etype="ValueError")
+        assert RetryPolicy().poisoned(failure)
+        assert RetryPolicy().settle("abcd", 0, failure) is None
+
+    @pytest.mark.parametrize("reason", WORKER_FAILURE_KINDS)
+    def test_watchdog_kills_are_never_poison(self, reason):
+        failure = PointFailure.killed(reason, 1.25, attempt=0)
+        assert failure.error == f"{reason} after 1.2s (attempt 1)"
+        assert (failure.etype, failure.kind) == (reason, reason)
+        assert not RetryPolicy().poisoned(failure)
+
+    def test_from_exception_names_the_type(self):
+        failure = PointFailure.from_exception(KeyError("k"))
+        assert failure == PointFailure("KeyError: 'k'", etype="KeyError")
+
+
+class TestCall:
+    def test_retries_until_fn_returns(self):
+        def flaky(attempt: int) -> str:
+            if attempt < 2:
+                raise OSError(f"down {attempt}")
+            return "up"
+
+        value, failures = RetryPolicy(backoff_s=0.0).call("abcd", flaky)
+        assert value == "up"
+        assert [f.error for f in failures] == \
+            ["OSError: down 0", "OSError: down 1"]
+
+    def test_poison_fails_for_good_without_retry(self):
+        calls = []
+
+        def broken(attempt: int) -> None:
+            calls.append(attempt)
+            raise ValueError("bug")
+
+        value, failures = RetryPolicy(backoff_s=0.0).call("abcd", broken)
+        assert value is None and calls == [0]
+        assert failures == [PointFailure("ValueError: bug", "ValueError")]
+
+    def test_budget_bounds_the_attempts(self):
+        def down(attempt: int) -> None:
+            raise OSError("down")
+
+        value, failures = RetryPolicy(max_attempts=2,
+                                      backoff_s=0.0).call("abcd", down)
+        assert value is None and len(failures) == 2
+
+
 class TestBackoff:
     def test_deterministic_per_key_and_attempt(self):
         policy = RetryPolicy()
@@ -84,6 +156,10 @@ class TestSerialization:
         policy = RetryPolicy(max_attempts=5, timeout_s=120.0,
                              backoff_s=0.5, poison=("RuntimeError",))
         assert RetryPolicy.from_dict(policy.to_dict()) == policy
+
+    def test_bare_string_poison_rejected(self):
+        with pytest.raises(ValueError, match="poison"):
+            RetryPolicy.from_dict({"poison": "ValueError"})
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown retry-policy"):

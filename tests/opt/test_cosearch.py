@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
+from repro.dse.retry import RetryPolicy
 from repro.dse.store import ResultStore
 from repro.eval.fingerprints import opt_fingerprint
 from repro.opt.cosearch import (
@@ -118,6 +119,19 @@ class TestChaos:
             faults.configure(None)
         assert result.counts["failed"] == 0
         assert result.front == reference.front
+
+    def test_probes_failing_for_good_are_counted_not_stored(self,
+                                                            tmp_path):
+        faults.configure("seed=7,crash:1:site=opt")  # every attempt
+        try:
+            result = cosearch(ResultStore(tmp_path),
+                              policy=RetryPolicy(backoff_s=0.0))
+        finally:
+            faults.configure(None)
+        assert result.front == ()
+        assert result.counts == {
+            "probes": 8, "evaluated": 0, "saved": 0, "failed": 8}
+        assert len(ResultStore(tmp_path, namespace=opt_fingerprint())) == 0
 
 
 class TestStrategyShapes:

@@ -13,6 +13,7 @@ import pytest
 
 from repro import faults
 from repro.dse.executor import run_campaign
+from repro.dse.retry import RetryPolicy
 from repro.dse.spec import CampaignSpec, EvalPoint
 from repro.dse.store import ResultStore
 from repro.dse.summary import pareto_data, summary_data
@@ -63,7 +64,7 @@ class TestFailureTolerance:
     def test_injected_crash_is_healed_by_retry(self, tmp_path):
         faults.configure("seed=7,crash:1:attempt<1:site=opt")
         objective = Objective(_store(tmp_path), origin="opt:test",
-                              sleep=False)
+                              policy=RetryPolicy(backoff_s=0.0))
         probe = objective.probe(POINT)
         assert probe.ok and probe.attempts == 2
         record = objective.router.record(POINT)
@@ -73,7 +74,7 @@ class TestFailureTolerance:
     def test_retry_budget_exhausted_returns_failed_probe(self, tmp_path):
         faults.configure("seed=7,crash:1:site=opt")  # every attempt
         objective = Objective(_store(tmp_path), origin="opt:test",
-                              sleep=False)
+                              policy=RetryPolicy(backoff_s=0.0))
         probe = objective.probe(POINT)
         assert not probe.ok and probe.result is None
         assert probe.attempts == objective.policy.max_attempts
@@ -93,7 +94,7 @@ class TestFailureTolerance:
         monkeypatch.setattr("repro.opt.objective.get_backend",
                             lambda name: _Poison())
         objective = Objective(_store(tmp_path), origin="opt:test",
-                              sleep=False)
+                              policy=RetryPolicy(backoff_s=0.0))
         probe = objective.probe(POINT)
         assert not probe.ok and probe.attempts == 1
         assert probe.error.startswith("ValueError")
@@ -116,7 +117,7 @@ class TestFailureTolerance:
         monkeypatch.setattr("repro.opt.objective.get_backend",
                             lambda name: _Flaky())
         objective = Objective(_store(tmp_path), origin="opt:test",
-                              sleep=False)
+                              policy=RetryPolicy(backoff_s=0.0))
         probe = objective.probe(POINT)
         assert probe.ok and probe.attempts == 2 and len(calls) == 2
 

@@ -102,7 +102,8 @@ class TestFailureTolerance:
             return _linear(x)
 
         result = bound_expanding_search(
-            flaky, 11.0, lo=0.0, hi=10.0, tolerance=0.01, sleep=False)
+            flaky, 11.0, lo=0.0, hi=10.0, tolerance=0.01,
+            policy=RetryPolicy(backoff_s=0.0))
         assert result.converged
         assert all(value is not None for _, value in result.probes)
 
@@ -114,7 +115,7 @@ class TestFailureTolerance:
 
         result = bound_expanding_search(
             poisoned, 11.0, lo=0.0, hi=10.0, tolerance=0.01,
-            sleep=False)
+            policy=RetryPolicy(backoff_s=0.0))
         assert not result.converged
         assert result.probes[-1][1] is None  # the terminal failure
         assert result.best_x == 0.0  # best measured point survives
@@ -124,7 +125,8 @@ class TestFailureTolerance:
             raise ValueError("nothing works")
 
         result = bound_expanding_search(
-            broken, 11.0, lo=0.0, hi=10.0, tolerance=0.01, sleep=False)
+            broken, 11.0, lo=0.0, hi=10.0, tolerance=0.01,
+            policy=RetryPolicy(backoff_s=0.0))
         assert not result.converged
         assert math.isnan(result.best_value)
         assert result.tries == 1
@@ -138,7 +140,7 @@ class TestFailureTolerance:
 
         bound_expanding_search(
             counting, 11.0, lo=0.0, hi=10.0, tolerance=0.01,
-            policy=RetryPolicy(max_attempts=2), sleep=False)
+            policy=RetryPolicy(max_attempts=2, backoff_s=0.0))
         assert len(calls) == 2  # one probe, one retry, then give up
 
 

@@ -96,9 +96,10 @@ def counting_backend(monkeypatch: pytest.MonkeyPatch, name: str,
     """Replace backend ``name``'s ``evaluate`` with a counting stub.
 
     Returns the (mutable) list of requests the stub has served; ``fn``
-    overrides the answer (default: :func:`fake_result`).  Only valid
-    for in-process execution (``workers=0``) -- a pool worker would
-    re-import the unpatched backend.
+    overrides the answer (default: :func:`fake_result`).  A pool worker
+    forked after the patch (``workers>=1`` under the ``fork`` start
+    method) inherits the stub, but its calls land in the worker's copy
+    of the list, not this one.
     """
     from repro.eval.registry import get_backend
 

@@ -49,26 +49,28 @@ def _await_port(proc, deadline_s=20.0):
 
 class TestServerProcess:
     def test_serves_then_drains_on_sigterm_with_128n_exit(self, tmp_path):
-        proc = _spawn_server(tmp_path)
-        try:
-            port = _await_port(proc)
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/healthz", timeout=10) as reply:
-                assert reply.status == 200
-                assert json.load(reply)["status"] == "ok"
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/eval?workload=cnn_lstm"
-                    f"%40frames%3D2%2Bbins%3D32%2Bhidden%3D32",
-                    timeout=60) as reply:
-                assert json.load(reply)["source"] == "computed"
-            proc.send_signal(signal.SIGTERM)
-            code = proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+        # The context manager closes the stdout/stderr pipes on exit.
+        with _spawn_server(tmp_path) as proc:
+            try:
+                port = _await_port(proc)
+                with urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/healthz",
+                        timeout=10) as reply:
+                    assert reply.status == 200
+                    assert json.load(reply)["status"] == "ok"
+                with urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/eval?workload=cnn_lstm"
+                        f"%40frames%3D2%2Bbins%3D32%2Bhidden%3D32",
+                        timeout=60) as reply:
+                    assert json.load(reply)["source"] == "computed"
+                proc.send_signal(signal.SIGTERM)
+                code = proc.wait(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+            stderr = proc.stderr.read().decode() if proc.stderr else ""
         assert code == 128 + signal.SIGTERM  # 143: the drain completed
-        stderr = proc.stderr.read().decode() if proc.stderr else ""
         assert "draining" in stderr
         # The computed record persisted before shutdown.
         stored = list((tmp_path / "store").rglob("results.jsonl"))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import sys
 import threading
 
@@ -292,6 +293,11 @@ class TestBackpressure:
 
 
 class TestFailures:
+    """The failure table, computed inline (``workers=0``);
+    :class:`TestPoolFailures` runs it through the supervised pool."""
+
+    workers = 0
+
     def test_poison_request_fails_fast_with_last_error(self, tmp_path,
                                                        monkeypatch):
         def poison(request):
@@ -300,7 +306,8 @@ class TestFailures:
         counting_backend(monkeypatch, "model", fn=poison)
 
         async def main():
-            service = await _started(tmp_path, policy=FAST_RETRY)
+            service = await _started(tmp_path, policy=FAST_RETRY,
+                                     workers=self.workers)
             outcome = await service.submit(mini_request())
             await service.drain(timeout_s=5)
             return service, outcome
@@ -328,7 +335,8 @@ class TestFailures:
         counting_backend(monkeypatch, "model", fn=flaky)
 
         async def main():
-            service = await _started(tmp_path, policy=FAST_RETRY)
+            service = await _started(tmp_path, policy=FAST_RETRY,
+                                     workers=self.workers)
             outcome = await service.submit(mini_request())
             await service.drain(timeout_s=5)
             return service, outcome
@@ -349,7 +357,8 @@ class TestFailures:
 
         async def main():
             service = await _started(
-                tmp_path, policy=FAST_RETRY.with_overrides(max_attempts=2))
+                tmp_path, policy=FAST_RETRY.with_overrides(max_attempts=2),
+                workers=self.workers)
             outcome = await service.submit(mini_request())
             await service.drain(timeout_s=5)
             return service, outcome
@@ -359,6 +368,15 @@ class TestFailures:
         assert not outcome.poisoned                # transient, not poison
         assert outcome.attempts == 2
         assert service.metrics.count("serve.failed") == 1
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="a pool worker sees the stubbed backend only "
+                           "when forked from this process")
+class TestPoolFailures(TestFailures):
+    """The same table through the supervised pool (``workers=1``)."""
+
+    workers = 1
 
 
 class TestDrain:
