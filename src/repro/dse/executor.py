@@ -565,7 +565,7 @@ def _profile_task(spec: LayerSpec,
     try:
         payload: Any = layer_weight_stats(spec)
     except Exception as exc:  # noqa: BLE001 -- dropped; profiled lazily
-        payload = f"{type(exc).__name__}: {exc}"
+        payload = PointFailure.from_exception(exc).error
     return spec.name, payload, time.perf_counter() - start
 
 

@@ -19,6 +19,12 @@ is tolerated).  :meth:`ResultStore.merge` folds another shard's store
 -- or a ``results.jsonl`` copied from another host -- into this one,
 last-wins by key and idempotent under re-merge, committing only the
 records computed under this namespace's fingerprint.
+
+Record lines and served replies share one JSON encoding
+(:func:`encode_json`).  A store answering the same key many times (the
+evaluation service's store tier) keeps each result's encoded bytes
+beside its in-memory index, encoded on first request
+(:meth:`ResultStore.result_with_json`).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from repro.dse.records import (
     RECORD_VERSION,
     evaluation_from_dict,
     result_from_dict,
+    result_to_dict,
 )
 from repro.eval.fingerprints import code_fingerprint
 from repro.eval.result import EvalResult
@@ -117,10 +124,15 @@ def load_jsonl_records(path: Path) -> dict[str, dict[str, Any]]:
     return scan_jsonl(path).records
 
 
+def encode_json(payload: Any) -> bytes:
+    """The one JSON encoding of records and replies: sorted keys, UTF-8."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
 def encode_record(record: Mapping[str, Any]) -> bytes:
     """The canonical on-disk line for one record (shared by ``put``,
     ``compact``, ``merge``, and the GC's dry-run size estimate)."""
-    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    return encode_json(record) + b"\n"
 
 
 class CompactStats(NamedTuple):
@@ -139,7 +151,14 @@ class MergeStats(NamedTuple):
 
 
 class ResultStore:
-    """Keyed persistent storage for evaluation records."""
+    """Keyed persistent storage for evaluation records.
+
+    Next to the in-memory index it keeps, per key, the encoded result
+    :meth:`result_with_json` answered with.  An entry is filled on first
+    request and belongs to the record it encodes: :meth:`put` and
+    :meth:`merge` drop the entries of the keys they write, and
+    :meth:`refresh`, :meth:`compact` and :meth:`destroy` drop them all.
+    """
 
     def __init__(self, root: str | Path | None = None,
                  namespace: str | None = None) -> None:
@@ -148,6 +167,8 @@ class ResultStore:
         self.path = self.root / self.namespace / "results.jsonl"
         self._records: dict[str, dict[str, Any]] = {}
         self._loaded = False
+        #: key -> (the record, its result's encoding)
+        self._encoded: dict[str, tuple[dict[str, Any], bytes]] = {}
 
     # -- locking ---------------------------------------------------------
     @contextmanager
@@ -194,6 +215,7 @@ class ResultStore:
     def refresh(self) -> None:
         """Re-read the backing file (e.g. after another process wrote)."""
         self._records.clear()
+        self._encoded.clear()
         self._loaded = False
         self._load()
 
@@ -263,6 +285,7 @@ class ResultStore:
             with self._locked():
                 self._append([data])
         self._records[key] = record
+        self._encoded.pop(key, None)
 
     def _quarantine(self, corrupt: tuple[str, ...]) -> None:
         """Move non-record lines into a ``corrupt-<ts>.jsonl`` sidecar.
@@ -298,6 +321,7 @@ class ResultStore:
         with self._locked():
             scan = scan_jsonl(self.path)
             self._records.clear()
+            self._encoded.clear()
             self._records.update(scan.records)
             self._loaded = True
             if scan.corrupt:
@@ -330,6 +354,7 @@ class ResultStore:
         with self._locked():
             shutil.rmtree(self.path.parent)
         self._records.clear()
+        self._encoded.clear()
         self._loaded = True
 
     def merge(self, source: "ResultStore | str | Path") -> MergeStats:
@@ -364,21 +389,15 @@ class ResultStore:
                     continue
                 lines.append(encode_record(record))
                 self._records[key] = record
+                self._encoded.pop(key, None)
                 written += 1
             if lines:
                 self._append(lines)
         return MergeStats(written, skipped)
 
     # -- convenience -----------------------------------------------------
-    def result(self, key: str, *, load: bool = True) -> EvalResult | None:
-        """Deserialize the stored canonical result for ``key``.
-
-        Records from an older layout (``version`` mismatch) count as
-        misses, so a record-format change re-evaluates instead of
-        feeding a stale dict to the deserializer.  ``load=False`` never
-        reads the file: it consults the in-memory index only, and a
-        store that has not loaded it misses.
-        """
+    def _result_record(self, key: str, load: bool) -> dict[str, Any] | None:
+        """``key``'s record if it holds a current-layout result."""
         if load:
             record = self.get(key)
         else:
@@ -388,7 +407,39 @@ class ResultStore:
         payload = record.get("result")
         if not isinstance(payload, Mapping) or "workload" not in payload:
             return None  # not an evaluation result
-        return result_from_dict(payload)
+        return record
+
+    def result(self, key: str, *, load: bool = True) -> EvalResult | None:
+        """Deserialize the stored canonical result for ``key``.
+
+        Records from an older layout (``version`` mismatch) count as
+        misses, so a record-format change re-evaluates instead of
+        feeding a stale dict to the deserializer.  ``load=False`` never
+        reads the file: it consults the in-memory index only, and a
+        store that has not loaded it misses.
+        """
+        record = self._result_record(key, load)
+        return None if record is None else result_from_dict(record["result"])
+
+    def result_with_json(self, key: str, *, load: bool = True
+                         ) -> tuple[EvalResult, bytes] | None:
+        """:meth:`result` and its bytes, ``encode_json(result.to_dict())``.
+
+        The bytes are encoded on the first request for the record and
+        kept until the record is replaced or the index reloaded.  Each
+        entry names the record it encodes, so a lookup racing a
+        :meth:`refresh` on another thread never pairs one record's
+        result with another's bytes.
+        """
+        record = self._result_record(key, load)
+        if record is None:
+            return None
+        result = result_from_dict(record["result"])
+        entry = self._encoded.get(key)
+        if entry is None or entry[0] is not record:
+            entry = (record, encode_json(result_to_dict(result)))
+            self._encoded[key] = entry
+        return result, entry[1]
 
     def evaluation(self, key: str) -> NetworkEvaluation | None:
         """Legacy view of :meth:`result` (model-backed records only)."""

@@ -1,14 +1,17 @@
 """A hand-rolled asyncio HTTP/1.1 front end for the evaluation service.
 
-Stdlib-only by design (``asyncio.start_server`` + manual request
-parsing): the service must run anywhere the reproduction runs.  One
-request per connection (``Connection: close``), JSON in and out.
+Stdlib-only by design: the service must run anywhere the reproduction
+runs.  Each connection gets one :class:`asyncio.Protocol` that
+collects the request head and body in its own buffer, parses them,
+answers through :meth:`HttpFrontend.dispatch` and closes: one request
+per connection (``Connection: close``), JSON in and out.
 
-Every JSON body is :func:`~repro.serve.service.encode_json` of its
+Every JSON body is :func:`~repro.dse.store.encode_json` of its
 payload.  An answered evaluation's result is not re-encoded: its bytes,
-encoded once when the service filled its hot-tier entry, are spliced
-into the ``/eval`` and ``/eval/batch`` bodies, which stay byte-identical
-to encoding the whole payload dict (:func:`outcome_payload`).
+encoded once per process (by the store for a stored result, else when
+the service filled its hot-tier entry), are spliced into the ``/eval``
+and ``/eval/batch`` bodies, which stay byte-identical to encoding the
+whole payload dict (:func:`outcome_payload`).
 
 Endpoints::
 
@@ -22,24 +25,27 @@ Endpoints::
     GET  /  (or /dashboard)  -- the static HTML dashboard
 
 Status codes: 200 answered, 400 bad request, 404 unknown path,
-405 wrong method, 413 oversized body, 422 poison evaluation (the
-request is deterministic-broken; retrying cannot help), 500 evaluation
-failed after the retry budget, 503 queue saturated or draining.
+405 wrong method, 408 request not read within ``READ_TIMEOUT_S``,
+411 a ``Transfer-Encoding`` body (send ``Content-Length``), 413
+oversized body, 422 poison evaluation (the request is
+deterministic-broken; retrying cannot help), 500 evaluation failed
+after the retry budget, 503 queue saturated or draining.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Mapping
+from typing import Any, Mapping, cast
 from urllib.parse import parse_qs, urlsplit
 
+from repro.dse.retry import PointFailure
 from repro.dse.spec import CampaignSpec, paper_grid
-from repro.dse.store import ResultStore
+from repro.dse.store import ResultStore, encode_json
 from repro.dse.summary import METRICS, pareto_data, summary_data
 from repro.eval.request import EvalOptions, EvalRequest
 from repro.serve.dashboard import DASHBOARD_HTML
-from repro.serve.service import EvalService, Outcome, encode_json
+from repro.serve.service import EvalService, Outcome
 
 #: Hard parse limits: a service facing a network owes itself bounds.
 MAX_REQUEST_LINE = 8192
@@ -50,7 +56,7 @@ READ_TIMEOUT_S = 30.0
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
-    413: "Payload Too Large", 422: "Unprocessable Entity",
+    411: "Length Required", 413: "Payload Too Large", 422: "Unprocessable Entity",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
@@ -304,113 +310,176 @@ class HttpFrontend:
             raise HttpError(404, f"unknown path {path!r}")
         return status, payload, "application/json"
 
-    # -- wire protocol ---------------------------------------------------
-    async def handle(self, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """One connection: parse one request, answer it, close."""
+
+class _Connection(asyncio.Protocol):
+    """One connection: buffer one request, answer it, write, close.
+
+    The head is parsed line by line as bytes arrive, so an over-long
+    line or head is refused before it is buffered whole.  Reading
+    stops once the request is complete, :meth:`HttpFrontend.dispatch`
+    answers it, and closing the transport flushes the reply first.
+    """
+
+    def __init__(self, frontend: HttpFrontend) -> None:
+        self.frontend = frontend
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        self.pos = 0                        # first byte not yet parsed
+        self.method = ""                    # set by the request line
+        self.target = ""
+        self.headers: list[tuple[str, str]] = []
+        self.length: int | None = None      # body length, once the head ends
+        self.deadline: asyncio.TimerHandle | None = None
+        self.task: "asyncio.Task[None] | None" = None
+
+    # -- asyncio.Protocol ------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        # Head plus body must arrive within the deadline.
+        self.deadline = asyncio.get_running_loop().call_later(
+            READ_TIMEOUT_S, self._reply, 408,
+            {"error": "request read timed out"})
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._advance()
+
+    def eof_received(self) -> bool:
+        """Keep the transport open while a reply is owed: a client may
+        half-close once it has sent its request."""
+        assert self.transport is not None
+        if self.task is None and self.length is None and self.buffer:
+            # As a line reader at EOF: the partial last line is a line,
+            # and the head ends there.
+            for _ in range(2):
+                if self.length is None and not self.transport.is_closing():
+                    self.buffer += b"\n"
+                    self._advance()
+        return self.task is not None
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        assert self.deadline is not None
+        self.deadline.cancel()
+
+    # -- reading ---------------------------------------------------------
+    def _advance(self) -> None:
+        """Parse what has arrived; answer once the request is whole."""
+        assert self.transport is not None and self.deadline is not None
         try:
-            try:
-                method, path, query, body = await asyncio.wait_for(
-                    _read_request(reader), READ_TIMEOUT_S)
-            except asyncio.TimeoutError:
-                _write_response(writer, 408,
-                                {"error": "request read timed out"})
-                return
-            except HttpError as exc:
-                _write_response(writer, exc.status, {"error": exc.message})
-                return
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return  # client went away mid-request
-            try:
-                status, payload, ctype = await self.dispatch(
-                    method, path, query, body)
-            except HttpError as exc:
-                self.service.metrics.incr("serve.http.errors")
-                _write_response(writer, exc.status, {"error": exc.message})
-                return
-            except Exception as exc:  # noqa: BLE001 -- connection survives
-                self.service.metrics.incr("serve.http.errors")
-                _write_response(
-                    writer, 500,
-                    {"error": f"{type(exc).__name__}: {exc}"})
-                return
-            _write_response(writer, status, payload, ctype)
-        finally:
-            try:
-                await writer.drain()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-            writer.close()
+            request = self._parse()
+        except HttpError as exc:
+            self._reply(exc.status, {"error": exc.message})
+            return
+        if request is not None:
+            self.deadline.cancel()
+            self.transport.pause_reading()
+            self.task = asyncio.get_running_loop().create_task(
+                self._answer(*request))
+
+    def _parse(self) -> tuple[str, str, dict[str, list[str]], bytes] | None:
+        """The request once the buffer holds all of it, else ``None``."""
+        while self.length is None:
+            what = "header line" if self.method else "request line"
+            end = self.buffer.find(b"\n", self.pos) + 1
+            if not end:
+                if len(self.buffer) - self.pos >= MAX_REQUEST_LINE:
+                    raise HttpError(400, f"{what} too long")
+                return None
+            line = bytes(self.buffer[self.pos:end])
+            self.pos = end
+            if len(line) > MAX_REQUEST_LINE:
+                raise HttpError(400, f"{what} too long")
+            if not self.method:
+                try:
+                    self.method, self.target, _version = \
+                        line.decode("latin-1").split()
+                except ValueError:
+                    raise HttpError(400, "malformed request line") from None
+            elif line in (b"\r\n", b"\n"):
+                self.length = _body_length(self.headers)
+            elif len(self.headers) == MAX_HEADERS:
+                raise HttpError(400, f"too many headers (max {MAX_HEADERS})")
+            else:
+                name, _, value = line.decode("latin-1").partition(":")
+                self.headers.append((name.strip().lower(), value.strip()))
+        if len(self.buffer) - self.pos < self.length:
+            return None
+        body = bytes(self.buffer[self.pos:self.pos + self.length])
+        split = urlsplit(self.target)
+        query = parse_qs(split.query, keep_blank_values=True)
+        return self.method.upper(), split.path or "/", query, body
+
+    # -- answering -------------------------------------------------------
+    async def _answer(self, method: str, path: str,
+                      query: dict[str, list[str]], body: bytes) -> None:
+        """Dispatch one parsed request; a failing handler costs its
+        request a 500, never the server."""
+        metrics = self.frontend.service.metrics
+        try:
+            status, payload, ctype = await self.frontend.dispatch(
+                method, path, query, body)
+        except HttpError as exc:
+            metrics.incr("serve.http.errors")
+            status, payload, ctype = (exc.status, {"error": exc.message},
+                                      "application/json")
+        except Exception as exc:  # noqa: BLE001 -- the server survives
+            metrics.incr("serve.http.errors")
+            status, payload, ctype = (
+                500, {"error": PointFailure.from_exception(exc).error},
+                "application/json")
+        except asyncio.CancelledError:
+            assert self.transport is not None
+            self.transport.close()
+            raise
+        self._reply(status, payload, ctype)
+
+    def _reply(self, status: int, payload: Any,
+               content_type: str = "application/json") -> None:
+        """Send one response and close: ``bytes`` as they are, text as
+        UTF-8, and any other payload as :func:`encode_json`."""
+        assert self.transport is not None and self.deadline is not None
+        self.deadline.cancel()
+        if self.transport.is_closing():
+            return  # the client went away
+        if isinstance(payload, bytes):
+            body = payload
+        elif isinstance(payload, str):
+            body = payload.encode("utf-8")
+        else:
+            body = encode_json(payload)
+        reason = _REASONS.get(status, "Unknown")
+        head = (f"HTTP/1.1 {status} {reason}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"Connection: close\r\n\r\n").encode("latin-1")
+        self.transport.write(head + body)
+        self.transport.close()
 
 
-async def _head_line(reader: asyncio.StreamReader, what: str) -> bytes:
-    """One line of the request head; over-long ones are a 400."""
+def _body_length(headers: list[tuple[str, str]]) -> int:
+    """The body length a complete head declares; refuses framing this
+    parser cannot honour."""
+    if any(name == "transfer-encoding" for name, _ in headers):
+        raise HttpError(411, "Transfer-Encoding is not supported; "
+                             "send the body with a Content-Length")
+    lengths = {value for name, value in headers if name == "content-length"}
+    if not lengths:
+        return 0
     try:
-        line = await reader.readline()
-    except ValueError:  # past the StreamReader's own (64 KiB) limit
-        raise HttpError(400, f"{what} too long") from None
-    if len(line) > MAX_REQUEST_LINE:
-        raise HttpError(400, f"{what} too long")
-    return line
-
-
-async def _read_request(reader: asyncio.StreamReader
-                        ) -> tuple[str, str, dict[str, list[str]], bytes]:
-    """Parse one HTTP/1.1 request head + body from the stream."""
-    line = await _head_line(reader, "request line")
-    if not line:
-        raise ConnectionError("empty request")
-    try:
-        method, target, _version = line.decode("latin-1").split()
+        (length,) = lengths  # differing duplicates: RFC 9112 section 6.3
+        n = int(length)
+        if n < 0:
+            raise ValueError(length)
     except ValueError:
-        raise HttpError(400, "malformed request line") from None
-    headers: dict[str, str] = {}
-    for _ in range(MAX_HEADERS + 1):  # the blank line ending the head
-        raw = await _head_line(reader, "header line")
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise HttpError(400, f"too many headers (max {MAX_HEADERS})")
-    body = b""
-    length = headers.get("content-length")
-    if length is not None:
-        try:
-            n = int(length)
-            if n < 0:
-                raise ValueError(length)
-        except ValueError:
-            raise HttpError(400, "bad Content-Length") from None
-        if n > MAX_BODY_BYTES:
-            raise HttpError(413, f"body too large (max {MAX_BODY_BYTES})")
-        body = await reader.readexactly(n)
-    split = urlsplit(target)
-    query = parse_qs(split.query, keep_blank_values=True)
-    return method.upper(), split.path or "/", query, body
-
-
-def _write_response(writer: asyncio.StreamWriter, status: int,
-                    payload: Any,
-                    content_type: str = "application/json") -> None:
-    """Send one response: ``bytes`` as they are, text as UTF-8, and any
-    other payload as :func:`encode_json`."""
-    if isinstance(payload, bytes):
-        body = payload
-    elif isinstance(payload, str):
-        body = payload.encode("utf-8")
-    else:
-        body = encode_json(payload)
-    reason = _REASONS.get(status, "Unknown")
-    head = (f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n").encode("latin-1")
-    writer.write(head + body)
+        raise HttpError(400, "bad Content-Length") from None
+    if n > MAX_BODY_BYTES:
+        raise HttpError(413, f"body too large (max {MAX_BODY_BYTES})")
+    return n
 
 
 async def start_http(service: EvalService, host: str = "127.0.0.1",
                      port: int = 0) -> asyncio.AbstractServer:
     """Bind the HTTP front end; ``port=0`` picks an ephemeral port."""
     frontend = HttpFrontend(service)
-    return await asyncio.start_server(frontend.handle, host, port)
+    return await asyncio.get_running_loop().create_server(
+        lambda: _Connection(frontend), host, port)

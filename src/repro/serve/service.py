@@ -16,7 +16,10 @@ questions through four tiers, cheapest first:
    fingerprint, shared with every campaign and CLI run.  A key already
    in a loaded namespace's in-memory index is answered on the event
    loop; only a read of the file (the first load, or the refresh after
-   a miss) goes to a thread;
+   a miss) goes to a thread.  The store keeps each result's JSON bytes
+   (:func:`~repro.dse.store.encode_json`, the encoding of its record
+   lines too), encoded on the key's first store hit, so a key evicted
+   from the hot tier is not encoded again;
 4. **compute** -- a bounded background worker pool.  ``workers=0``
    evaluates misses inline on the dispatch thread (no subprocesses;
    the low-latency single-host mode); ``workers>=1`` fans each batch
@@ -41,7 +44,6 @@ new misses are rejected -- the graceful half of a SIGTERM.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,7 +53,7 @@ from repro import faults
 from repro.dse.pool import WatchdogPool, run_inline
 from repro.dse.records import make_record, result_from_dict, result_to_dict
 from repro.dse.retry import PointFailure, RetryPolicy
-from repro.dse.store import ResultStore
+from repro.dse.store import ResultStore, encode_json
 from repro.eval.registry import get_backend
 from repro.eval.request import EvalRequest
 from repro.eval.result import EvalResult
@@ -66,11 +68,6 @@ DEFAULT_QUEUE_MAX = 64
 #: Fault kinds the service worker executes at ``site=serve`` (the
 #: ``slow_io`` half of the site belongs to the store-read hook).
 _WORKER_FAULT_KINDS = ("crash", "hang", "die")
-
-
-def encode_json(payload: Any) -> bytes:
-    """The service's one JSON encoding: sorted keys, UTF-8 bytes."""
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,9 @@ class Outcome:
     ``kind`` is ``"exception"``, a watchdog kind (``timeout``,
     ``heartbeat-silent``, ``worker-died``), ``"rejected"`` (queue
     saturated), or ``"draining"``.  ``result_json`` is
-    :func:`encode_json` of ``result.to_dict()``, encoded once (here,
-    when not given) and carried along by every copy of the outcome.
+    :func:`~repro.dse.store.encode_json` of ``result.to_dict()``:
+    the store's bytes for a store hit, else encoded here once, and
+    carried along by every copy of the outcome.
     """
 
     key: str
@@ -255,9 +253,9 @@ class EvalService:
                 # lookup racing a refresh) takes the thread path below,
                 # as does every lookup while a fault plan may stall it.
                 with trace("serve.store_lookup", backend=request.backend):
-                    stored = store.result(key, load=False)
+                    stored = store.result_with_json(key, load=False)
                 if stored is not None:
-                    return self._store_hit(key, stored)
+                    return self._store_hit(key, *stored)
 
             future: "asyncio.Future[Outcome]" = \
                 asyncio.get_running_loop().create_future()
@@ -267,7 +265,7 @@ class EvalService:
                 stored = await asyncio.to_thread(
                     self._load_stored, request, key)
                 if stored is not None:
-                    self._settle(key, self._store_hit(key, stored))
+                    self._settle(key, self._store_hit(key, *stored))
                 else:
                     self.metrics.incr("serve.cache.miss")
                     if self._draining:
@@ -287,9 +285,9 @@ class EvalService:
             except BaseException as exc:
                 # The leader must never leave coalesced waiters hanging
                 # on an unsettled future (lookup error, cancellation).
-                self._settle(key, Outcome(
-                    key=key, error=f"{type(exc).__name__}: {exc}",
-                    etype=type(exc).__name__))
+                failure = PointFailure.from_exception(exc)
+                self._settle(key, Outcome(key=key, error=failure.error,
+                                          etype=failure.etype))
                 raise
             return await asyncio.shield(future)
         finally:
@@ -297,16 +295,21 @@ class EvalService:
             self.metrics.observe_latency(elapsed)
             observe("serve.request", elapsed, key=key)
 
-    def _remember(self, key: str, result: EvalResult) -> Outcome:
-        """Encode ``result`` once and fill the hot tier with it; returns
-        the outcome every later hot hit on ``key`` answers with."""
-        hot = Outcome(key=key, result=result, source="hot")
+    def _remember(self, key: str, result: EvalResult,
+                  result_json: bytes | None = None) -> Outcome:
+        """Fill the hot tier with ``result`` and its bytes (encoded here
+        unless given); returns the outcome every later hot hit on
+        ``key`` answers with."""
+        hot = Outcome(key=key, result=result, source="hot",
+                      result_json=result_json)
         self.hot.put(key, hot)
         return hot
 
-    def _store_hit(self, key: str, result: EvalResult) -> Outcome:
+    def _store_hit(self, key: str, result: EvalResult,
+                   result_json: bytes) -> Outcome:
         self.metrics.incr("serve.cache.store_hit")
-        return replace(self._remember(key, result), source="store")
+        return replace(self._remember(key, result, result_json),
+                       source="store")
 
     def _settle(self, key: str, outcome: Outcome) -> None:
         """Resolve ``key``'s future (leader and coalesced waiters)."""
@@ -322,7 +325,8 @@ class EvalService:
                 namespace=get_backend(backend_name).fingerprint())
         return self._stores[backend_name]
 
-    def _load_stored(self, request: EvalRequest, key: str) -> EvalResult | None:
+    def _load_stored(self, request: EvalRequest,
+                     key: str) -> tuple[EvalResult, bytes] | None:
         """Blocking store lookup (runs off-loop; chaos-instrumented).
 
         :meth:`submit` calls it for a namespace not loaded yet, for a
@@ -337,11 +341,11 @@ class EvalService:
         try:
             store = self._store_for(request.backend)
             with trace("serve.store_lookup", backend=request.backend):
-                result = store.result(key)
-                if result is None:
+                stored = store.result_with_json(key)
+                if stored is None:
                     store.refresh()
-                    result = store.result(key)
-            return result
+                    stored = store.result_with_json(key)
+            return stored
         except OSError as exc:
             self.metrics.incr("serve.store_errors")
             observe("serve.store_error", 0.0, error=type(exc).__name__)
@@ -362,11 +366,11 @@ class EvalService:
                 raise
             except Exception as exc:  # noqa: BLE001 -- dispatcher survives
                 self.metrics.incr("serve.batch_errors")
+                failure = PointFailure.from_exception(exc)
                 outcomes = {
-                    j.key(): Outcome(
-                        key=j.key(), attempts=1,
-                        error=f"{type(exc).__name__}: {exc}",
-                        etype=type(exc).__name__)
+                    j.key(): Outcome(key=j.key(), attempts=1,
+                                     error=failure.error,
+                                     etype=failure.etype)
                     for j in jobs
                 }
             for key, outcome in outcomes.items():

@@ -1,14 +1,15 @@
 """The HTTP front end, over a real socket on an ephemeral port.
 
-Every test speaks actual HTTP/1.1 to an ``asyncio.start_server``
-instance -- no handler-poking -- so the request parser, routing,
-status mapping, and JSON serialization are all on the hook.
+Every test speaks actual HTTP/1.1 to a :func:`start_http` server -- no
+handler-poking -- so the request parser, routing, status mapping, and
+JSON serialization are all on the hook.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
 import threading
 import time
@@ -313,16 +314,24 @@ class TestQueryHelpers:
 
 # -- parse limits -----------------------------------------------------------
 
-def _exchange(port: int, data: bytes) -> bytes:
+def _exchange(port: int, data: bytes | list[bytes]) -> bytes:
     """Send ``data`` on a blocking socket and read the reply to EOF.
 
-    The server may answer and close before it has read everything it
-    was sent (a refused head or body), which resets the connection;
-    the exchange then ends with whatever reply had arrived.
+    A list is sent one segment at a time, and an empty segment shuts
+    the socket's write side (the client half-closes).  The server may
+    answer and close before it has read everything it was sent (a
+    refused head or body), which resets the connection; the exchange
+    then ends with whatever reply had arrived.
     """
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
-            sock.sendall(data)
+            for segment in [data] if isinstance(data, bytes) else data:
+                if segment:
+                    sock.sendall(segment)
+                    time.sleep(0.001)
+                else:
+                    sock.shutdown(socket.SHUT_WR)
         except ConnectionError:
             pass
         chunks = []
@@ -346,8 +355,43 @@ def _header_lines(n: int) -> list[bytes]:
                                    for i in range(1, n)]
 
 
+def _request_line(size: int) -> bytes:
+    """A ``/healthz`` request line of ``size`` bytes, CRLF included."""
+    pad = size - len(b"GET /healthz?x= HTTP/1.1\r\n")
+    return b"GET /healthz?x=" + b"x" * pad + b" HTTP/1.1\r\n"
+
+
+#: A valid one-entry batch body, and its chunked transfer coding.
+BATCH = json.dumps([{"workload": MINI_WORKLOAD}]).encode()
+CHUNKED = b"%x\r\n%s\r\n0\r\n\r\n" % (len(BATCH), BATCH)
+
 KIB = 1024
 PARSE_LIMITS = [
+    pytest.param([bytes([byte]) for byte in
+                  _head(b"GET /healthz HTTP/1.1", b"Host: localhost")],
+                 200, None, id="one-byte-segments"),
+    pytest.param(b"GET /healthz HTTP/1.1\nHost: localhost\n\n",
+                 200, None, id="bare-LF"),
+    pytest.param(_request_line(8192) + b"\r\n", 200, None,
+                 id="8192B-request-line"),
+    pytest.param(_request_line(8193) + b"\r\n", 400,
+                 "request line too long", id="8193B-request-line"),
+    pytest.param([_head(b"GET /healthz HTTP/1.1", b"Host: localhost"), b""],
+                 200, None, id="half-closed-after-request"),
+    pytest.param([b"GET /healthz HTTP/1.1\r\nHost: localhost", b""],
+                 200, None, id="head-ended-by-EOF"),
+    pytest.param(_head(b"POST /eval/batch HTTP/1.1",
+                       b"Transfer-Encoding: chunked") + CHUNKED,
+                 411, "Content-Length", id="chunked-body"),
+    pytest.param(_head(b"POST /eval/batch HTTP/1.1", b"Content-Length: 2",
+                       b"Content-Length: %d" % len(BATCH)) + BATCH,
+                 400, "bad Content-Length", id="differing-lengths"),
+    pytest.param(_head(b"GET /healthz HTTP/1.1", b"Content-Length: 0",
+                       b"Content-Length: 0"),
+                 200, None, id="identical-lengths"),
+    pytest.param(_head(b"POST /eval/batch HTTP/1.1",
+                       b"Content-Length: 10") + b"x" * 5,
+                 408, "timed out", id="stalled-body"),
     pytest.param(_head(b"GET /healthz?" + b"x" * 9 * KIB + b" HTTP/1.1"),
                  400, "request line too long", id="9KiB-request-line"),
     pytest.param(_head(b"GET /healthz?" + b"x" * 70 * KIB + b" HTTP/1.1"),
@@ -386,8 +430,40 @@ class TestParseLimits:
         reply = run_async(main())
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.split(b" ", 2)[1] == str(status).encode()
+        assert int(dict(line.split(b": ", 1)
+                        for line in head.split(b"\r\n")[1:])
+                   [b"Content-Length"]) == len(body)
         if error is not None:
             assert error in json.loads(body)["error"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors in /proc/self/fd")
+    def test_client_gone_mid_body_gets_no_reply_and_holds_nothing(
+            self, tmp_path):
+        """The server closes its side once the client's EOF leaves the
+        body short, well before the read deadline."""
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        async def main():
+            service, server, port = await _served(tmp_path)
+            before = open_fds()
+            reply = await asyncio.to_thread(
+                _exchange, port,
+                [_head(b"POST /eval/batch HTTP/1.1", b"Content-Length: 10")
+                 + b"x" * 5, b""])
+            deadline = time.monotonic() + 2.0
+            while open_fds() != before and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            after = open_fds()
+            health = await http_request(port, "GET", "/healthz")
+            await _shutdown(service, server)
+            return reply, before, after, health
+
+        reply, before, after, health = run_async(main())
+        assert reply == b""
+        assert after == before
+        assert health[0] == 200
 
 
 # -- reply bytes ------------------------------------------------------------

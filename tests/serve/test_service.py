@@ -21,8 +21,11 @@ import threading
 import pytest
 
 from repro import faults
+from repro.dse import store as store_module
 from repro.dse.retry import RetryPolicy
+from repro.dse.store import ResultStore
 from repro.eval.request import EvalRequest
+from repro.serve import service as service_module
 from repro.serve.service import EvalService, Outcome, ServeJob
 from serve_helpers import counting_backend, fake_result, mini_request, run_async
 
@@ -254,6 +257,84 @@ class TestStoreLookupOnTheLoop:
             assert outcome.result.to_dict() == expected
             assert outcome.result_json == json.dumps(
                 expected, sort_keys=True).encode()
+
+
+class TestStoredResultBytes:
+    """A stored result is encoded at most once per record, and its
+    bytes follow the record when it is replaced or reloaded."""
+
+    @staticmethod
+    def _stored(root, request: EvalRequest) -> None:
+        async def main():
+            service = await _started(root)
+            await service.submit(request)
+            await service.drain(timeout_s=5)
+
+        run_async(main())
+
+    def test_two_store_hits_encode_the_result_once(self, tmp_path,
+                                                   monkeypatch):
+        counting_backend(monkeypatch, "model")
+        request = mini_request()
+        self._stored(tmp_path, request)
+        encoded = []
+        encode = store_module.encode_json
+
+        def counting(payload):
+            encoded.append(payload)
+            return encode(payload)
+
+        for module in (store_module, service_module):
+            monkeypatch.setattr(module, "encode_json", counting)
+
+        async def main():
+            service = await _started(tmp_path, hot_max=0)
+            # The first hit reads the file on a thread, the second
+            # answers from the loaded index on the loop.
+            outcomes = [await service.submit(request) for _ in range(2)]
+            await service.drain(timeout_s=5)
+            return outcomes
+
+        outcomes = run_async(main())
+        assert [o.source for o in outcomes] == ["store", "store"]
+        assert len(encoded) == 1
+        expected = json.dumps(outcomes[0].result.to_dict(),
+                              sort_keys=True).encode()
+        assert [o.result_json for o in outcomes] == [expected] * 2
+
+    def test_replaced_and_reloaded_records_answer_their_own_bytes(
+            self, tmp_path, monkeypatch):
+        counting_backend(monkeypatch, "model")
+        request = mini_request()
+        self._stored(tmp_path, request)
+
+        def replaced(store: ResultStore, cycles: float) -> dict:
+            record = dict(store.get(request.key()))
+            record["result"] = fake_result(request, cycles=cycles).to_dict()
+            return record
+
+        async def main():
+            service = await _started(tmp_path, hot_max=0)
+            answers = [await service.submit(request)]
+            store = service._store_for(request.backend)
+            store.put(request.key(), replaced(store, 7.0))
+            answers.append(await service.submit(request))
+            other = ResultStore(tmp_path, namespace=store.namespace)
+            other.put(request.key(), replaced(other, 9.0))
+            answers.append(await service.submit(request))  # not reloaded
+            store.refresh()
+            answers.append(await service.submit(request))
+            await service.drain(timeout_s=5)
+            return answers
+
+        answers = run_async(main())
+        assert [o.source for o in answers] == ["store"] * 4
+        cycles = [json.loads(o.result_json)["layers"][0]["cycles"]
+                  for o in answers]
+        assert cycles == [100.0, 7.0, 7.0, 9.0]
+        for outcome in answers:
+            assert outcome.result_json == json.dumps(
+                outcome.result.to_dict(), sort_keys=True).encode()
 
 
 class TestBackpressure:
