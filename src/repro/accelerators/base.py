@@ -32,6 +32,17 @@ from repro.sparsity.stats import LayerWeightStats
 from repro.workloads.spec import LayerSpec
 
 
+#: Arch override names (:data:`repro.arch.OVERRIDE_FIELDS`) the STEP1 +
+#: STEP4 engine reads for every design: the SRAM port widths and
+#: capacity, the clock, the memory unit energies and the DRAM width.
+#: The model takes each design's PE-array geometry from its SU set, so
+#: ``group``, ``ku``, ``oxu`` and the fetch bandwidths never reach it.
+ENGINE_ARCH_READS = frozenset({
+    "sram_w", "sram_a", "sram_kb", "clock_mhz",
+    "dram_pj", "sram_pj", "reg_pj", "dram_bits",
+})
+
+
 @dataclass(frozen=True)
 class LayerEvaluation:
     """One (accelerator, layer) modelling result."""
@@ -115,6 +126,11 @@ class Accelerator:
     name: str = "abstract"
     #: Spatial-unrolling set; >1 entry means dynamic dataflow.
     sus: tuple[SpatialUnrolling, ...] = ()
+    #: Arch override names this design's evaluation reads: the
+    #: engine's plus those of its STEP3 hooks (the default
+    #: ``compute_energy_pj`` prices bit-parallel MACs).  A request's
+    #: key keeps only these (:class:`repro.eval.EvalRequest`).
+    arch_reads: frozenset[str] = ENGINE_ARCH_READS | {"mac_pj"}
 
     def __init__(self, arch: ArchSpec | None = None,
                  tech: Technology | None = None) -> None:

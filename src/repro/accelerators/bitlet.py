@@ -25,7 +25,7 @@ from math import comb
 
 import numpy as np
 
-from repro.accelerators.base import Accelerator
+from repro.accelerators.base import ENGINE_ARCH_READS, Accelerator
 from repro.model.mapping import SpatialUnrolling
 from repro.sparsity.stats import LayerWeightStats
 from repro.workloads.spec import LayerSpec
@@ -75,6 +75,8 @@ def _expected_max(occupancy: tuple[float, ...], m: int) -> float:
 class Bitlet(Accelerator):
     name = "Bitlet"
     sus = (SpatialUnrolling("fixed-32x8x16", {"K": 32, "C": 8, "OX": 16}),)
+    #: Lanes are priced per bit-serial lane-cycle.
+    arch_reads = ENGINE_ARCH_READS | {"serial_pj"}
 
     def cycles_per_interleave_group(self, stats: LayerWeightStats) -> float:
         return max(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import fnmatch
 from dataclasses import dataclass
 
-from repro.accelerators.base import Accelerator
+from repro.accelerators.base import ENGINE_ARCH_READS, Accelerator
 from repro.arch import SERIAL_COLUMNS, ArchSpec
 from repro.model.mapping import SpatialUnrolling
 from repro.model.technology import Technology
@@ -126,6 +126,21 @@ def build_bitwave_variant(variant: str,
     return BitWave(dataflow, columns, bitflip, arch=arch)
 
 
+def variant_arch_reads(variant: str) -> frozenset[str]:
+    """Arch override names one rung of the ladder reads.
+
+    A rung hands its column mode to the constructor, so it never reads
+    the arch's ``columns``; a dense-mode rung reads ``dense_precision``.
+    """
+    if variant not in BREAKDOWN_CONFIGS:
+        raise ValueError(
+            f"unknown BitWave variant {variant!r}; one of {BITWAVE_VARIANTS}")
+    reads = ENGINE_ARCH_READS | {"bce_pj"}
+    if BREAKDOWN_CONFIGS[variant][1] == "dense":
+        return reads | {"dense_precision"}
+    return reads
+
+
 def bitflip_targets_for(network: str, layer_names: list[str]) -> dict[str, int]:
     """Resolve the per-network glob strategy to concrete layer targets.
 
@@ -143,6 +158,11 @@ def bitflip_targets_for(network: str, layer_names: list[str]) -> dict[str, int]:
 
 
 class BitWave(Accelerator):
+    #: The full build takes its column mode from the arch, and its
+    #: dense precision in dense mode (``__init__``); lanes are priced
+    #: per BCE column cycle.  Rungs: :func:`variant_arch_reads`.
+    arch_reads = ENGINE_ARCH_READS | {"bce_pj", "columns", "dense_precision"}
+
     def __init__(
         self,
         dataflow: str = "dynamic",

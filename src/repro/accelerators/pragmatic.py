@@ -13,7 +13,7 @@ online), so Pragmatic gains nothing on the memory side.
 
 from __future__ import annotations
 
-from repro.accelerators.base import Accelerator
+from repro.accelerators.base import ENGINE_ARCH_READS, Accelerator
 from repro.model.mapping import SpatialUnrolling
 from repro.sparsity.stats import LayerWeightStats
 from repro.workloads.spec import LayerSpec
@@ -25,6 +25,8 @@ SYNC_GROUP = 16
 class Pragmatic(Accelerator):
     name = "Pragmatic"
     sus = (SpatialUnrolling("fixed-16x16x16", {"K": 16, "C": 16, "OX": 16}),)
+    #: Lanes are priced per bit-serial lane-cycle.
+    arch_reads = ENGINE_ARCH_READS | {"serial_pj"}
 
     def cycles_per_mac(self, stats: LayerWeightStats) -> float:
         """E[max essential bits] over the sync group, >= 1 (zero-guard)."""

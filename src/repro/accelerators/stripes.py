@@ -9,7 +9,7 @@ scaling, which the common Int8 benchmark setting never exercises.
 
 from __future__ import annotations
 
-from repro.accelerators.base import Accelerator
+from repro.accelerators.base import ENGINE_ARCH_READS, Accelerator
 from repro.model.mapping import SpatialUnrolling
 from repro.sparsity.stats import LayerWeightStats
 from repro.workloads.spec import LayerSpec
@@ -21,6 +21,8 @@ SERIAL_BITS = 8
 class Stripes(Accelerator):
     name = "Stripes"
     sus = (SpatialUnrolling("fixed-16x16x16", {"K": 16, "C": 16, "OX": 16}),)
+    #: Lanes are priced per bit-serial lane-cycle.
+    arch_reads = ENGINE_ARCH_READS | {"serial_pj"}
 
     def compute_cycles(
         self, spec: LayerSpec, stats: LayerWeightStats, su: SpatialUnrolling

@@ -12,7 +12,9 @@ name, optionally followed by ``@`` and ``+``-joined overrides::
 :class:`~repro.arch.spec.ArchSpec`; :func:`canonical_arch` gives every
 equivalent spelling one canonical form (overrides equal to the preset's
 own value are dropped, the rest sort by name), so equivalent spellings
-share one evaluation-cache key and one campaign grid point.  Both
+share one evaluation-cache key and one campaign grid point; given the
+override names an evaluation reads, it also drops the rest, so a
+request key holds only fields that can change its result.  Both
 memoize per spelling (every request key and validation resolves its
 arch), and :func:`register_arch` clears the memo.
 """
@@ -232,19 +234,23 @@ def _parse_spelling(spec: str) -> ArchSpec:
 
 
 @lru_cache(maxsize=4096)
-def canonical_arch(spec: str) -> str:
+def canonical_arch(spec: str, reads: "frozenset[str] | None" = None) -> str:
     """One spelling per design point: no-op overrides dropped, the rest
     sorted by field name.
 
     ``"bitwave-16nm@group=8"`` (the preset's own value) canonicalizes
     to ``"bitwave-16nm"``, and ``"bitwave-16nm@sram_pj=0.50+group=16"``
-    to ``"bitwave-16nm@group=16+sram_pj=0.5"``.
+    to ``"bitwave-16nm@group=16+sram_pj=0.5"``.  Given ``reads`` (the
+    override names an evaluation can read), every other override is
+    dropped too, once validated: ``"bitwave-16nm@group=16+sram_pj=0.5"``
+    with a read set lacking ``group`` is ``"bitwave-16nm@sram_pj=0.5"``.
     """
     base, overrides = arch_overrides(spec)
     preset = ARCH_PRESETS[base]
     kept: dict[str, int | float | str] = {}
     for name, value in sorted(overrides.items()):
-        if _apply(preset, name, value) != preset:
+        if _apply(preset, name, value) != preset and (
+                reads is None or name in reads):
             kept[name] = value
     if not kept:
         return base

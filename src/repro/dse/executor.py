@@ -34,7 +34,13 @@ whole source tree, so any edit re-evaluates every point.
 Before a pool of two or more workers starts, a *profile pass* splits
 the weight profiling of the pending model points' networks layer by
 layer over its own :class:`~repro.dse.pool.WatchdogPool` (same retry
-policy, same stop signal).  The parent installs the returned
+policy, same stop signal).  It profiles each weight identity once
+(:func:`~repro.sparsity.profiles.unprofiled_layers`), so networks
+that differ only in batch or output size cost one profile.  It
+dispatches layers in network order: largest-first raised the pool
+workers' peak RSS by a fifth (glibc's dynamic mmap threshold, raised
+by the first freed multi-megabyte draw, sends the later draws to the
+heap).  The parent installs the returned
 profiles, so the point workers it forks next -- respawns included --
 inherit them, and no layer is profiled twice.  A profile task that
 fails or is killed is dropped, not retried: the point's worker then

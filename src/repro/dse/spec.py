@@ -34,7 +34,7 @@ from repro.dse.retry import RetryPolicy
 from repro.eval.fingerprints import code_fingerprint  # noqa: F401  (re-export)
 from repro.eval.registry import backend_names, get_backend
 from repro.eval.request import MODEL_BACKEND, config_hash  # noqa: F401
-from repro.eval.request import FULL_BITWAVE_VARIANT, EvalRequest
+from repro.eval.request import EvalRequest
 from repro.eval.result import EvalResult
 from repro.obs import trace
 from repro.workloads.nets import parse_network
@@ -119,16 +119,12 @@ class EvalPoint:
     arch: str = DEFAULT_ARCH
 
     def __post_init__(self) -> None:
-        # The fully-enabled ablation rung IS the SotA comparison build
-        # (BitWave's constructor defaults), so both spellings
-        # canonicalize to one point and share one store entry.
-        if self.accelerator == "BitWave" and self.variant == FULL_BITWAVE_VARIANT:
-            object.__setattr__(self, "variant", None)
-        # One spelling per arch design point (no-op overrides dropped).
-        try:
-            object.__setattr__(self, "arch", canonical_arch(self.arch))
-        except ValueError:
-            pass  # left verbatim; validate() reports the real error
+        # The request canonicalizes every axis (see EvalRequest), so a
+        # point's fields, label and key all name one evaluation.
+        request = self.request()
+        object.__setattr__(self, "network", request.workload)
+        object.__setattr__(self, "variant", request.variant)
+        object.__setattr__(self, "arch", request.arch)
 
     def request(self) -> EvalRequest:
         """The :mod:`repro.eval` request this point names."""

@@ -19,11 +19,17 @@
 Both backends construct their machine from the request's ``arch`` axis
 (:mod:`repro.arch`): the model prices with the arch's technology and
 SRAM port widths, the simulator executes the arch's PE-array geometry.
+Each declares which arch fields it reads (``arch_reads``), and a
+request keys only those.
 """
 
 from __future__ import annotations
 
-from repro.accelerators import build_accelerator, build_bitwave_variant
+from repro.accelerators import (
+    build_accelerator,
+    build_bitwave_variant,
+    config_arch_reads,
+)
 from repro.accelerators.base import Accelerator, NetworkEvaluation
 from repro.arch import ArchSpec, parse_arch
 from repro.eval.fingerprints import code_fingerprint, sim_backend_fingerprint
@@ -66,6 +72,10 @@ class ModelBackend:
     def fingerprint(self) -> str:
         return code_fingerprint()
 
+    def arch_reads(self, accelerator: str,
+                   variant: str | None) -> frozenset[str]:
+        return config_arch_reads(accelerator, variant)
+
     def evaluate(self, request: EvalRequest) -> EvalResult:
         request.validate()
         accelerator = build_request_accelerator(request)
@@ -83,8 +93,24 @@ class SimBackend:
 
     name = "sim-vectorized"
 
+    #: The geometry, fetch widths and column mode :class:`BitWaveNPU`
+    #: executes, the SRAM capacity behind the lowering's fusion
+    #: thresholds, the clock, and the four unit energies the counters
+    #: are priced with.  The SRAM port and interface widths, the DRAM
+    #: width, ``n_bce`` and the other designs' compute energies never
+    #: reach the simulator.
+    ARCH_READS = frozenset({
+        "group", "ku", "oxu", "weight_bw", "act_bw",
+        "columns", "dense_precision", "sram_kb", "clock_mhz",
+        "dram_pj", "sram_pj", "reg_pj", "bce_pj",
+    })
+
     def fingerprint(self) -> str:
         return sim_backend_fingerprint()
+
+    def arch_reads(self, accelerator: str,
+                   variant: str | None) -> frozenset[str]:
+        return self.ARCH_READS
 
     def evaluate(self, request: EvalRequest) -> EvalResult:
         request.validate()

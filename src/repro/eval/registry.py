@@ -28,6 +28,15 @@ class EvalBackend(Protocol):
         """This backend's store namespace (a whole-tree digest)."""
         ...
 
+    def arch_reads(self, accelerator: str,
+                   variant: str | None) -> frozenset[str]:
+        """The arch override names (:data:`repro.arch.OVERRIDE_FIELDS`)
+        this backend's evaluation of one configuration can read; a
+        request's key keeps only those.  A superset is safe, a subset
+        serves wrong results.  May raise ``ValueError`` for a
+        configuration the backend does not know."""
+        ...
+
     def evaluate(self, request: EvalRequest) -> EvalResult:
         """Compute (never cache) the result for ``request``."""
         ...

@@ -6,6 +6,16 @@ result store caches under.  The same request object drives every
 backend -- the analytical model and the structural simulator -- so
 campaign grids, experiment harnesses, and ad-hoc calls all share
 one cache keyspace.
+
+A request canonicalizes on construction, so every spelling of one
+evaluation has one key: the full BitWave rung is the comparison
+build, workload parameters at their defaults drop, and the arch keeps
+only the overrides that differ from its preset *and* that the
+backend reads for this configuration (``EvalBackend.arch_reads``).
+The model takes each design's PE-array geometry from its SU set, so
+SCNN at ``"bitwave-16nm@group=16+sram_pj=0.5"`` is SCNN at
+``"bitwave-16nm@sram_pj=0.5"``: one key, one store record, one serve
+coalescing slot.
 """
 
 from __future__ import annotations
@@ -90,7 +100,8 @@ class EvalRequest:
     registered :class:`repro.eval.registry.EvalBackend`.  ``arch`` is
     the hardware description both backends evaluate on -- an
     :mod:`repro.arch` preset name, optionally overridden
-    (``"bitwave-16nm@sram_pj=0.5+group=16"``); it folds into the
+    (``"bitwave-16nm@sram_pj=0.5+group=16"``); its canonical spelling,
+    less the overrides the evaluation cannot read, folds into the
     request's cache key, so overridden-arch results never collide with
     cached defaults.
     """
@@ -115,12 +126,22 @@ class EvalRequest:
                                canonical_network(self.workload))
         except ValueError:
             pass  # left verbatim; validate() reports the real error
-        # And arch spellings: no-op overrides dropped, the rest sorted,
-        # so "bitwave-16nm@group=8" == "bitwave-16nm".
+        # And arch spellings: no-op overrides dropped, and those this
+        # configuration's backend cannot read, the rest sorted; so
+        # "bitwave-16nm@group=8" is "bitwave-16nm", and so is
+        # "bitwave-16nm@group=16" for every model configuration.
         try:
-            object.__setattr__(self, "arch", canonical_arch(self.arch))
+            object.__setattr__(self, "arch", canonical_arch(
+                self.arch, self._arch_reads()))
         except ValueError:
             pass  # left verbatim; validate() reports the real error
+
+    def _arch_reads(self) -> frozenset[str]:
+        """The arch override names this request's evaluation reads."""
+        from repro.eval.registry import get_backend  # imports this module
+
+        return get_backend(self.backend).arch_reads(
+            self.accelerator, self.variant)
 
     def validate(self) -> None:
         from repro.accelerators import BITWAVE_VARIANTS, SOTA_ACCELERATORS

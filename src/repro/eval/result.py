@@ -16,7 +16,7 @@ layer's ``detail`` and convert losslessly to/from the legacy
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.accelerators.base import LayerEvaluation, NetworkEvaluation
@@ -185,6 +185,13 @@ class EvalResult:
 # ---------------------------------------------------------------------
 # Legacy NetworkEvaluation conversion (model backend only).
 # ---------------------------------------------------------------------
+def _field_dict(record: Any) -> dict[str, Any]:
+    """An all-scalar dataclass as a dict: ``asdict`` without its deep
+    copy."""
+    return {name: getattr(record, name)
+            for name in record.__dataclass_fields__}
+
+
 def layer_from_evaluation(layer: LayerEvaluation) -> LayerResult:
     """Canonicalize one model-backend layer, keeping the full breakdown."""
     energy = layer.energy
@@ -208,8 +215,8 @@ def layer_from_evaluation(layer: LayerEvaluation) -> LayerResult:
         },
         detail={
             "su_name": layer.su_name,
-            "counts": asdict(counts),
-            "latency": asdict(layer.latency),
+            "counts": _field_dict(counts),
+            "latency": _field_dict(layer.latency),
         },
     )
 

@@ -1,10 +1,14 @@
 """Network-level sparsity profiles (cached).
 
-Profiles are kept per layer: one table maps each :class:`LayerSpec` to
-the :class:`LayerWeightStats` of its synthetic weights, so a process
-profiles a layer at most once.  ``network_weight_stats`` -- the cached
-per-network entry point that the accelerator models and the Fig. 1
-sparsity study consume -- reads through that table.
+Profiles are kept per layer, keyed by the layer's weight identity
+(:func:`repro.workloads.synthetic.weight_identity`: the fields its
+synthetic weights are drawn from), so a process profiles a set of
+weights at most once.  Layers that differ only in batch, output size
+or input sparsity -- ``cnn_lstm@frames=64`` against ``cnn_lstm``, a
+``batch=4`` spec, ``bert_base@tokens=128`` -- share one profile.
+``network_weight_stats`` -- the cached per-network entry point that
+the accelerator models and the Fig. 1 sparsity study consume -- reads
+through that table.
 
 A caller that profiled layers somewhere else hands the results in with
 :func:`install_layer_stats`.  The campaign executor does so: it splits
@@ -21,36 +25,46 @@ from typing import Iterable
 from repro.sparsity.stats import LayerWeightStats, compute_layer_stats
 from repro.workloads.nets import network_layers
 from repro.workloads.spec import LayerSpec
-from repro.workloads.synthetic import synthetic_weights
+from repro.workloads.synthetic import (
+    WeightIdentity,
+    synthetic_weights,
+    weight_identity,
+)
 
-#: ``LayerSpec -> LayerWeightStats`` of every layer this process has
-#: profiled or been handed.
-_LAYER_STATS: dict[LayerSpec, LayerWeightStats] = {}
+#: Weight identity -> :class:`LayerWeightStats` of every layer this
+#: process has profiled or been handed.
+_LAYER_STATS: dict[WeightIdentity, LayerWeightStats] = {}
 
 
 def layer_weight_stats(spec: LayerSpec) -> LayerWeightStats:
-    """The profile of a layer's synthetic weights, computed on its
-    first request only."""
-    stats = _LAYER_STATS.get(spec)
+    """The profile of a layer's synthetic weights, computed on the
+    first request for its weight identity only."""
+    identity = weight_identity(spec)
+    stats = _LAYER_STATS.get(identity)
     if stats is None:
         stats = compute_layer_stats(synthetic_weights(spec))
-        _LAYER_STATS[spec] = stats
+        _LAYER_STATS[identity] = stats
     return stats
 
 
 def unprofiled_layers(networks: Iterable[str]) -> list[LayerSpec]:
-    """The layers of ``networks`` that are not in the table yet, once
-    each, in network order and then :func:`network_layers` order."""
-    layers = dict.fromkeys(
-        spec for network in networks for spec in network_layers(network))
-    return [spec for spec in layers if spec not in _LAYER_STATS]
+    """The layers of ``networks`` whose weight identity is not in the
+    table yet, one per identity, in network order and then
+    :func:`network_layers` order."""
+    layers: dict[WeightIdentity, LayerSpec] = {}
+    for network in networks:
+        for spec in network_layers(network):
+            layers.setdefault(weight_identity(spec), spec)
+    return [spec for identity, spec in layers.items()
+            if identity not in _LAYER_STATS]
 
 
 def install_layer_stats(
     profiled: Iterable[tuple[LayerSpec, LayerWeightStats]],
 ) -> None:
     """Adopt ``(layer, profile)`` pairs computed in another process."""
-    _LAYER_STATS.update(profiled)
+    _LAYER_STATS.update((weight_identity(spec), stats)
+                        for spec, stats in profiled)
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ histograms with the i.i.d. max formula
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class LayerWeightStats:
     bcs_cr: dict[int, float]
     #: ``G -> ideal BCS compression ratio`` (payload only).
     bcs_cr_ideal: dict[int, float]
+    #: Order statistics already computed from this instance's
+    #: histograms; ``replace`` starts a fresh one.
+    _expected_max: dict[tuple[int | None, int], float] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def essential_bits_mean(self) -> float:
@@ -82,11 +86,24 @@ class LayerWeightStats:
 
     def expected_max_nz_columns(self, group_size: int, domain: int) -> float:
         """E[max non-zero columns] over a sync domain of ``domain`` groups."""
-        return expected_max_of_sample(self.nz_column_hists[group_size], domain)
+        return self._expected_max_of(group_size, domain)
 
     def expected_max_essential_bits(self, domain: int) -> float:
         """E[max essential bits] over ``domain`` lock-stepped weights."""
-        return expected_max_of_sample(self.essential_bits_hist, domain)
+        return self._expected_max_of(None, domain)
+
+    def _expected_max_of(self, group_size: int | None, domain: int) -> float:
+        """:func:`expected_max_of_sample` of the non-zero-column
+        histogram at ``group_size`` (``None``: the essential-bit
+        histogram), computed once per instance."""
+        key = (group_size, domain)
+        value = self._expected_max.get(key)
+        if value is None:
+            hist = (self.essential_bits_hist if group_size is None
+                    else self.nz_column_hists[group_size])
+            value = self._expected_max[key] = expected_max_of_sample(
+                hist, domain)
+        return value
 
     def with_bitflip(self, target_zero_columns: int) -> "LayerWeightStats":
         """Stats after Bit-Flip at the given per-group target.

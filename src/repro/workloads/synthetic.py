@@ -24,6 +24,23 @@ from repro.workloads.spec import LayerSpec
 ZERO_FRACTION = 0.04
 
 
+#: What :func:`synthetic_weights` draws a layer from: ``(network, name,
+#: kind, k, c, fx, fy)``.
+WeightIdentity = tuple[str, str, str, int, int, int, int]
+
+
+def weight_identity(spec: LayerSpec) -> WeightIdentity:
+    """The fields of ``spec`` that :func:`synthetic_weights` reads.
+
+    Two layers with one identity have bit-identical weights, whatever
+    their batch, output size or input sparsity: ``cnn_lstm@frames=64``
+    and a ``batch=4`` spec share every layer's weights with
+    ``cnn_lstm``.
+    """
+    return (spec.network, spec.name, spec.kind,
+            spec.k, spec.c, spec.fx, spec.fy)
+
+
 def synthetic_weights(spec: LayerSpec) -> np.ndarray:
     """Deterministic Int8 weights of the layer in group-axis layout.
 

@@ -149,11 +149,12 @@ class TestBackendAxis:
             backends=("model", "sim-vectorized"),
         )
         points = spec.points()
-        # Sim backends expand against BitWave only.
+        # Sim backends expand against BitWave only; labels spell the
+        # canonical workload (parameters sorted by name).
         assert [p.label for p in points] == [
-            "SCNN/cnn_lstm@frames=4+bins=64+hidden=64",
-            "BitWave/cnn_lstm@frames=4+bins=64+hidden=64",
-            "BitWave@sim-vectorized/cnn_lstm@frames=4+bins=64+hidden=64",
+            "SCNN/cnn_lstm@bins=64+frames=4+hidden=64",
+            "BitWave/cnn_lstm@bins=64+frames=4+hidden=64",
+            "BitWave@sim-vectorized/cnn_lstm@bins=64+frames=4+hidden=64",
         ]
 
         store = ResultStore(tmp_path)

@@ -2,8 +2,9 @@
 
 A cold pooled campaign profiles its model networks layer by layer over
 the pool before the point workers fork, and the workers inherit the
-profiles.  Calls to ``synthetic_weights`` are logged to a file by a
-wrapper installed before any fork, so the log covers every process.
+profiles; it sends each weight identity once.  Calls to
+``synthetic_weights`` are logged to a file by a wrapper installed
+before any fork, so the log covers every process.
 A profile task that fails is dropped, and the point's worker profiles
 that layer itself; an interrupt during the pass stops the campaign
 before the point pool forks.
@@ -19,10 +20,12 @@ import pytest
 
 from repro.dse import executor
 from repro.dse.executor import run_campaign
+from repro.dse.retry import RetryPolicy
 from repro.dse.spec import CampaignSpec
 from repro.dse.store import ResultStore
 from repro.sparsity import profiles
 from repro.workloads.nets import network_layers
+from repro.workloads.synthetic import weight_identity
 
 NETWORKS = ("cnn_lstm", "mobilenetv2")
 
@@ -99,6 +102,37 @@ def test_serial_and_sim_only_campaigns_skip_the_pass(
     assert run.evaluated == 2
 
 
+def test_pass_dispatches_each_weight_identity_once(
+        cold_profiles, monkeypatch):
+    """Networks that differ only in output size share every layer's
+    weights: the pass profiles them once, in network order."""
+    dispatched = []
+
+    class InlinePool:
+        def __init__(self, task, jobs, policy, should_stop):
+            self.task = task
+
+        def run(self, points, handle):
+            dispatched.extend(points)
+            for point in points:
+                key, payload, elapsed = self.task(point)
+                handle(point, 0, key, payload, elapsed, "ok")
+            return True
+
+    monkeypatch.setattr(executor, "WatchdogPool", InlinePool)
+    mini, narrow = ("cnn_lstm@frames=2+bins=32+hidden=32",
+                    "cnn_lstm@frames=2+bins=16+hidden=16")
+    points = _spec(networks=(mini, "cnn_lstm@frames=4+bins=32+hidden=32",
+                             narrow),
+                   accelerators=("SCNN",)).points()
+    executor._profile_pass(points, 2, RetryPolicy(), lambda: False)
+    assert [weight_identity(spec) for spec in dispatched] \
+        == [weight_identity(spec) for network in (mini, narrow)
+            for spec in network_layers(network)]
+    assert profiles.unprofiled_layers(
+        ["cnn_lstm@frames=4+bins=32+hidden=32"]) == []
+
+
 @pytest.mark.parametrize("fault", ["raise", "die"])
 def test_dropped_profile_task_is_profiled_by_the_point_worker(
         cold_profiles, monkeypatch, tmp_path, fault):
@@ -121,7 +155,7 @@ def test_dropped_profile_task_is_profiled_by_the_point_worker(
     assert pooled.results == serial.results
     # The parent installed every other layer but never profiled the
     # dropped one itself, nor loaded the network it belongs to.
-    assert victim not in profiles._LAYER_STATS
+    assert weight_identity(victim) not in profiles._LAYER_STATS
     assert len(profiles._LAYER_STATS) == len(network_layers("cnn_lstm")) - 1
     assert profiles.network_weight_stats.cache_info().currsize == 0
 

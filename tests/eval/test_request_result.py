@@ -189,6 +189,24 @@ class TestEvalResult:
         result = self._result()
         assert EvalResult.from_dict(result.to_dict()) == result
 
+    def test_model_layer_detail_matches_asdict(self):
+        """The model's per-layer breakdown is the counts' and the
+        latency's fields, in field order, as ``asdict`` spells them."""
+        from dataclasses import asdict
+
+        from repro.accelerators import build_accelerator
+        from repro.eval.backends import model_network_evaluation
+        from repro.eval.result import layer_from_evaluation
+
+        evaluation = model_network_evaluation(
+            build_accelerator("SCNN"), "cnn_lstm@frames=2+bins=32+hidden=32")
+        for layer in evaluation.layers:
+            detail = layer_from_evaluation(layer).detail
+            for name, record in (("counts", layer.counts),
+                                 ("latency", layer.latency)):
+                assert list(detail[name].items()) \
+                    == list(asdict(record).items())
+
 
 class TestCanonicalWorkloads:
     """Equivalent workload spellings share one cache key (review fix)."""

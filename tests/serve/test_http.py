@@ -125,7 +125,8 @@ class TestEndpoints:
         assert summary[0] == 200
         assert summary[2]["campaign"] == "mini"
         (row,) = summary[2]["rows"]
-        assert row["network"] == MINI_WORKLOAD
+        # A summary row names its point's canonical workload spelling.
+        assert row["network"] == EvalRequest(workload=MINI_WORKLOAD).workload
         assert row["cycles"] > 0
         assert pareto[0] == 200
         assert pareto[2]["x"] == "cycles"
