@@ -22,20 +22,14 @@ gracefully with completed results committed.  The machinery is
 chaos-tested through deterministic fault injection (:mod:`repro.faults`,
 ``run --inject``).
 
-CLI: ``python -m repro.dse {init,points,run,summary,pareto,merge,gc,opt}``.
+CLI: ``python -m repro.dse {init,points,run,summary,pareto,merge,gc}``.
 """
 
 from repro.dse.executor import CampaignRun, evaluate_point, run_campaign
 from repro.dse.gc import collect_garbage, live_namespaces
 from repro.dse.pool import WatchdogPool
 from repro.dse.retry import PointFailure, RetryPolicy
-from repro.dse.records import (
-    evaluation_from_dict,
-    evaluation_to_dict,
-    make_record,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.dse.records import make_record, result_from_dict, result_to_dict
 from repro.dse.spec import (
     CampaignSpec,
     EvalPoint,
@@ -76,8 +70,6 @@ __all__ = [
     "default_store_root",
     "evaluate_point",
     "live_namespaces",
-    "evaluation_from_dict",
-    "evaluation_to_dict",
     "make_record",
     "paper_grid",
     "pareto_table",

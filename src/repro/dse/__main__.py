@@ -417,13 +417,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_opt(args: argparse.Namespace) -> int:
-    """Delegate to ``python -m repro.opt`` (guided search lives there)."""
-    from repro.opt.__main__ import main as opt_main
-
-    return opt_main(args.opt_args)
-
-
 def _cmd_gc(args: argparse.Namespace) -> int:
     report = collect_garbage(
         args.store,
@@ -521,16 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "nothing")
     _add_format_argument(p_gc)
     p_gc.set_defaults(func=_cmd_gc)
-
-    p_opt = sub.add_parser(
-        "opt", help="guided search over the grid (successive halving, "
-                    "scalar tuning, accuracy x hardware co-search); "
-                    "delegates to `python -m repro.opt`")
-    p_opt.add_argument("opt_args", nargs=argparse.REMAINDER,
-                       metavar="ARGS",
-                       help="arguments for `python -m repro.opt` "
-                            "(e.g. `sh --smoke --format json`)")
-    p_opt.set_defaults(func=_cmd_opt)
 
     return parser
 

@@ -6,10 +6,6 @@ simulator alike).  Every numeric field is a Python float/int, and
 ``json`` round-trips floats exactly (shortest-repr), so a deserialized
 result is bit-identical to the freshly computed one -- the property
 the harness-equivalence tests pin.
-
-The legacy ``evaluation_to_dict`` / ``evaluation_from_dict`` helpers
-remain as thin converters between the canonical schema and the old
-:class:`repro.accelerators.base.NetworkEvaluation` object.
 """
 
 from __future__ import annotations
@@ -17,16 +13,8 @@ from __future__ import annotations
 import time
 from typing import Any, Mapping, Protocol
 
-from repro.accelerators.base import NetworkEvaluation
 from repro.eval.fingerprints import code_fingerprint
-from repro.eval.result import (
-    EvalResult,
-    from_network_evaluation,
-    to_network_evaluation,
-)
-
-#: Bump when the record layout changes.
-RECORD_VERSION = 2
+from repro.eval.result import EvalResult
 
 
 class Keyed(Protocol):
@@ -43,16 +31,6 @@ def result_to_dict(result: EvalResult) -> dict[str, Any]:
 
 def result_from_dict(data: Mapping[str, Any]) -> EvalResult:
     return EvalResult.from_dict(data)
-
-
-def evaluation_to_dict(evaluation: NetworkEvaluation) -> dict[str, Any]:
-    """Legacy-object convenience: canonical dict of an old evaluation."""
-    return from_network_evaluation(evaluation).to_dict()
-
-
-def evaluation_from_dict(data: Mapping[str, Any]) -> NetworkEvaluation:
-    """Reconstruct the legacy object from a canonical result dict."""
-    return to_network_evaluation(EvalResult.from_dict(data))
 
 
 def make_record(
@@ -79,7 +57,6 @@ def make_record(
     payload = (result.to_dict() if isinstance(result, EvalResult)
                else dict(result))
     record: dict[str, Any] = {
-        "version": RECORD_VERSION,
         "key": point.key(),
         "point": point.to_dict(),
         "fingerprint": fingerprint or code_fingerprint(),

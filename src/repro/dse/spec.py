@@ -39,9 +39,6 @@ from repro.eval.result import EvalResult
 from repro.obs import trace
 from repro.workloads.nets import parse_network
 
-#: Bump when the meaning of a point's fields changes (keys include it).
-SPEC_VERSION = 3
-
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
@@ -166,7 +163,6 @@ class EvalPoint:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "version": SPEC_VERSION,
             "accelerator": self.accelerator,
             "network": self.network,
             "variant": self.variant,
@@ -308,7 +304,6 @@ class CampaignSpec:
 
     def to_dict(self) -> dict[str, Any]:
         data = {
-            "version": SPEC_VERSION,
             "name": self.name,
             "accelerators": list(self.accelerators),
             "networks": list(self.networks),

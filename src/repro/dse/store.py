@@ -43,13 +43,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback: no locking
     fcntl = None  # type: ignore[assignment]
 
 from repro import faults
-from repro.accelerators.base import NetworkEvaluation
-from repro.dse.records import (
-    RECORD_VERSION,
-    evaluation_from_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.dse.records import result_from_dict, result_to_dict
 from repro.eval.fingerprints import code_fingerprint
 from repro.eval.result import EvalResult
 from repro.obs import counter, observe, trace
@@ -397,12 +391,12 @@ class ResultStore:
 
     # -- convenience -----------------------------------------------------
     def _result_record(self, key: str, load: bool) -> dict[str, Any] | None:
-        """``key``'s record if it holds a current-layout result."""
+        """``key``'s record if it holds an evaluation result."""
         if load:
             record = self.get(key)
         else:
             record = self._records.get(key) if self._loaded else None
-        if record is None or record.get("version") != RECORD_VERSION:
+        if record is None:
             return None
         payload = record.get("result")
         if not isinstance(payload, Mapping) or "workload" not in payload:
@@ -412,11 +406,10 @@ class ResultStore:
     def result(self, key: str, *, load: bool = True) -> EvalResult | None:
         """Deserialize the stored canonical result for ``key``.
 
-        Records from an older layout (``version`` mismatch) count as
-        misses, so a record-format change re-evaluates instead of
-        feeding a stale dict to the deserializer.  ``load=False`` never
-        reads the file: it consults the in-memory index only, and a
-        store that has not loaded it misses.
+        A record whose ``result`` is not an evaluation result counts as
+        a miss.  ``load=False`` never reads the file: it consults the
+        in-memory index only, and a store that has not loaded it
+        misses.
         """
         record = self._result_record(key, load)
         return None if record is None else result_from_dict(record["result"])
@@ -440,18 +433,6 @@ class ResultStore:
             entry = (record, encode_json(result_to_dict(result)))
             self._encoded[key] = entry
         return result, entry[1]
-
-    def evaluation(self, key: str) -> NetworkEvaluation | None:
-        """Legacy view of :meth:`result` (model-backed records only)."""
-        record = self.get(key)
-        if record is None or record.get("version") != RECORD_VERSION:
-            return None
-        payload = record.get("result")
-        if not isinstance(payload, Mapping) or "workload" not in payload:
-            return None  # not an evaluation result
-        if payload.get("backend", "model") != "model":
-            return None  # no analytical breakdown to reconstruct
-        return evaluation_from_dict(payload)
 
 
 class StoreRouter:

@@ -41,7 +41,6 @@ from repro.eval.result import (
     EvalResult,
     LayerResult,
     from_network_evaluation,
-    to_network_evaluation,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "register_backend",
     "reset_cache",
     "sim_backend_fingerprint",
-    "to_network_evaluation",
 ]

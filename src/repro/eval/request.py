@@ -28,9 +28,6 @@ from typing import Any, Mapping
 from repro.arch import DEFAULT_ARCH, canonical_arch, parse_arch
 from repro.workloads.nets import canonical_network, parse_network
 
-#: Bump when the meaning of a request's fields changes (keys include it).
-REQUEST_VERSION = 4
-
 #: The default backend (the analytical STEP1-STEP4 model).
 MODEL_BACKEND = "model"
 
@@ -195,7 +192,6 @@ class EvalRequest:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "version": REQUEST_VERSION,
             "workload": self.workload,
             "accelerator": self.accelerator,
             "variant": self.variant,

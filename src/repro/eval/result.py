@@ -10,8 +10,8 @@ result is bit-identical to the freshly computed one -- the property the
 harness-equivalence tests pin.
 
 Model-backend results carry the full STEP1-STEP4 breakdown in each
-layer's ``detail`` and convert losslessly to/from the legacy
-:class:`repro.accelerators.base.NetworkEvaluation`.
+layer's ``detail``; :func:`from_network_evaluation` builds them from the
+model's :class:`repro.accelerators.base.NetworkEvaluation`.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.accelerators.base import LayerEvaluation, NetworkEvaluation
-from repro.model.energy import EnergyBreakdown
-from repro.model.latency import LatencyBreakdown
 from repro.model.technology import CLOCK_FREQUENCY_HZ
-from repro.model.zigzag import ActivityCounts
-
-#: Bump when the result layout changes (stored records include it).
-RESULT_VERSION = 3
 
 #: Energy component keys (Fig. 16's categories), in reporting order.
 ENERGY_COMPONENTS = ("dram", "sram", "reg", "compute")
@@ -39,8 +33,8 @@ class LayerResult:
     ``energy`` maps :data:`ENERGY_COMPONENTS` to picojoules (empty when
     the backend does not model energy).  ``traffic`` holds the
     backend's data-movement counters (documented per backend).
-    ``detail`` carries the backend's full breakdown -- enough for the
-    model backend to reconstruct a :class:`LayerEvaluation` exactly.
+    ``detail`` carries the backend's full breakdown (the model's SU
+    choice, activity counts and latency terms).
     """
 
     name: str
@@ -183,7 +177,7 @@ class EvalResult:
 
 
 # ---------------------------------------------------------------------
-# Legacy NetworkEvaluation conversion (model backend only).
+# NetworkEvaluation conversion (model backend only).
 # ---------------------------------------------------------------------
 def _field_dict(record: Any) -> dict[str, Any]:
     """An all-scalar dataclass as a dict: ``asdict`` without its deep
@@ -225,11 +219,11 @@ def from_network_evaluation(
     evaluation: NetworkEvaluation, backend: str = "model",
     clock_hz: float | None = None,
 ) -> EvalResult:
-    """Wrap a legacy :class:`NetworkEvaluation` in the canonical schema.
+    """Wrap the model's :class:`NetworkEvaluation` in the canonical schema.
 
     The clock defaults to the evaluation's own (set from the
-    accelerator's arch), so clock-overridden evaluations round-trip
-    losslessly.
+    accelerator's arch), so a clock-overridden evaluation keeps its
+    runtime and TOPS.
     """
     return EvalResult(
         workload=evaluation.network,
@@ -238,34 +232,4 @@ def from_network_evaluation(
         clock_hz=clock_hz if clock_hz is not None else evaluation.clock_hz,
         layers=tuple(layer_from_evaluation(layer)
                      for layer in evaluation.layers),
-    )
-
-
-def to_network_evaluation(result: EvalResult) -> NetworkEvaluation:
-    """Reconstruct the legacy object from a model-backend result.
-
-    Exact inverse of :func:`from_network_evaluation`; raises
-    ``KeyError`` for results whose layers lack the model breakdown
-    (e.g. simulator-backed results, which have no energy model).
-    """
-    layers = []
-    for layer in result.layers:
-        detail = layer.detail
-        layers.append(LayerEvaluation(
-            layer=layer.name,
-            su_name=detail["su_name"],
-            counts=ActivityCounts(**detail["counts"]),
-            latency=LatencyBreakdown(**detail["latency"]),
-            energy=EnergyBreakdown(
-                dram_pj=layer.energy["dram"],
-                sram_pj=layer.energy["sram"],
-                reg_pj=layer.energy["reg"],
-                compute_pj=layer.energy["compute"],
-            ),
-        ))
-    return NetworkEvaluation(
-        accelerator=result.config_label,
-        network=result.workload,
-        layers=layers,
-        clock_hz=result.clock_hz,
     )

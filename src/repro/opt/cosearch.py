@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
-from repro.accelerators import build_accelerator
+from repro.accelerators import build_accelerator, config_arch_reads
 from repro.arch import canonical_arch, parse_arch
 from repro.core.pareto import pareto_front
 from repro.core.search import (
@@ -52,9 +52,6 @@ from repro.workloads.nets import network_layers
 
 #: Provenance tag stamped into every record a co-search writes.
 COSEARCH_ORIGIN = "opt:cosearch"
-
-#: Bump when the probe key layout or pricing semantics change.
-COSEARCH_PROBE_VERSION = 1
 
 
 def strategy_signature(strategy: Strategy) -> dict[str, dict[str, int]]:
@@ -89,7 +86,9 @@ class CosearchProbe:
 
     Satisfies the record protocol (``key()`` / ``to_dict()``) so
     :func:`repro.dse.records.make_record` persists it like any
-    evaluation point.
+    evaluation point.  The key keeps only the arch overrides the
+    BitWave model reads, as an :class:`repro.eval.EvalRequest` key
+    does, so ``bitwave-16nm@group=16`` prices as ``bitwave-16nm``.
     """
 
     workload: str
@@ -100,9 +99,8 @@ class CosearchProbe:
     def to_dict(self) -> dict[str, Any]:
         return {
             "kind": "cosearch-probe",
-            "version": COSEARCH_PROBE_VERSION,
             "workload": self.workload,
-            "arch": canonical_arch(self.arch),
+            "arch": canonical_arch(self.arch, config_arch_reads("BitWave")),
             "preset": self.preset,
             "strategy": strategy_signature(self.strategy),
         }

@@ -34,9 +34,10 @@ SH_ORIGIN = "opt:sh"
 #: Pinned seed/sample for the acceptance smoke: with this draw the
 #: sample contains every point of the exhaustive Pareto front, so the
 #: guided run recovers it bit-identically from 12 of 36 grid points.
-#: It is the smallest such seed; the draw is over key-sorted points,
-#: so it moves whenever the request keys do (REQUEST_VERSION).
-SMOKE_SEED = 11
+#: It is the smallest such seed.  The draw is over key-sorted points,
+#: so any change to what a request key hashes re-derives it by this
+#: rule (``tests/opt/test_halving.py`` checks it).
+SMOKE_SEED = 95
 SMOKE_SAMPLE = 12
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.analysis.__main__ import main
 
 
@@ -48,15 +50,11 @@ class TestCheck:
         assert "error:" in capsys.readouterr().err
 
 
-class TestVersions:
-    def test_pinned_tree_exits_zero(self, capsys):
-        assert main(["versions"]) == 0
-        out = capsys.readouterr().out
-        assert "REQUEST_VERSION" in out
-        assert "schemas match their pins" in out
-
-    def test_json_format(self, capsys):
-        assert main(["versions", "--format", "json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["ok"] is True
-        assert len(data["schemas"]) == 5
+class TestRetiredSubcommands:
+    def test_versions_is_a_usage_error(self, capsys):
+        # The whole-tree digest alone decides store staleness
+        # (tests/eval/test_fingerprints.py).
+        with pytest.raises(SystemExit) as exc:
+            main(["versions"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'versions'" in capsys.readouterr().err

@@ -9,6 +9,7 @@ campaign persists distinctly-hashed records per arch override.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -125,17 +126,19 @@ class TestEnergyDeviationBound:
         assert legacy.effective_tops == result.effective_tops
 
     def test_clock_survives_legacy_record_round_trip(self, isolated_store):
-        """evaluation_to_dict/from_dict preserve a non-default clock
-        (the conversion defaults to the evaluation's own clock)."""
+        """A legacy evaluation's non-default clock survives its store
+        record's JSON round trip (from_network_evaluation defaults to
+        the evaluation's own clock)."""
         from repro.accelerators.bitwave import BitWave
         from repro.arch import parse_arch
-        from repro.dse.records import evaluation_from_dict, evaluation_to_dict
         from repro.eval.backends import model_network_evaluation
+        from repro.eval.result import EvalResult, from_network_evaluation
 
         legacy = model_network_evaluation(
             BitWave(arch=parse_arch("bitwave-16nm@clock_mhz=500")),
             MINI_WORKLOAD)
-        restored = evaluation_from_dict(evaluation_to_dict(legacy))
+        restored = EvalResult.from_dict(json.loads(json.dumps(
+            from_network_evaluation(legacy).to_dict())))
         assert restored.clock_hz == 500e6
         assert restored.effective_tops == legacy.effective_tops
 

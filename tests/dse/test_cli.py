@@ -87,6 +87,13 @@ class TestCli:
         assert code == 2
         assert "unknown accelerator" in capsys.readouterr().err
 
+    def test_guided_search_is_not_a_subcommand(self, capsys):
+        # Guided search has one front door: python -m repro.opt.
+        with pytest.raises(SystemExit) as exc:
+            dse_main(["opt", "sh", "--smoke"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'opt'" in capsys.readouterr().err
+
 
 class TestRunAllArgs:
     def test_defaults(self):

@@ -98,6 +98,16 @@ def test_every_module_edit_rotates_the_digest(tree_copy):
         assert tree_digest(tree_copy) == base, path
 
 
+def test_the_digest_reads_every_file_of_the_package():
+    # The digest hashes *.py files only, so a data file in the package
+    # could change a result without rotating any namespace.
+    files = [path.relative_to(INSTALLED).as_posix()
+             for path in INSTALLED.rglob("*")
+             if path.is_file() and "__pycache__" not in path.parts]
+    assert files
+    assert [name for name in files if not name.endswith(".py")] == []
+
+
 def test_new_module_rotates_the_digest(tree_copy):
     base = tree_digest(tree_copy)
     (tree_copy / "utils" / "extra.py").write_text("", encoding="utf-8")

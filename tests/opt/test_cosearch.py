@@ -107,6 +107,20 @@ class TestPersistence:
                           preset="tiny", strategy={})
         assert a.key() != b.key()
 
+    def test_probe_key_holds_only_what_bitwave_reads(self, tmp_path):
+        # The BitWave model never reads the BCS group size, so the
+        # second arch's probes are the first's: 4 prices, not 8.
+        plain = CosearchProbe(workload="cnn_lstm", arch="bitwave-16nm",
+                              preset="tiny", strategy={})
+        grouped = CosearchProbe(workload="cnn_lstm",
+                                arch="bitwave-16nm@group=16",
+                                preset="tiny", strategy={})
+        assert plain.key() == grouped.key()
+        result = cosearch(ResultStore(tmp_path), CosearchConfig(
+            archs=("bitwave-16nm", "bitwave-16nm@group=16")))
+        assert result.counts == {
+            "probes": 8, "evaluated": 4, "saved": 4, "failed": 0}
+
 
 class TestChaos:
     def test_injected_crashes_heal_and_match_the_clean_front(self, run,

