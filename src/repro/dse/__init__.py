@@ -1,12 +1,12 @@
 """Design-space exploration engine.
 
 Declarative evaluation campaigns (:class:`CampaignSpec`) over the
-accelerator x network x variant x backend grid (evaluated through
-:mod:`repro.eval`), executed in parallel over a process pool
-(:func:`run_campaign`) with canonical :class:`repro.eval.EvalResult`
-records persisted in a :class:`ResultStore` keyed by stable config
-hashes -- so re-runs are incremental and grids are shared across
-processes and sessions.
+accelerator x network x variant x backend grid, whose points are
+:class:`repro.eval.EvalRequest` objects, executed in parallel over a
+process pool (:func:`run_campaign`) with canonical
+:class:`repro.eval.EvalResult` records persisted in a
+:class:`ResultStore` keyed by stable config hashes -- so re-runs are
+incremental and grids are shared across processes and sessions.
 
 Campaigns shard across processes/hosts deterministically
 (:class:`Shard`, ``run --shard i/N``), shard stores fold back together
@@ -32,7 +32,6 @@ from repro.dse.retry import PointFailure, RetryPolicy
 from repro.dse.records import make_record, result_from_dict, result_to_dict
 from repro.dse.spec import (
     CampaignSpec,
-    EvalPoint,
     Shard,
     code_fingerprint,
     config_hash,
@@ -56,7 +55,6 @@ __all__ = [
     "CampaignRun",
     "CampaignSpec",
     "CompactStats",
-    "EvalPoint",
     "PointFailure",
     "ResultStore",
     "RetryPolicy",

@@ -305,7 +305,9 @@ def _cmd_points(args: argparse.Namespace) -> int:
         points = args.shard.select(points)
     if args.format == "json":
         _emit_json([
-            {**point.to_dict(), "key": point.key(), "label": point.label,
+            {"accelerator": point.accelerator, "network": point.workload,
+             "variant": point.variant, "backend": point.backend,
+             "arch": point.arch, "key": point.key(), "label": point.label,
              "cached": point.key() in router.for_point(point)}
             for point in points
         ])

@@ -25,11 +25,13 @@ costs exactly itself:
   already on disk, the summary says how to resume, and the exit code
   is ``128 + signum``.
 
-Points carry their evaluation backend (:mod:`repro.eval`), and records
-land in per-backend stores: model-backed points go to the campaign's
-store, simulator-backed points to the sibling ``simnet-`` namespace
-under the same root.  Both namespaces derive from one digest of the
-whole source tree, so any edit re-evaluates every point.
+Points are :class:`~repro.eval.request.EvalRequest` objects: workers
+receive the requests themselves, and each record's ``point`` is
+``request.to_dict()``, as for every other producer.  Records land in
+per-backend stores: model-backed points go to the campaign's store,
+simulator-backed points to the sibling ``simnet-`` namespace under the
+same root.  Both namespaces derive from one digest of the whole source
+tree, so any edit re-evaluates every point.
 
 Before a pool of two or more workers starts, a *profile pass* splits
 the weight profiling of the pending model points' networks layer by
@@ -66,10 +68,10 @@ from repro import faults
 from repro.dse.pool import WatchdogPool, run_inline
 from repro.dse.records import make_record, result_from_dict, result_to_dict
 from repro.dse.retry import PointFailure, RetryPolicy
-from repro.dse.spec import CampaignSpec, EvalPoint, Shard
+from repro.dse.spec import CampaignSpec, Shard
 from repro.dse.store import ResultStore, StoreRouter
 from repro.eval.registry import get_backend
-from repro.eval.request import MODEL_BACKEND
+from repro.eval.request import MODEL_BACKEND, EvalRequest
 from repro.eval.result import EvalResult
 from repro.obs import counter, flush, observe, trace
 from repro.sparsity.profiles import (
@@ -112,15 +114,18 @@ PointT = TypeVar("PointT", bound=CampaignPoint)
 ResultT = TypeVar("ResultT")
 
 
-def evaluate_point(point: EvalPoint) -> EvalResult:
-    """Evaluate one grid point through its backend (no caching)."""
-    return point.evaluate()
+def evaluate_point(request: EvalRequest) -> EvalResult:
+    """Compute (never cache) one grid point through its backend."""
+    request.validate()
+    with trace("eval.evaluate", backend=request.backend,
+               workload=request.workload):
+        return get_backend(request.backend).evaluate(request)
 
 
-def _worker(point: EvalPoint) -> tuple[str, dict[str, Any], float]:
+def _worker(request: EvalRequest) -> tuple[str, dict[str, Any], float]:
     start = time.perf_counter()
-    result = evaluate_point(point)
-    return point.key(), result_to_dict(result), time.perf_counter() - start
+    result = evaluate_point(request)
+    return request.key(), result_to_dict(result), time.perf_counter() - start
 
 
 #: perf_counter stamp of this worker process's previous point, so the
@@ -221,9 +226,9 @@ class _SignalGuard:
 class CampaignRun(Generic[PointT, ResultT]):
     """Outcome of one campaign-driver invocation.
 
-    Evaluation grids run as ``CampaignRun[EvalPoint, EvalResult]``; the
-    type parameters keep the driver (:func:`drive_points`) independent
-    of the point and result types it moves.
+    Evaluation grids run as ``CampaignRun[EvalRequest, EvalResult]``;
+    the type parameters keep the driver (:func:`drive_points`)
+    independent of the point and result types it moves.
     """
 
     spec: NamedSpec
@@ -293,8 +298,8 @@ class CampaignRun(Generic[PointT, ResultT]):
                 f"{len(self.failed)} campaign points failed: "
                 + ", ".join(sorted(self.failed_labels())))
         return {
-            (cast(EvalPoint, point).config_label,
-             cast(EvalPoint, point).network): self.result_for(point)
+            (cast(EvalRequest, point).config_label,
+             cast(EvalRequest, point).workload): self.result_for(point)
             for point in self.points
         }
 
@@ -575,7 +580,7 @@ def _profile_task(spec: LayerSpec,
     return spec.name, payload, time.perf_counter() - start
 
 
-def _profile_pass(points: list[EvalPoint], jobs: int, policy: RetryPolicy,
+def _profile_pass(points: list[EvalRequest], jobs: int, policy: RetryPolicy,
                   should_stop: Callable[[], bool]) -> None:
     """Profile the pending model points' networks once, layer by layer
     over ``jobs`` workers, and cache the profiles in this process.
@@ -589,7 +594,7 @@ def _profile_pass(points: list[EvalPoint], jobs: int, policy: RetryPolicy,
     if multiprocessing.get_start_method() != "fork":
         return  # spawned point workers would inherit nothing
     networks = list(dict.fromkeys(
-        point.network for point in points if point.backend == MODEL_BACKEND))
+        point.workload for point in points if point.backend == MODEL_BACKEND))
     layers = unprofiled_layers(networks)
     if not layers:
         return
@@ -623,7 +628,7 @@ def run_campaign(
     progress: ProgressFn | None = None,
     shard: Shard | None = None,
     policy: RetryPolicy | None = None,
-) -> CampaignRun[EvalPoint, EvalResult]:
+) -> CampaignRun[EvalRequest, EvalResult]:
     """Run (or resume) a campaign; returns the result grid.
 
     Points whose key already exists in their backend's store are served
@@ -647,7 +652,7 @@ def run_campaign(
     points = spec.points()
     if shard is not None:
         points = shard.select(points)
-    run: CampaignRun[EvalPoint, EvalResult] = CampaignRun(
+    run: CampaignRun[EvalRequest, EvalResult] = CampaignRun(
         spec=spec, store_path=store.path, points=points, total=len(points))
     router = StoreRouter(store)
     drive_points(

@@ -18,7 +18,8 @@ from repro.eval.result import EvalResult
 
 
 class Keyed(Protocol):
-    """What a record needs from its evaluation point / request."""
+    """What a record needs from what it answers: an
+    :class:`~repro.eval.request.EvalRequest` or a co-search probe."""
 
     def key(self) -> str: ...
 

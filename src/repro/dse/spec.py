@@ -6,7 +6,9 @@ from -- accelerators x networks, plus the BitWave ablation ladder
 profile axis: ``+DF+SM+BF`` evaluates against the bit-flipped weight
 statistics) -- optionally crossed with the evaluation *backend* axis
 (:mod:`repro.eval`): the analytical model and the structural-simulator
-datapaths.  Every point in the grid hashes to a stable key so results
+datapaths.  Every point in the grid is a
+:class:`~repro.eval.request.EvalRequest`, so it hashes to the same
+stable key as an ad-hoc :func:`repro.eval.evaluate` call, and results
 can be persisted, shared across processes, and resumed incrementally.
 
 Networks may be parametrized (``"bert_base@tokens=128"``), so token
@@ -22,21 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence, TypeVar
 
-from repro.accelerators import (
-    BITWAVE_VARIANTS,
-    SOTA_ACCELERATORS,
-    build_accelerator,
-    build_bitwave_variant,
-)
-from repro.accelerators.base import Accelerator
-from repro.arch import DEFAULT_ARCH, canonical_arch, parse_arch
+from repro.accelerators import BITWAVE_VARIANTS, SOTA_ACCELERATORS
+from repro.arch import DEFAULT_ARCH, canonical_arch
 from repro.dse.retry import RetryPolicy
 from repro.eval.fingerprints import code_fingerprint  # noqa: F401  (re-export)
-from repro.eval.registry import backend_names, get_backend
+from repro.eval.registry import backend_names
 from repro.eval.request import MODEL_BACKEND, config_hash  # noqa: F401
 from repro.eval.request import EvalRequest
-from repro.eval.result import EvalResult
-from repro.obs import trace
 from repro.workloads.nets import parse_network
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -95,94 +89,6 @@ class Shard:
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """One (accelerator configuration, network, backend, arch) grid point.
-
-    ``variant`` selects a rung of the BitWave ablation ladder
-    (:data:`repro.accelerators.BITWAVE_VARIANTS`); when ``None`` the
-    point is the fully-enabled comparison build of ``accelerator``.
-    ``backend`` names a registered :class:`repro.eval.EvalBackend`
-    (default: the analytical model).  ``arch`` names the hardware
-    design point (:mod:`repro.arch` preset + overrides).
-    """
-
-    accelerator: str
-    network: str
-    variant: str | None = None
-    backend: str = MODEL_BACKEND
-    arch: str = DEFAULT_ARCH
-
-    def __post_init__(self) -> None:
-        # The request canonicalizes every axis (see EvalRequest), so a
-        # point's fields, label and key all name one evaluation.
-        request = self.request()
-        object.__setattr__(self, "network", request.workload)
-        object.__setattr__(self, "variant", request.variant)
-        object.__setattr__(self, "arch", request.arch)
-
-    def request(self) -> EvalRequest:
-        """The :mod:`repro.eval` request this point names."""
-        return EvalRequest(
-            workload=self.network,
-            accelerator=self.accelerator,
-            variant=self.variant,
-            backend=self.backend,
-            arch=self.arch,
-        )
-
-    def validate(self) -> None:
-        self.request().validate()
-
-    @property
-    def config_label(self) -> str:
-        """Display label for the accelerator-configuration axis."""
-        return self.request().config_label
-
-    @property
-    def label(self) -> str:
-        return f"{self.config_label}/{self.network}"
-
-    def build(self) -> Accelerator:
-        """The modelled accelerator instance (model-backend points)."""
-        self.validate()
-        arch = parse_arch(self.arch)
-        if self.variant is None:
-            return build_accelerator(self.accelerator, arch)
-        return build_bitwave_variant(self.variant, arch)
-
-    def evaluate(self) -> EvalResult:
-        """Compute (never cache) this point through its backend."""
-        request = self.request()
-        request.validate()
-        with trace("eval.evaluate", backend=self.backend,
-                   workload=self.network):
-            return get_backend(self.backend).evaluate(request)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "accelerator": self.accelerator,
-            "network": self.network,
-            "variant": self.variant,
-            "backend": self.backend,
-            "arch": self.arch,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EvalPoint":
-        return cls(
-            accelerator=data["accelerator"],
-            network=data["network"],
-            variant=data.get("variant"),
-            backend=data.get("backend", MODEL_BACKEND),
-            arch=data.get("arch", DEFAULT_ARCH),
-        )
-
-    def key(self) -> str:
-        """Stable result-store key (shared with :mod:`repro.eval`)."""
-        return self.request().key()
 
 
 def _check_subset(kind: str, values: Sequence[str],
@@ -258,31 +164,30 @@ class CampaignSpec:
             raise ValueError(
                 "campaign needs at least one accelerator or variant")
 
-    def points(self) -> list[EvalPoint]:
-        """Expand the grid, deduplicated, in a stable order: by arch,
-        then backend, then network, with each network's accelerator
-        and variant points together.
+    def points(self) -> list[EvalRequest]:
+        """Expand the grid into its requests, deduplicated by key, in a
+        stable order: by arch, then backend, then network, with each
+        network's accelerator and variant points together.
 
         The executor dispatches points in this order, and its profile
         pass profiles their networks in it.  The order never changes a
         result.
         """
         self.validate()
-        points: list[EvalPoint] = []
+        points: list[EvalRequest] = []
         for arch in self.archs or (DEFAULT_ARCH,):
             for backend in self.backends:
                 model = backend == MODEL_BACKEND
                 for network in self.networks:
                     for accelerator in self.accelerators:
                         if model or accelerator == "BitWave":
-                            points.append(EvalPoint(
-                                accelerator, network, backend=backend,
+                            points.append(EvalRequest(
+                                network, accelerator, backend=backend,
                                 arch=arch))
                     if model:
                         for variant in self.variants:
-                            points.append(EvalPoint(
-                                "BitWave", network, variant=variant,
-                                arch=arch))
+                            points.append(EvalRequest(
+                                network, variant=variant, arch=arch))
         unique = []
         seen: set[str] = set()
         for point in points:

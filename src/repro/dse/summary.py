@@ -1,12 +1,19 @@
-"""Campaign summarization: metric tables, JSON rows, Pareto extraction."""
+"""Campaign summarization: metric tables, JSON rows, Pareto extraction.
+
+A campaign point is an :class:`~repro.eval.request.EvalRequest`;
+:func:`point_columns` spells the columns that name it in every JSON
+row (``dse summary``/``pareto``, ``/summary``/``/pareto``, the
+guided-search front).
+"""
 
 from __future__ import annotations
 
 from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.core.pareto import pareto_front
-from repro.dse.spec import CampaignSpec, EvalPoint
+from repro.dse.spec import CampaignSpec
 from repro.dse.store import ResultStore, StoreRouter
+from repro.eval.request import EvalRequest
 from repro.eval.result import EvalResult
 from repro.utils.tables import format_table
 
@@ -63,6 +70,18 @@ def _provenance(record: Mapping[str, Any] | None) -> dict[str, Any]:
     return {"origin": extra.get("origin"), "round": extra.get("round")}
 
 
+def point_columns(point: EvalRequest) -> dict[str, Any]:
+    """The ``key``/``config``/``network``/``backend``/``arch`` columns
+    naming ``point`` in a JSON row."""
+    return {
+        "key": point.key(),
+        "config": point.config_label,
+        "network": point.workload,
+        "backend": point.backend,
+        "arch": point.arch,
+    }
+
+
 def resolve_metric(name: str) -> Metric:
     if name not in METRICS:
         raise ValueError(
@@ -86,16 +105,13 @@ def summary_data(
     failures = failures or {}
     rows: list[dict[str, Any]] = []
     for point in spec.points():
+        columns = point_columns(point)
         record = router.record(point)
         result = router.result(point)
         entry: dict[str, Any] = {
-            "key": point.key(),
-            "config": point.config_label,
-            "network": point.network,
-            "backend": point.backend,
-            "arch": point.arch,
+            **columns,
             "stored": result is not None,
-            "error": failures.get(point.key()),
+            "error": failures.get(columns["key"]),
             **_provenance(record),
         }
         for name in _TABLE_COLUMNS:
@@ -138,7 +154,7 @@ def campaign_pareto(
     store: ResultStore,
     x: str = "cycles",
     y: str = "energy",
-) -> list[tuple[float, float, EvalPoint]]:
+) -> list[tuple[float, float, EvalRequest]]:
     """Non-dominated points of the campaign under two named metrics.
 
     Each objective's sense comes from the metric registry (cycles and
@@ -171,11 +187,7 @@ def pareto_data(
     router = StoreRouter(store)
     return [
         {
-            "key": point.key(),
-            "config": point.config_label,
-            "network": point.network,
-            "backend": point.backend,
-            "arch": point.arch,
+            **point_columns(point),
             **_provenance(router.record(point)),
             x: vx,
             y: vy,
@@ -193,7 +205,7 @@ def pareto_table(
     mx, my = resolve_metric(x), resolve_metric(y)
     front = campaign_pareto(spec, store, x, y)
     rows = [
-        [point.config_label, point.network, vx, vy]
+        [point.config_label, point.workload, vx, vy]
         for vx, vy, point in front
     ]
     sense = tuple("max" if m.maximize else "min" for m in (mx, my))

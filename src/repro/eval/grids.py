@@ -100,5 +100,5 @@ def prewarm_grids(
             f"{len(run.failed)} prewarm points failed: "
             + ", ".join(sorted(run.failed_labels())))
     for point in run.points:
-        api.memoize(point.request(), run.results[point.key()])
+        api.memoize(point, run.results[point.key()])
     return run

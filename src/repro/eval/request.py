@@ -203,10 +203,14 @@ class EvalRequest:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvalRequest":
         """Inverse of :meth:`to_dict`; absent keys take the dataclass
-        defaults, so ``workload`` is the only required one."""
-        axes = {name: data[name] for name in
-                ("workload", "accelerator", "variant", "backend", "arch")
-                if name in data}
+        defaults, so ``workload`` is the only required one.  A key
+        :meth:`to_dict` never writes is refused: a misspelled axis
+        must not silently evaluate the default configuration."""
+        unknown = data.keys() - cls.__dataclass_fields__.keys()
+        if unknown:
+            raise ValueError(f"unknown request keys {sorted(unknown)}")
+        axes = {name: value for name, value in data.items()
+                if name != "options"}
         return cls(**axes,
                    options=EvalOptions.from_dict(data.get("options", {})))
 

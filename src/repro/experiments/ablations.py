@@ -14,17 +14,22 @@ BitWave's gains to its main design parameters:
   workload gains arithmetic intensity;
 - **dense-mode precision** -- the ZCIP dense mode's precision scaling
   (Stripes-style scaling on the BitWave array).
+
+The DRAM-bandwidth, token-size and dense-precision sweeps are ordinary
+evaluations (:func:`repro.eval.grids.evaluation`) at an arch override
+or a workload parameter, so their results are cached in the result
+store like every other.  The group-size, sync-domain and Bit-Flip
+depth sweeps read the weight profiles directly.
 """
 
 from __future__ import annotations
 
 from repro.accelerators.bitwave import BitWave
-from repro.accelerators.huaa import HUAA
-from repro.arch import DEFAULT_ARCH, parse_arch
-from repro.eval.backends import model_network_evaluation
+from repro.arch import DEFAULT_ARCH
+from repro.eval.grids import evaluation
 from repro.sparsity.profiles import network_weight_stats
 from repro.sparsity.stats import LayerWeightStats
-from repro.workloads.nets import bert_base_layers, network_layers
+from repro.workloads.nets import network_layers
 
 
 def group_size_ablation(network: str = "resnet18") -> dict[int, dict[str, float]]:
@@ -67,15 +72,15 @@ def dram_bandwidth_ablation(
     network: str = "bert_base",
     widths: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048),
 ) -> dict[int, dict[str, float]]:
-    """Total cycles and the compute-bound layer fraction vs DRAM width."""
+    """Total cycles and the DRAM share of them vs DRAM width."""
     results: dict[int, dict[str, float]] = {}
     for bits in widths:
-        arch = parse_arch(f"{DEFAULT_ARCH}@dram_bits={bits}")
-        evaluation = model_network_evaluation(BitWave(arch=arch), network)
-        dram = sum(layer.latency.dram_cycles for layer in evaluation.layers)
+        result = evaluation(network, arch=f"{DEFAULT_ARCH}@dram_bits={bits}")
+        dram = sum(layer.detail["latency"]["dram_cycles"]
+                   for layer in result.layers)
         results[bits] = {
-            "total_cycles": evaluation.total_cycles,
-            "dram_fraction": dram / evaluation.total_cycles,
+            "total_cycles": result.total_cycles,
+            "dram_fraction": dram / result.total_cycles,
         }
     return results
 
@@ -114,17 +119,15 @@ def bert_token_ablation(
     compression dominates; with more tokens arithmetic intensity rises
     and the gap settles toward the pure compute advantage.
     """
-    stats = network_weight_stats("bert_base")
     results: dict[int, dict[str, float]] = {}
     for t in tokens:
-        specs = bert_base_layers(tokens=t)
-        bitwave = BitWave().evaluate_workload(
-            specs, BitWave().layer_stats("bert_base"), f"bert@{t}")
-        huaa = HUAA().evaluate_workload(specs, stats, f"bert@{t}")
+        workload = f"bert_base@tokens={t}"
+        bitwave = evaluation(workload).total_cycles
+        huaa = evaluation(workload, accelerator="HUAA").total_cycles
         results[t] = {
-            "bitwave_cycles": bitwave.total_cycles,
-            "huaa_cycles": huaa.total_cycles,
-            "speedup_vs_huaa": huaa.total_cycles / bitwave.total_cycles,
+            "bitwave_cycles": bitwave,
+            "huaa_cycles": huaa,
+            "speedup_vs_huaa": huaa / bitwave,
         }
     return results
 
@@ -133,15 +136,17 @@ def dense_precision_ablation(
     network: str = "resnet18",
     precisions: tuple[int, ...] = (8, 6, 4, 2),
 ) -> dict[int, float]:
-    """ZCIP dense-mode precision scaling: speedup vs 8-bit dense."""
-    base = model_network_evaluation(
-        BitWave(columns="dense", bitflip=False), network)
-    results: dict[int, float] = {}
-    for bits in precisions:
-        acc = BitWave(columns="dense", bitflip=False, dense_precision=bits)
-        results[bits] = base.total_cycles / \
-            model_network_evaluation(acc, network).total_cycles
-    return results
+    """ZCIP dense-mode precision scaling: speedup vs 8-bit dense.
+
+    The ``+DF`` rung is the dense-mode BitWave the sweep scales.
+    """
+    base = evaluation(network, variant="+DF").total_cycles
+    return {
+        bits: base / evaluation(
+            network, variant="+DF",
+            arch=f"{DEFAULT_ARCH}@dense_precision={bits}").total_cycles
+        for bits in precisions
+    }
 
 
 def main() -> None:

@@ -151,12 +151,6 @@ def report_data(directory: str | Path, top: int = 10) -> dict[str, Any]:
     return payload
 
 
-def phase_breakdown(directory: str | Path) -> dict[str, Any]:
-    """Just the per-phase span stats (what benchmarks attach to
-    ``extra_info``): phase name -> count/total/mean/p50/p95/max."""
-    return aggregate(iter_events(directory))["spans"]
-
-
 # -- rendering ------------------------------------------------------------
 def _ms(seconds: float) -> str:
     return f"{seconds * 1e3:.2f}"

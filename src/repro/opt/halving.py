@@ -22,9 +22,10 @@ from typing import Any
 
 from repro.core.pareto import pareto_front
 from repro.dse.retry import RetryPolicy
-from repro.dse.spec import CampaignSpec, EvalPoint
+from repro.dse.spec import CampaignSpec
 from repro.dse.store import ResultStore
-from repro.dse.summary import Metric, resolve_metric
+from repro.dse.summary import Metric, point_columns, resolve_metric
+from repro.eval.request import EvalRequest
 from repro.obs import counter, trace
 from repro.opt.objective import Objective, Probe
 
@@ -126,7 +127,7 @@ class HalvingResult:
 
 
 def sample_candidates(spec: CampaignSpec, seed: int,
-                      sample: int) -> list[EvalPoint]:
+                      sample: int) -> list[EvalRequest]:
     """The deterministic candidate draw a seed names.
 
     The pool is sorted by request key before sampling, so the draw
@@ -164,20 +165,10 @@ def _front_rows(archive: list[Probe], config: HalvingConfig,
         vx, vy = mx.extract(probe.result), my.extract(probe.result)
         if vx is None or vy is None:
             continue
-        points.append((vx, vy, probe.point))
+        points.append((vx, vy, probe.request))
     front = pareto_front(points, maximize=(mx.maximize, my.maximize))
-    return tuple(
-        {
-            "key": point.key(),
-            "config": point.config_label,
-            "network": point.network,
-            "backend": point.backend,
-            "arch": point.arch,
-            config.x: vx,
-            config.y: vy,
-        }
-        for vx, vy, point in front
-    )
+    return tuple({**point_columns(point), config.x: vx, config.y: vy}
+                 for vx, vy, point in front)
 
 
 def successive_halving(
@@ -224,9 +215,9 @@ def successive_halving(
         rounds.append({
             "round": round_index,
             "candidates": len(candidates),
-            "survivors": [p.point.key() for p in survivors],
+            "survivors": [p.request.key() for p in survivors],
         })
-        candidates = [probe.point for probe in survivors]
+        candidates = [probe.request for probe in survivors]
         round_index += 1
         if len(candidates) <= config.min_survivors:
             break

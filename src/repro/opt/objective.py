@@ -7,7 +7,9 @@ backend compute on a miss with bounded retries
 (:meth:`repro.dse.retry.RetryPolicy.call`), and a store record stamped
 with search provenance (``origin`` and round index in ``extra``) so
 mixed guided+exhaustive stores stay auditable.  :meth:`Objective.probe`
-answers grid points; :meth:`Objective.answer` is the same path for any
+answers grid points, which are :class:`~repro.eval.request.EvalRequest`
+objects, so a probe stores the same ``point`` dict as a campaign or an
+``evaluate()`` call; :meth:`Objective.answer` is the same path for any
 keyed subject (the co-search's strategy snapshots).
 
 Probes are chaos-testable: each attempt binds the fault-injection point
@@ -25,7 +27,6 @@ from typing import Callable
 from repro import faults
 from repro.dse.records import Keyed, make_record
 from repro.dse.retry import RetryPolicy
-from repro.dse.spec import EvalPoint
 from repro.dse.store import ResultStore, StoreRouter
 from repro.eval.registry import get_backend
 from repro.eval.request import EvalRequest
@@ -37,7 +38,6 @@ from repro.obs import counter, trace
 class Probe:
     """One objective evaluation: what was asked and what came back."""
 
-    point: EvalPoint
     request: EvalRequest
     result: EvalResult | None
     #: ``True`` when the result came from the store (no evaluation ran).
@@ -53,7 +53,7 @@ class Probe:
 
 
 class Objective:
-    """Deterministic, failure-tolerant ``probe(point) -> Probe`` callback.
+    """Deterministic, failure-tolerant ``probe(request) -> Probe`` callback.
 
     ``origin`` names the driver (``"opt:sh"``, ``"opt:cosearch"``, ...)
     and is stamped into every record this objective writes.  The
@@ -77,8 +77,8 @@ class Objective:
         self.saved = 0
         self.failed = 0
 
-    def probe(self, point: EvalPoint, *, round_index: int = 0) -> Probe:
-        """Answer one point: store hit, or evaluate-with-retries.
+    def probe(self, request: EvalRequest, *, round_index: int = 0) -> Probe:
+        """Answer one grid point: store hit, or evaluate-with-retries.
 
         Never raises on evaluation failure -- a probe that exhausts its
         retry budget (or hits a poison error) returns with
@@ -86,16 +86,15 @@ class Objective:
         lets a guided run keep converging while infrastructure
         misbehaves under it.
         """
-        request = point.request()
         request.validate()
         backend = get_backend(request.backend)
         result, attempts, error = self.answer(
-            request, self.router.for_point(point),
+            request, self.router.for_point(request),
             lambda: backend.evaluate(request), backend.fingerprint,
-            round_index=round_index, backend=point.backend,
-            workload=point.network)
-        return Probe(point=point, request=request, result=result,
-                     cached=attempts == 0, attempts=attempts, error=error)
+            round_index=round_index, backend=request.backend,
+            workload=request.workload)
+        return Probe(request=request, result=result, cached=attempts == 0,
+                     attempts=attempts, error=error)
 
     def answer(self, subject: Keyed, store: ResultStore,
                evaluate: Callable[[], EvalResult],

@@ -24,9 +24,9 @@ from typing import Any, Callable
 
 from repro.arch import DEFAULT_ARCH
 from repro.dse.retry import RetryPolicy
-from repro.dse.spec import EvalPoint
 from repro.dse.store import ResultStore
 from repro.dse.summary import resolve_metric
+from repro.eval.request import EvalRequest
 from repro.obs import counter, trace
 from repro.opt.objective import Objective
 
@@ -232,10 +232,9 @@ def tune_arch_field(
 
     def fn(x: float) -> float | None:
         spelled = f"{int(x)}" if integer else f"{x:g}"
-        point = EvalPoint(
-            accelerator=accelerator, network=network, backend=backend,
-            arch=f"{base_arch}@{field}={spelled}")
-        probe = objective.probe(point)
+        probe = objective.probe(EvalRequest(
+            network, accelerator, backend=backend,
+            arch=f"{base_arch}@{field}={spelled}"))
         if probe.result is None:
             return None
         return resolved.extract(probe.result)

@@ -31,12 +31,7 @@ is the replacement.
 from repro.serve.cache import DEFAULT_HOT_MAX, HotCache
 from repro.serve.http import HttpFrontend, start_http
 from repro.serve.metrics import ServeMetrics
-from repro.serve.service import (
-    DEFAULT_QUEUE_MAX,
-    EvalService,
-    Outcome,
-    ServeJob,
-)
+from repro.serve.service import DEFAULT_QUEUE_MAX, EvalService, Outcome
 
 __all__ = [
     "DEFAULT_HOT_MAX",
@@ -45,7 +40,6 @@ __all__ = [
     "HotCache",
     "HttpFrontend",
     "Outcome",
-    "ServeJob",
     "ServeMetrics",
     "start_http",
 ]

@@ -32,8 +32,11 @@ import os
 import signal
 import sys
 
-from repro import faults
-from repro.dse.retry import RetryPolicy
+from repro.dse.__main__ import (
+    _activate_faults,
+    _add_resilience_arguments,
+    _policy_from_args,
+)
 from repro.serve.cache import DEFAULT_HOT_MAX
 from repro.serve.http import start_http
 from repro.serve.service import DEFAULT_QUEUE_MAX, EvalService
@@ -68,36 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_QUEUE_MAX,
                         help="pending-miss bound before requests get "
                              "503 (default %(default)s)")
-    parser.add_argument("--max-attempts", type=int, default=None,
-                        help="retry budget per evaluation "
-                             "(default: policy default)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-evaluation watchdog deadline "
-                             "(workers >= 1 only)")
-    parser.add_argument("--backoff", type=float, default=None,
-                        metavar="SECONDS",
-                        help="base retry backoff (default: policy "
-                             "default)")
-    parser.add_argument("--inject", default=None, metavar="PLAN",
-                        help="arm deterministic fault injection "
-                             "(repro.faults plan spec)")
+    _add_resilience_arguments(parser)
     return parser
 
 
 async def _serve(args: argparse.Namespace) -> int:
     """Run the service until a signal drains it; returns the exit code."""
-    policy = RetryPolicy().with_overrides(
-        max_attempts=args.max_attempts,
-        timeout_s=args.timeout,
-        backoff_s=args.backoff,
-    )
     service = EvalService(
         args.store,
         workers=args.workers,
         hot_max=args.hot_max,
         queue_max=args.queue_max,
-        policy=policy,
+        policy=_policy_from_args(args, None),
     )
     await service.start()
     server = await start_http(service, args.host, args.port)
@@ -142,10 +127,7 @@ async def _serve(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.inject is not None:
-        plan = faults.configure(args.inject)
-        assert plan is not None
-        print(f"fault injection armed: {plan.spec()}", file=sys.stderr)
+    _activate_faults(args)
     return asyncio.run(_serve(args))
 
 

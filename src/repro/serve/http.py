@@ -147,8 +147,21 @@ def _int_param(query: Mapping[str, list[str]], name: str,
                              f"integer, got {raw!r}") from None
 
 
+#: The ``/eval`` query parameters: the request axes plus ``batch``.
+_EVAL_PARAMS = frozenset(("workload", "accelerator", "variant", "backend",
+                          "arch", "batch"))
+
+
 def request_from_query(query: Mapping[str, list[str]]) -> EvalRequest:
-    """Build an :class:`EvalRequest` from ``/eval`` query parameters."""
+    """Build an :class:`EvalRequest` from ``/eval`` query parameters.
+
+    Any other parameter is refused: a misspelled axis must not
+    silently evaluate the default configuration.
+    """
+    unknown = query.keys() - _EVAL_PARAMS
+    if unknown:
+        raise HttpError(400, f"unknown query parameters {sorted(unknown)}; "
+                             f"one of {sorted(_EVAL_PARAMS)}")
     workload = _first(query, "workload")
     if not workload:
         raise HttpError(400, "missing required query parameter 'workload'")

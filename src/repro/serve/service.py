@@ -25,13 +25,16 @@ questions through four tiers, cheapest first:
    the low-latency single-host mode); ``workers>=1`` fans each batch
    of misses out over the supervised, self-healing
    :class:`~repro.dse.pool.WatchdogPool`, so a crashing or hanging
-   evaluation costs one worker process, never the service.
+   evaluation costs one worker process, never the service.  The
+   queued requests themselves are the pool tasks, as a campaign's
+   points are.
 
 Both compute modes report to one outcome handler, which retries
 transient failures per the :class:`~repro.dse.retry.RetryPolicy`
 (poison errors fail fast), and the service process owns every store
 write -- worker processes only compute, exactly like the campaign
-executor.
+executor.  A computed result's record holds ``request.to_dict()`` as
+its ``point``, as every other producer's does.
 
 The service is asyncio-native: :meth:`EvalService.submit` is awaited
 by the HTTP layer, and blocking work runs via ``asyncio.to_thread``:
@@ -71,23 +74,6 @@ _WORKER_FAULT_KINDS = ("crash", "hang", "die")
 
 
 @dataclass(frozen=True)
-class ServeJob:
-    """A picklable pool task wrapping one evaluation request."""
-
-    request: EvalRequest
-
-    @property
-    def label(self) -> str:
-        return self.request.label
-
-    def key(self) -> str:
-        return self.request.key()
-
-    def to_dict(self) -> dict[str, Any]:
-        return self.request.to_dict()
-
-
-@dataclass(frozen=True)
 class Outcome:
     """One settled request: a result, or a classified failure.
 
@@ -123,7 +109,8 @@ class Outcome:
         return self.result is not None
 
 
-def _serve_worker(job: ServeJob, attempt: int = 0) -> tuple[str, Any, float]:
+def _serve_worker(request: EvalRequest,
+                  attempt: int = 0) -> tuple[str, Any, float]:
     """One evaluation attempt: failure-tolerant, chaos-instrumented.
 
     Runs inline (``workers=0``) or inside a supervised pool worker;
@@ -134,13 +121,12 @@ def _serve_worker(job: ServeJob, attempt: int = 0) -> tuple[str, Any, float]:
     request too.
     """
     start = time.perf_counter()
-    key = job.key()
+    key = request.key()
     faults.set_point_context(key, attempt)
     try:
-        with trace("serve.point", label=job.label, attempt=attempt):
+        with trace("serve.point", label=request.label, attempt=attempt):
             faults.fire("serve", kinds=_WORKER_FAULT_KINDS)
-            backend = get_backend(job.request.backend)
-            result = backend.evaluate(job.request)
+            result = get_backend(request.backend).evaluate(request)
             return key, result_to_dict(result), time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 -- any evaluation fault
         return (key, PointFailure.from_exception(exc),
@@ -173,7 +159,7 @@ class EvalService:
         self.metrics = ServeMetrics()
         self._stores: dict[str, ResultStore] = {}
         self._inflight: dict[str, "asyncio.Future[Outcome]"] = {}
-        self._queue: "asyncio.Queue[ServeJob] | None" = None
+        self._queue: "asyncio.Queue[EvalRequest] | None" = None
         self._dispatcher: "asyncio.Task[None] | None" = None
         self._draining = False
         self._started_mono = time.monotonic()
@@ -275,7 +261,7 @@ class EvalService:
                                   "try another replica"))
                     else:
                         try:
-                            self._queue.put_nowait(ServeJob(request))
+                            self._queue.put_nowait(request)
                         except asyncio.QueueFull:
                             self.metrics.incr("serve.rejected")
                             self._settle(key, Outcome(
@@ -356,38 +342,39 @@ class EvalService:
         """Pull queued misses, run them as one batch, settle futures."""
         assert self._queue is not None
         while True:
-            job = await self._queue.get()
-            jobs = [job]
+            requests = [await self._queue.get()]
             while not self._queue.empty():
-                jobs.append(self._queue.get_nowait())
+                requests.append(self._queue.get_nowait())
             try:
-                outcomes = await asyncio.to_thread(self._run_batch, jobs)
+                outcomes = await asyncio.to_thread(self._run_batch, requests)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 -- dispatcher survives
                 self.metrics.incr("serve.batch_errors")
                 failure = PointFailure.from_exception(exc)
                 outcomes = {
-                    j.key(): Outcome(key=j.key(), attempts=1,
-                                     error=failure.error,
-                                     etype=failure.etype)
-                    for j in jobs
+                    request.key(): Outcome(key=request.key(), attempts=1,
+                                           error=failure.error,
+                                           etype=failure.etype)
+                    for request in requests
                 }
             for key, outcome in outcomes.items():
                 self._settle(key, outcome)
 
-    def _run_batch(self, jobs: list[ServeJob]) -> dict[str, Outcome]:
+    def _run_batch(self,
+                   requests: list[EvalRequest]) -> dict[str, Outcome]:
         """Evaluate one batch of misses (blocking; runs off-loop).  No
         watchdog can end a hung inline attempt; ``workers>=1`` buys the
         supervised pool when that matters."""
-        unique = list({job.key(): job for job in jobs}.values())
+        unique = list({request.key(): request
+                       for request in requests}.values())
         outcomes: dict[str, Outcome] = {}
         last_error: dict[str, str] = {}
 
-        def handle(job: Any, attempt: int, key: Any, payload: Any,
+        def handle(request: Any, attempt: int, key: Any, payload: Any,
                    elapsed: float, reason: str) -> float | None:
             if key is None:
-                key = job.key()
+                key = request.key()
             if reason != "ok":
                 if reason in ("timeout", "heartbeat-silent"):
                     self.metrics.incr("serve.timed_out")
@@ -396,7 +383,7 @@ class EvalService:
                 failure = payload
             else:
                 outcomes[key] = self._commit(
-                    job, payload, elapsed, attempts=attempt + 1,
+                    request, payload, elapsed, attempts=attempt + 1,
                     last_error=last_error.get(key))
                 return None
             last_error[key] = failure.error
@@ -415,20 +402,20 @@ class EvalService:
                          self.policy).run(unique, handle)
         return outcomes
 
-    def _commit(self, job: ServeJob, payload: dict[str, Any],
+    def _commit(self, request: EvalRequest, payload: dict[str, Any],
                 elapsed: float, *, attempts: int,
                 last_error: str | None) -> Outcome:
         """Persist one fresh result and fill the hot tier (terminal)."""
-        key = job.key()
+        key = request.key()
         result = result_from_dict(payload)
-        backend = get_backend(job.request.backend)
+        backend = get_backend(request.backend)
         record = make_record(
-            job, payload, elapsed, fingerprint=backend.fingerprint(),
+            request, payload, elapsed, fingerprint=backend.fingerprint(),
             attempts=attempts if attempts > 1 else None,
             last_error=last_error if attempts > 1 else None)
         try:
-            with trace("serve.persist", backend=job.request.backend):
-                self._store_for(job.request.backend).put(key, record)
+            with trace("serve.persist", backend=request.backend):
+                self._store_for(request.backend).put(key, record)
         except OSError:
             # An unwritable store costs persistence, not the answer.
             self.metrics.incr("serve.persist_failures")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from perfbench.rounds import campaign_spec
 from repro.dse.executor import run_campaign
-from repro.dse.spec import EvalPoint
 from repro.dse.store import ResultStore
+from repro.eval.request import EvalRequest
 
 
 def test_campaign_cold_stores_27_canonical_points(tmp_path):
@@ -27,7 +27,7 @@ def test_campaign_cold_stores_27_canonical_points(tmp_path):
     records = [store.get(key) for key in store.keys()]
     assert len(records) == 27
     for record in records:
-        point = EvalPoint.from_dict(record["point"])
+        point = EvalRequest.from_dict(record["point"])
         assert record["point"] == point.to_dict(), "stored a non-canonical point"
         assert record["key"] == point.key()
         assert record["point"]["arch"] == "bitwave-16nm"

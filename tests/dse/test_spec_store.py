@@ -9,12 +9,12 @@ from repro.accelerators.base import LayerEvaluation, NetworkEvaluation
 from repro.dse.records import make_record, result_from_dict, result_to_dict
 from repro.dse.spec import (
     CampaignSpec,
-    EvalPoint,
     code_fingerprint,
     config_hash,
     paper_grid,
 )
 from repro.dse.store import ResultStore
+from repro.eval.request import EvalRequest
 from repro.eval.result import from_network_evaluation
 from repro.model.energy import EnergyBreakdown
 from repro.model.latency import LatencyBreakdown
@@ -49,7 +49,7 @@ class TestConfigHash:
         # change repins this and re-derives opt.halving.SMOKE_SEED;
         # stored records need nothing, as the edit rotates every
         # namespace.
-        assert EvalPoint("SCNN", "cnn_lstm").key() == "6c82ea12407968b2"
+        assert EvalRequest("cnn_lstm", "SCNN").key() == "6c82ea12407968b2"
 
     def test_key_order_independent(self):
         a = config_hash({"x": 1, "y": [1, 2], "z": None})
@@ -58,7 +58,7 @@ class TestConfigHash:
 
     def test_distinct_points_distinct_keys(self):
         keys = {
-            EvalPoint(acc, net, variant=v).key()
+            EvalRequest(net, acc, variant=v).key()
             for acc, net, v in [
                 ("SCNN", "cnn_lstm", None),
                 ("SCNN", "resnet18", None),
@@ -70,15 +70,15 @@ class TestConfigHash:
         assert len(keys) == 5
 
     def test_key_matches_request_hash(self):
-        # Campaign points and ad-hoc repro.eval requests share one
-        # cache keyspace.
-        point = EvalPoint("BitWave", "resnet18", variant="+DF+SM")
-        assert point.key() == point.request().key()
-        assert point.key() == config_hash(point.request().to_dict())
+        # Campaign points are repro.eval requests: one cache keyspace.
+        (point,) = CampaignSpec(name="t", networks=("resnet18",),
+                                variants=("+DF+SM",)).points()
+        assert point == EvalRequest("resnet18", variant="+DF+SM")
+        assert point.key() == config_hash(point.to_dict())
 
     def test_backend_is_part_of_the_key(self):
-        model = EvalPoint("BitWave", "cnn_lstm")
-        sim = EvalPoint("BitWave", "cnn_lstm", backend="sim-vectorized")
+        model = EvalRequest("cnn_lstm")
+        sim = EvalRequest("cnn_lstm", backend="sim-vectorized")
         assert model.key() != sim.key()
         assert sim.config_label == "BitWave@sim-vectorized"
 
@@ -87,49 +87,6 @@ class TestConfigHash:
         assert fp == code_fingerprint()
         assert len(fp) == 12
         int(fp, 16)
-
-
-class TestEvalPoint:
-    def test_unknown_network(self):
-        with pytest.raises(ValueError, match="unknown network"):
-            EvalPoint("SCNN", "alexnet").validate()
-
-    def test_unknown_accelerator(self):
-        with pytest.raises(ValueError, match="unknown accelerator"):
-            EvalPoint("TPU", "cnn_lstm").validate()
-
-    def test_variant_requires_bitwave(self):
-        with pytest.raises(ValueError, match="BitWave ablations"):
-            EvalPoint("SCNN", "cnn_lstm", variant="Dense").validate()
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="unknown BitWave variant"):
-            EvalPoint("BitWave", "cnn_lstm", variant="+XX").validate()
-
-    def test_labels(self):
-        assert EvalPoint("SCNN", "cnn_lstm").label == "SCNN/cnn_lstm"
-        assert EvalPoint("BitWave", "resnet18", variant="+DF").config_label \
-            == "BitWave[+DF]"
-
-    def test_dict_roundtrip(self):
-        point = EvalPoint("BitWave", "bert_base", variant="+DF")
-        assert EvalPoint.from_dict(point.to_dict()) == point
-
-    def test_full_variant_canonicalizes_to_sota_point(self):
-        full = EvalPoint("BitWave", "cnn_lstm", variant="+DF+SM+BF")
-        sota = EvalPoint("BitWave", "cnn_lstm")
-        assert full == sota
-        assert full.key() == sota.key()
-        assert full.config_label == "BitWave"
-
-    def test_canonicalization_matches_constructor_defaults(self):
-        # The canonicalization is only sound while BitWave() defaults
-        # equal the fully-enabled ablation rung.
-        from repro.accelerators.bitwave import BREAKDOWN_CONFIGS, BitWave
-
-        bw = BitWave()
-        assert BREAKDOWN_CONFIGS["+DF+SM+BF"] == (
-            bw.dataflow, bw.columns, bw.bitflip)
 
 
 class TestCampaignSpec:
@@ -212,7 +169,7 @@ class TestRecords:
         assert result_from_dict(data) == result
 
     def test_make_record_fields(self):
-        point = EvalPoint("SCNN", "cnn_lstm")
+        point = EvalRequest("cnn_lstm", "SCNN")
         result = from_network_evaluation(_synthetic_evaluation())
         record = make_record(point, result, elapsed_s=1.5)
         assert record["key"] == point.key()
@@ -223,7 +180,7 @@ class TestRecords:
         assert record["result"]["backend"] == "model"
 
     def test_make_record_custom_fingerprint(self):
-        point = EvalPoint("BitWave", "cnn_lstm", backend="sim-vectorized")
+        point = EvalRequest("cnn_lstm", backend="sim-vectorized")
         result = from_network_evaluation(_synthetic_evaluation())
         record = make_record(point, result, fingerprint="simnet-abc")
         assert record["fingerprint"] == "simnet-abc"

@@ -26,7 +26,7 @@ import pytest
 
 from repro.accelerators import SOTA_ACCELERATORS, config_arch_reads
 from repro.arch import OVERRIDE_FIELDS, ArchSpec, TechSpec, parse_arch
-from repro.dse.spec import EvalPoint
+from repro.dse.spec import CampaignSpec
 from repro.eval import EvalRequest, get_backend
 from repro.eval import backends as backends_module
 from repro.eval import lowering
@@ -301,26 +301,35 @@ class TestCanonicalKeys:
 
 
 class TestPointAxes:
-    """An ``EvalPoint``'s fields are its request's canonical axes."""
+    """A campaign's points are requests, so every axis is canonical and
+    spellings of one evaluation expand to one point."""
+
+    @staticmethod
+    def _points(**axes):
+        return CampaignSpec(name="axes", **axes).points()
 
     def test_network_spelling_canonicalizes(self):
-        point = EvalPoint("BitWave", "bert_base@tokens=4")
-        assert point.network == "bert_base"
+        (point,) = self._points(accelerators=("BitWave",),
+                                networks=("bert_base@tokens=4",))
+        assert point.workload == "bert_base"
         assert point.label == "BitWave/bert_base"
-        assert point.label == point.request().label
-        assert point == EvalPoint("BitWave", "bert_base")
+        assert point == EvalRequest("bert_base")
 
     def test_unreadable_overrides_leave_the_point(self):
-        point = EvalPoint("SCNN", "cnn_lstm",
-                          arch="bitwave-16nm@group=16+sram_pj=0.5")
+        (point,) = self._points(
+            accelerators=("SCNN",), networks=("cnn_lstm",),
+            archs=("bitwave-16nm@group=16+sram_pj=0.5",
+                   "bitwave-16nm@sram_pj=0.5"))
         assert point.arch == "bitwave-16nm@sram_pj=0.5"
         assert point.to_dict()["arch"] == "bitwave-16nm@sram_pj=0.5"
-        assert point.key() == EvalPoint(
-            "SCNN", "cnn_lstm", arch="bitwave-16nm@sram_pj=0.5").key()
-        sim = EvalPoint("BitWave", "cnn_lstm", backend="sim-vectorized",
-                        arch="bitwave-16nm@group=16+sram_w=512")
+        (sim,) = self._points(
+            accelerators=("BitWave",), networks=("cnn_lstm",),
+            backends=("sim-vectorized",),
+            archs=("bitwave-16nm@group=16+sram_w=512",))
         assert sim.arch == "bitwave-16nm@group=16"
 
     def test_full_rung_is_the_comparison_build(self):
-        assert EvalPoint("BitWave", "cnn_lstm", variant="+DF+SM+BF") \
-            == EvalPoint("BitWave", "cnn_lstm")
+        (point,) = self._points(accelerators=("BitWave",),
+                                networks=("cnn_lstm",),
+                                variants=("+DF+SM+BF",))
+        assert point == EvalRequest("cnn_lstm")

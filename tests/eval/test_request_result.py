@@ -90,6 +90,25 @@ class TestEvalRequest:
         assert EvalRequest.from_dict({"workload": "cnn_lstm"}) \
             == EvalRequest(workload="cnn_lstm")
 
+    def test_from_dict_refuses_unknown_keys(self):
+        # A misspelled axis must not silently evaluate the default:
+        # SCNN at the default arch, or BitWave for a bad accelerator.
+        for typo in ({"archh": "bitwave-dense-16nm"},
+                     {"acclerator": "SCNN"},
+                     {"network": "cnn_lstm"}):
+            data = {"workload": "cnn_lstm", "accelerator": "SCNN", **typo}
+            with pytest.raises(ValueError, match=next(iter(typo))):
+                EvalRequest.from_dict(data)
+
+    def test_canonicalization_matches_constructor_defaults(self):
+        # The canonicalization is only sound while BitWave() defaults
+        # equal the fully-enabled ablation rung.
+        from repro.accelerators.bitwave import BREAKDOWN_CONFIGS, BitWave
+
+        bw = BitWave()
+        assert BREAKDOWN_CONFIGS["+DF+SM+BF"] == (
+            bw.dataflow, bw.columns, bw.bitflip)
+
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="unknown accelerator"):
             EvalRequest(workload="cnn_lstm", accelerator="TPU").validate()
@@ -100,6 +119,8 @@ class TestEvalRequest:
         with pytest.raises(ValueError, match="BitWave ablations"):
             EvalRequest(workload="cnn_lstm", accelerator="SCNN",
                         variant="Dense").validate()
+        with pytest.raises(ValueError, match="unknown BitWave variant"):
+            EvalRequest(workload="cnn_lstm", variant="+XX").validate()
 
     def test_sim_backend_restrictions(self):
         with pytest.raises(ValueError, match="fully-enabled BitWave"):
@@ -143,6 +164,8 @@ class TestEvalRequest:
 
     def test_labels(self):
         assert EvalRequest(workload="cnn_lstm").label == "BitWave/cnn_lstm"
+        assert EvalRequest(workload="cnn_lstm", accelerator="SCNN").label \
+            == "SCNN/cnn_lstm"
         assert EvalRequest(workload="cnn_lstm", variant="+DF").config_label \
             == "BitWave[+DF]"
         assert EvalRequest(workload="cnn_lstm",

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dse.store import ResultStore
+from repro.eval import EvalRequest
 from repro.experiments import ablations, fig12_workloads
 
 
@@ -32,11 +34,22 @@ class TestAblationHarness:
         values = [results[m] for m in (1, 8, 64)]
         assert values == sorted(values)
 
-    def test_dense_precision_endpoints(self):
+    def test_dense_precision_endpoints(self, isolated_store):
         results = ablations.dense_precision_ablation(
             "cnn_lstm", precisions=(8, 4))
         assert results[8] == 1.0
         assert results[4] > 1.0
+
+    def test_routed_sweeps_are_stored_evaluations(self, isolated_store):
+        ablations.dense_precision_ablation("cnn_lstm", precisions=(4,))
+        ablations.dram_bandwidth_ablation("cnn_lstm", widths=(64,))
+        store = ResultStore(isolated_store)
+        for request in (
+                EvalRequest("cnn_lstm", variant="+DF"),
+                EvalRequest("cnn_lstm", variant="+DF",
+                            arch="bitwave-16nm@dense_precision=4"),
+                EvalRequest("cnn_lstm", arch="bitwave-16nm@dram_bits=64")):
+            assert store.result(request.key()) is not None, request.label
 
     def test_bitflip_depth_monotone(self):
         results = ablations.bitflip_depth_ablation(

@@ -9,7 +9,7 @@ import pytest
 from repro import obs
 from repro.obs.__main__ import main
 from repro.obs.report import (aggregate, iter_events, percentile,
-                              phase_breakdown, report_data, slowest_spans)
+                              report_data, slowest_spans)
 
 
 def write_trace(directory, lines, name="trace-1-aa.jsonl"):
@@ -135,15 +135,6 @@ class TestReportData:
         assert data["gauges"]["depth"]["count"] == 1
         assert data["slowest"][0]["name"] == "phase.x"
         assert data["dir"] == str(trace_dir)
-
-    def test_phase_breakdown_is_spans_only(self, tmp_path):
-        write_trace(tmp_path, [
-            span("a", 0.1),
-            {"t": "counter", "name": "c", "n": 1, "pid": 1},
-        ])
-        phases = phase_breakdown(tmp_path)
-        assert set(phases) == {"a"}
-        assert phases["a"]["count"] == 1
 
 
 class TestCli:

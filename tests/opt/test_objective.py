@@ -14,13 +14,13 @@ import pytest
 from repro import faults
 from repro.dse.executor import run_campaign
 from repro.dse.retry import RetryPolicy
-from repro.dse.spec import CampaignSpec, EvalPoint
+from repro.dse.spec import CampaignSpec
 from repro.dse.store import ResultStore
 from repro.dse.summary import pareto_data, summary_data
+from repro.eval.request import EvalRequest
 from repro.opt.objective import Objective
 
-POINT = EvalPoint(accelerator="BitWave",
-                  network="cnn_lstm@frames=2+bins=32+hidden=32")
+POINT = EvalRequest("cnn_lstm@frames=2+bins=32+hidden=32")
 
 
 def _store(tmp_path) -> ResultStore:
@@ -43,7 +43,7 @@ class TestCaching:
         exhaustive campaign stored evaluate nothing."""
         store = _store(tmp_path)
         spec = CampaignSpec(name="warm", accelerators=("BitWave",),
-                            networks=(POINT.network,))
+                            networks=(POINT.workload,))
         run = run_campaign(spec, store)
         assert run.evaluated == 1
         objective = Objective(store, origin="opt:test")
@@ -55,7 +55,7 @@ class TestCaching:
         store = _store(tmp_path)
         Objective(store, origin="opt:test").probe(POINT)
         spec = CampaignSpec(name="warm", accelerators=("BitWave",),
-                            networks=(POINT.network,))
+                            networks=(POINT.workload,))
         run = run_campaign(spec, store)
         assert run.evaluated == 0 and run.cached == 1
 
@@ -132,7 +132,7 @@ class TestProvenance:
     def test_summary_and_pareto_rows_surface_provenance(self, tmp_path):
         store = _store(tmp_path)
         spec = CampaignSpec(name="prov", accelerators=("BitWave",),
-                            networks=(POINT.network,))
+                            networks=(POINT.workload,))
         Objective(store, origin="opt:test").probe(POINT)
         (row,) = summary_data(spec, store)
         assert row["origin"] == "opt:test" and row["round"] == 0
@@ -142,7 +142,7 @@ class TestProvenance:
     def test_exhaustive_records_read_as_origin_none(self, tmp_path):
         store = _store(tmp_path)
         spec = CampaignSpec(name="prov", accelerators=("BitWave",),
-                            networks=(POINT.network,))
+                            networks=(POINT.workload,))
         run_campaign(spec, store)
         (row,) = summary_data(spec, store)
         assert row["origin"] is None and row["round"] is None

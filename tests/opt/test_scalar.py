@@ -8,8 +8,8 @@ import math
 import pytest
 
 from repro.dse.retry import RetryPolicy
-from repro.dse.spec import EvalPoint
 from repro.dse.store import ResultStore
+from repro.eval.request import EvalRequest
 from repro.opt.objective import Objective
 from repro.opt.scalar import (
     TUNE_ORIGIN,
@@ -170,9 +170,8 @@ class TestTuneArchField:
 
     def _measure(self, store: ResultStore, sram_pj: float) -> float:
         from repro.dse.summary import METRICS
-        point = EvalPoint(
-            accelerator="BitWave", network=self.NETWORK,
-            arch=f"bitwave-16nm@sram_pj={sram_pj:g}")
+        point = EvalRequest(
+            self.NETWORK, arch=f"bitwave-16nm@sram_pj={sram_pj:g}")
         probe = Objective(store, origin="opt:test").probe(point)
         return METRICS["energy"].extract(probe.result)
 

@@ -164,6 +164,30 @@ class TestErrorMapping:
         assert bad_int[0] == 400
         assert "batch" in bad_int[2]["error"]
 
+    def test_unknown_request_fields_are_400(self, tmp_path, monkeypatch):
+        """A misspelled field is refused, never read as the default
+        configuration; one misspelled batch entry refuses the batch."""
+        calls = counting_backend(monkeypatch, "model")
+        good = {"workload": MINI_WORKLOAD}
+
+        async def main():
+            service, server, port = await _served(tmp_path)
+            query = await http_request(
+                port, "GET", "/eval?" + urlencode(
+                    {"workload": MINI_WORKLOAD, "acclerator": "SCNN"}))
+            batch = await http_request(
+                port, "POST", "/eval/batch",
+                body=[good, {**good, "archh": "bitwave-dense-16nm"}])
+            await _shutdown(service, server)
+            return query, batch
+
+        query, batch = run_async(main())
+        assert query[0] == 400
+        assert "acclerator" in query[2]["error"]
+        assert batch[0] == 400
+        assert "archh" in batch[2]["error"]
+        assert calls == []
+
     def test_unknown_path_404_wrong_method_405(self, tmp_path):
         async def main():
             service, server, port = await _served(tmp_path)

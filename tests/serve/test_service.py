@@ -26,7 +26,7 @@ from repro.dse.retry import RetryPolicy
 from repro.dse.store import ResultStore
 from repro.eval.request import EvalRequest
 from repro.serve import service as service_module
-from repro.serve.service import EvalService, Outcome, ServeJob
+from repro.serve.service import EvalService, Outcome
 from serve_helpers import counting_backend, fake_result, mini_request, run_async
 
 #: A zero-wait retry policy so failure tests don't sleep.
@@ -567,10 +567,6 @@ class TestValidation:
 
     def test_outcome_and_job_shapes(self):
         request = mini_request()
-        job = ServeJob(request)
-        assert job.key() == request.key()
-        assert job.label == request.label
-        assert job.to_dict() == request.to_dict()
         assert not Outcome(key="k").ok
         assert Outcome(key="k", result=fake_result(request)).ok
 
