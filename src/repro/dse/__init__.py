@@ -30,13 +30,7 @@ from repro.dse.gc import collect_garbage, live_namespaces
 from repro.dse.pool import WatchdogPool
 from repro.dse.retry import PointFailure, RetryPolicy
 from repro.dse.records import make_record, result_from_dict, result_to_dict
-from repro.dse.spec import (
-    CampaignSpec,
-    Shard,
-    code_fingerprint,
-    config_hash,
-    paper_grid,
-)
+from repro.dse.spec import CampaignSpec, Shard, config_hash, paper_grid
 from repro.dse.store import (
     CompactStats,
     ResultStore,
@@ -49,6 +43,7 @@ from repro.dse.summary import (
     pareto_table,
     summary_table,
 )
+from repro.eval.fingerprints import code_fingerprint
 
 __all__ = [
     "METRICS",

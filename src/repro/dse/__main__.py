@@ -14,7 +14,7 @@ Examples::
 
     # The evaluation backend is a campaign axis: sim-backed points run
     # the structural NPU simulator (repro.eval's sim-* backends) and
-    # land in the simulator's ``simnet-`` namespace of the store.
+    # land in the same store as the model's, keyed by backend.
     python -m repro.dse run --name simgrid --accelerators BitWave \\
         --networks cnn_lstm --backends model,sim-vectorized
 
@@ -296,10 +296,8 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_points(args: argparse.Namespace) -> int:
-    from repro.dse.store import StoreRouter
-
     spec = _load_spec(args)
-    router = StoreRouter(_store(args))
+    store = _store(args)
     points = spec.points()
     if args.shard is not None:
         points = args.shard.select(points)
@@ -308,13 +306,12 @@ def _cmd_points(args: argparse.Namespace) -> int:
             {"accelerator": point.accelerator, "network": point.workload,
              "variant": point.variant, "backend": point.backend,
              "arch": point.arch, "key": point.key(), "label": point.label,
-             "cached": point.key() in router.for_point(point)}
+             "cached": point.key() in store}
             for point in points
         ])
         return 0
     for point in points:
-        status = ("cached" if point.key() in router.for_point(point)
-                  else "pending")
+        status = "cached" if point.key() in store else "pending"
         print(f"{point.key()}  {status:8s}  {point.label}")
     return 0
 

@@ -27,11 +27,10 @@ costs exactly itself:
 
 Points are :class:`~repro.eval.request.EvalRequest` objects: workers
 receive the requests themselves, and each record's ``point`` is
-``request.to_dict()``, as for every other producer.  Records land in
-per-backend stores: model-backed points go to the campaign's store,
-simulator-backed points to the sibling ``simnet-`` namespace under the
-same root.  Both namespaces derive from one digest of the whole source
-tree, so any edit re-evaluates every point.
+``request.to_dict()``, as for every other producer.  Every point's
+record, whatever its backend, lands in the campaign's store, whose
+namespace is one digest of the whole source tree, so any edit
+re-evaluates every point.
 
 Before a pool of two or more workers starts, a *profile pass* splits
 the weight profiling of the pending model points' networks layer by
@@ -69,7 +68,7 @@ from repro.dse.pool import WatchdogPool, run_inline
 from repro.dse.records import make_record, result_from_dict, result_to_dict
 from repro.dse.retry import PointFailure, RetryPolicy
 from repro.dse.spec import CampaignSpec, Shard
-from repro.dse.store import ResultStore, StoreRouter
+from repro.dse.store import ResultStore
 from repro.eval.registry import get_backend
 from repro.eval.request import MODEL_BACKEND, EvalRequest
 from repro.eval.result import EvalResult
@@ -351,7 +350,7 @@ def drive_points(
     cached_result: Callable[[PointT], ResultT | None],
     make_point_record: Callable[[PointT, Any, float], dict[str, Any]],
     decode_result: Callable[[Any], ResultT],
-    store_for: Callable[[PointT], ResultStore],
+    store: ResultStore,
     force: bool = False,
     progress: ProgressFn | None = None,
     policy: RetryPolicy | None = None,
@@ -367,7 +366,7 @@ def drive_points(
     - ``cached_result(point)`` -- decoded stored value or ``None``;
     - ``make_point_record(point, payload, elapsed_s)`` -- store record;
     - ``decode_result(payload)`` -- worker payload to stored value;
-    - ``store_for(point)`` -- the store a point's record lands in;
+    - ``store`` -- the store every record lands in;
     - ``before_fork(pending, jobs, policy, should_stop)`` -- optional;
       runs in the parent after the cache scan, inside the signal
       guard, when the pending points go to a pool of two or more
@@ -443,7 +442,7 @@ def drive_points(
                     record["attempts"] = attempts
                     record["last_error"] = run.last_error.get(key)
                 with trace("dse.persist", label=point.label):
-                    store_for(point).put(key, record)
+                    store.put(key, record)
             except OSError:
                 # An unwritable store costs persistence, not the run.
                 store_down = True
@@ -631,18 +630,17 @@ def run_campaign(
 ) -> CampaignRun[EvalRequest, EvalResult]:
     """Run (or resume) a campaign; returns the result grid.
 
-    Points whose key already exists in their backend's store are served
-    from disk unless ``force`` re-evaluates them.  ``jobs > 1``
-    evaluates the pending points on a supervised process pool, after a
-    profile pass (see the module docstring) has profiled their
-    networks once; ``jobs=0`` uses every CPU.  ``store`` holds the
-    model-backed records; points on other backends persist next to it
-    under the backend's own fingerprint namespace.  ``shard`` restricts
-    the run to one deterministic slice of the grid (see
-    :class:`repro.dse.spec.Shard`) so N processes/hosts can split a
-    campaign and later ``merge`` their stores.  ``policy`` (default:
-    the spec's ``retry`` field, else :class:`RetryPolicy`'s defaults)
-    governs retries, per-point timeouts, and poison quarantine.
+    Points whose key already exists in ``store`` are served from disk
+    unless ``force`` re-evaluates them; ``store`` holds every point's
+    record, whatever its backend.  ``jobs > 1`` evaluates the pending
+    points on a supervised process pool, after a profile pass (see the
+    module docstring) has profiled their networks once; ``jobs=0``
+    uses every CPU.  ``shard`` restricts the run to one deterministic
+    slice of the grid (see :class:`repro.dse.spec.Shard`) so N
+    processes/hosts can split a campaign and later ``merge`` their
+    stores.  ``policy`` (default: the spec's ``retry`` field, else
+    :class:`RetryPolicy`'s defaults) governs retries, per-point
+    timeouts, and poison quarantine.
     """
     spec.validate()
     if store is None:
@@ -654,17 +652,14 @@ def run_campaign(
         points = shard.select(points)
     run: CampaignRun[EvalRequest, EvalResult] = CampaignRun(
         spec=spec, store_path=store.path, points=points, total=len(points))
-    router = StoreRouter(store)
     drive_points(
         points, run,
         jobs=jobs,
         worker=_worker,
-        cached_result=router.result,
-        make_point_record=lambda point, payload, elapsed: make_record(
-            point, payload, elapsed,
-            fingerprint=get_backend(point.backend).fingerprint()),
+        cached_result=lambda point: store.result(point.key()),
+        make_point_record=make_record,
         decode_result=result_from_dict,
-        store_for=router.for_point,
+        store=store,
         force=force,
         progress=progress,
         policy=policy,

@@ -1,15 +1,15 @@
 """Store lifecycle: compact live namespaces, evict stale ones.
 
 A store root accumulates one namespace directory per source
-fingerprint that ever ran a campaign.  Every namespace digests the
-whole ``repro`` tree and numpy's version, so any source edit or numpy
-upgrade rotates all of them and the old namespaces silently stop being
-read -- they are pure disk weight.
-:func:`collect_garbage` walks a root, compacts the namespaces the
-current source tree still produces (dropping superseded ``--force``
-duplicates and torn lines), and evicts stale namespaces by age and an
-optional total-size budget.
-Live namespaces are never evicted, whatever the budget.
+fingerprint that ever ran a campaign.  The namespace digests the whole
+``repro`` tree and numpy's version, so any source edit or numpy
+upgrade rotates it and the old namespaces silently stop being read --
+they are pure disk weight.
+:func:`collect_garbage` walks a root, compacts the namespace the
+current source tree writes (dropping superseded ``--force`` duplicates
+and torn lines), and evicts stale namespaces by age and an optional
+total-size budget.
+The live namespace is never evicted, whatever the budget.
 
 CLI: ``python -m repro.dse gc [--dry-run] [--max-age-days D]
 [--max-bytes N]``.
@@ -30,23 +30,21 @@ from repro.dse.store import (
     encode_record,
     scan_jsonl,
 )
+from repro.eval.fingerprints import code_fingerprint
 
 #: Default age after which a stale namespace is evicted.
 DEFAULT_MAX_AGE_DAYS = 30.0
 
 
 def live_namespaces() -> frozenset[str]:
-    """Every namespace the current source tree can still write to.
+    """The namespace the current source tree writes, as a set.
 
-    The registered evaluation backends' namespaces (model and
-    ``simnet-``) plus the guided co-search's ``opt-``, all derived from
-    one whole-tree digest.  Anything else under a root -- an older
-    digest, or a prefix the tree no longer writes, such as the retired
-    ``sim-`` validation campaigns -- is stale.
+    Every backend's records and every co-search probe share the one
+    whole-tree digest.  Anything else under a root -- an older digest,
+    or a prefix the tree no longer writes, such as the retired
+    ``sim-``, ``simnet-`` and ``opt-`` namespaces -- is stale.
     """
-    from repro.eval.fingerprints import live_fingerprints, opt_fingerprint
-
-    return live_fingerprints() | {opt_fingerprint()}
+    return frozenset({code_fingerprint()})
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,8 @@ def collect_garbage(
 
     Policy, in order:
 
-    1. live namespaces (producible by the current source) are compacted
-       when that reclaims bytes, otherwise kept -- never evicted;
+    1. the live namespace (the current source's) is compacted when
+       that reclaims bytes, otherwise kept -- never evicted;
     2. stale namespaces older than ``max_age_days`` (since their last
        append) are evicted;
     3. if the root would still exceed ``max_bytes``, the remaining

@@ -38,15 +38,13 @@ def make_record(
     point: Keyed,
     result: EvalResult | Mapping[str, Any],
     elapsed_s: float | None = None,
-    fingerprint: str | None = None,
     attempts: int | None = None,
     last_error: str | None = None,
     extra: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Assemble one store record for ``point``'s result.
+    """Assemble one store record for ``point``'s result, computed under
+    :func:`~repro.eval.fingerprints.code_fingerprint`.
 
-    ``fingerprint`` defaults to the model namespace; producers writing
-    to another namespace (the simulator, co-search) pass theirs.
     ``attempts``/``last_error`` record a bumpy evaluation history (the
     executor's retry path sets them when a point needed more than one
     attempt); omitted, the keys stay out of the record so pre-existing
@@ -60,7 +58,7 @@ def make_record(
     record: dict[str, Any] = {
         "key": point.key(),
         "point": point.to_dict(),
-        "fingerprint": fingerprint or code_fingerprint(),
+        "fingerprint": code_fingerprint(),
         "created_at": time.time(),
         "elapsed_s": elapsed_s,
         "result": payload,

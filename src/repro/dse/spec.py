@@ -27,7 +27,6 @@ from typing import Any, Mapping, Protocol, Sequence, TypeVar
 from repro.accelerators import BITWAVE_VARIANTS, SOTA_ACCELERATORS
 from repro.arch import DEFAULT_ARCH, canonical_arch
 from repro.dse.retry import RetryPolicy
-from repro.eval.fingerprints import code_fingerprint  # noqa: F401  (re-export)
 from repro.eval.registry import backend_names
 from repro.eval.request import MODEL_BACKEND, config_hash  # noqa: F401
 from repro.eval.request import EvalRequest

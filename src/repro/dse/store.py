@@ -1,11 +1,11 @@
 """Persistent on-disk result store (append-only JSONL).
 
 Layout: ``<root>/<namespace>/results.jsonl`` -- one JSON record per
-line, keyed by the evaluation point's config hash.  Every namespace
-derives from one digest of the whole source tree
-(:mod:`repro.eval.fingerprints`), so any source edit silently starts
-fresh namespaces instead of serving stale results, while re-runs under
-unchanged code are fully incremental.
+line, keyed by the evaluation point's config hash.  The namespace is
+one digest of the whole source tree (:mod:`repro.eval.fingerprints`),
+shared by every backend and the co-search, so any source edit
+silently starts a fresh namespace instead of serving stale results,
+while re-runs under unchanged code are fully incremental.
 
 Duplicate keys are legal (``--force`` re-evaluations append); the last
 record wins on load.  A torn trailing line from an interrupted write is
@@ -434,37 +434,3 @@ class ResultStore:
             self._encoded[key] = entry
         return result, entry[1]
 
-
-class StoreRouter:
-    """Routes each evaluation point to its backend's store namespace.
-
-    Model-backed records live in the campaign's own store; every other
-    backend gets a sibling namespace under the same root, keyed by the
-    backend's source fingerprint -- so a mixed-backend campaign's
-    executor, summaries, and CLI all agree on where records land.
-    """
-
-    def __init__(self, base: ResultStore) -> None:
-        from repro.eval.request import MODEL_BACKEND
-
-        self.base = base
-        self._stores: dict[str, ResultStore] = {MODEL_BACKEND: base}
-
-    def for_backend(self, backend: str) -> ResultStore:
-        if backend not in self._stores:
-            from repro.eval.registry import get_backend
-
-            self._stores[backend] = ResultStore(
-                self.base.root,
-                namespace=get_backend(backend).fingerprint())
-        return self._stores[backend]
-
-    def for_point(self, point: Any) -> ResultStore:
-        return self.for_backend(point.backend)
-
-    def result(self, point: Any) -> EvalResult | None:
-        return self.for_point(point).result(point.key())
-
-    def record(self, point: Any) -> dict[str, Any] | None:
-        """The raw stored record for ``point`` (provenance and all)."""
-        return self.for_point(point).get(point.key())

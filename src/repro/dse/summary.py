@@ -12,7 +12,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.core.pareto import pareto_front
 from repro.dse.spec import CampaignSpec
-from repro.dse.store import ResultStore, StoreRouter
+from repro.dse.store import ResultStore
 from repro.eval.request import EvalRequest
 from repro.eval.result import EvalResult
 from repro.utils.tables import format_table
@@ -101,13 +101,12 @@ def summary_data(
     raised in the reporting run; every row carries an ``error`` field
     (``None`` when the point did not fail or no run context is given).
     """
-    router = StoreRouter(store)
     failures = failures or {}
     rows: list[dict[str, Any]] = []
     for point in spec.points():
         columns = point_columns(point)
-        record = router.record(point)
-        result = router.result(point)
+        record = store.get(columns["key"])
+        result = store.result(columns["key"])
         entry: dict[str, Any] = {
             **columns,
             "stored": result is not None,
@@ -164,10 +163,9 @@ def campaign_pareto(
     fictitious value.
     """
     mx, my = resolve_metric(x), resolve_metric(y)
-    router = StoreRouter(store)
     points = []
     for point in spec.points():
-        result = router.result(point)
+        result = store.result(point.key())
         if result is None:
             continue
         vx, vy = mx.extract(result), my.extract(result)
@@ -184,11 +182,10 @@ def pareto_data(
     y: str = "energy",
 ) -> list[dict[str, Any]]:
     """JSON-able Pareto front rows over two named metrics."""
-    router = StoreRouter(store)
     return [
         {
             **point_columns(point),
-            **_provenance(router.record(point)),
+            **_provenance(store.get(point.key())),
             x: vx,
             y: vy,
         }

@@ -18,7 +18,7 @@ plug into:
   output context of every layer (computed from the weights' index
   bytes alone -- no activations, no GEMM, no context cap);
 - :func:`evaluate` -- the single entry point, with store-backed caching
-  keyed by request hash and namespaced per backend by a prefix on one
+  keyed by request hash in one namespace for every backend, the
   digest of the whole source tree.
 
 The DSE campaigns (:mod:`repro.dse`) and the experiment harnesses
@@ -28,7 +28,7 @@ accelerator instance with no registry name evaluates through
 """
 
 from repro.eval.api import default_store, eval_store, evaluate, reset_cache
-from repro.eval.fingerprints import code_fingerprint, sim_backend_fingerprint
+from repro.eval.fingerprints import code_fingerprint
 from repro.eval.registry import (
     EvalBackend,
     backend_names,
@@ -60,5 +60,4 @@ __all__ = [
     "get_backend",
     "register_backend",
     "reset_cache",
-    "sim_backend_fingerprint",
 ]

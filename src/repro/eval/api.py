@@ -6,12 +6,13 @@ including across processes -- are incremental.  A per-process memo on
 top keeps object identity and avoids repeated deserialization.
 
 The store layout is the :class:`repro.dse.store.ResultStore` JSONL
-machinery; each backend gets its own namespace, derived from one
-digest of the whole source tree (:mod:`repro.eval.fingerprints`), so
-any source edit invalidates every backend's cached results at once.
+machinery; every backend's records share one namespace, the digest of
+the whole source tree (:mod:`repro.eval.fingerprints`), and the
+request key tells backends apart.  Any source edit invalidates every
+cached result at once.
 
 **Concurrency.** This module is written for one sequential caller per
-process.  The memo and store-handle dicts are mutated without locks,
+process.  The memo and the store handle are mutated without locks,
 and -- the sharper edge -- concurrent :func:`evaluate` calls for the
 same not-yet-cached request each run the full backend computation and
 each append a store record (last write wins; correct but wasteful,
@@ -39,33 +40,40 @@ from repro.eval.result import EvalResult
 
 #: Per-process memo: (backend name, request key) -> result.
 _MEMO: dict[tuple[str, str], EvalResult] = {}
-#: Per-namespace default stores; ``None`` marks an unusable store
-#: (e.g. a read-only filesystem -- evaluation then skips persistence).
-_STORES: dict[str, "ResultStore | None"] = {}
+#: The process-wide default store once opened; ``None`` marks an
+#: unusable store (e.g. a read-only filesystem -- evaluation then skips
+#: persistence).
+_STORE: "ResultStore | None" = None
+_STORE_OPENED = False
 
 
 def eval_store(backend: EvalBackend | str,
                root: "str | Path | None" = None) -> "ResultStore":
-    """A result store namespaced by ``backend``'s source fingerprint."""
+    """The store under ``root`` that holds ``backend``'s results: the
+    one namespace every backend shares.  Raises ``ValueError`` for an
+    unknown backend name."""
     from repro.dse.store import ResultStore
 
     if isinstance(backend, str):
-        backend = get_backend(backend)
-    return ResultStore(root, namespace=backend.fingerprint())
+        get_backend(backend)
+    return ResultStore(root)
 
 
-def default_store(backend: EvalBackend) -> "ResultStore | None":
-    """The process-wide store for ``backend``, or ``None`` if broken."""
-    namespace = backend.fingerprint()
-    if namespace not in _STORES:
-        _STORES[namespace] = eval_store(backend)
-    return _STORES[namespace]
+def default_store() -> "ResultStore | None":
+    """The process-wide store, or ``None`` if broken."""
+    global _STORE, _STORE_OPENED
+    if not _STORE_OPENED:
+        from repro.dse.store import ResultStore
+
+        _STORE, _STORE_OPENED = ResultStore(), True
+    return _STORE
 
 
 def reset_cache() -> None:
-    """Drop the per-process memo and store handles (used by tests)."""
+    """Drop the per-process memo and store handle (used by tests)."""
+    global _STORE, _STORE_OPENED
     _MEMO.clear()
-    _STORES.clear()
+    _STORE, _STORE_OPENED = None, False
 
 
 def memoize(request: EvalRequest, result: EvalResult) -> EvalResult:
@@ -87,10 +95,10 @@ def evaluate(request: EvalRequest,
              force: bool = False) -> EvalResult:
     """Answer ``request`` through memo -> store -> backend compute.
 
-    ``store`` overrides the default fingerprint-namespaced store for
-    this call, for both the read and the write (its records are still
-    keyed by ``request.key()``); explicit-store calls bypass the
-    per-process memo so the given store is really consulted.  ``force``
+    ``store`` overrides the default store for this call, for both the
+    read and the write (its records are still keyed by
+    ``request.key()``); explicit-store calls bypass the per-process
+    memo so the given store is really consulted.  ``force``
     bypasses memo and store reads; the fresh result is still persisted.
 
     Not safe for concurrent callers (threads or asyncio tasks): the
@@ -102,6 +110,7 @@ def evaluate(request: EvalRequest,
     """
     from repro.dse.records import make_record
 
+    global _STORE
     request.validate()
     backend = get_backend(request.backend)
     key = request.key()
@@ -110,7 +119,7 @@ def evaluate(request: EvalRequest,
         if not force and (request.backend, key) in _MEMO:
             counter("eval.cache", result="memo", backend=request.backend)
             return _MEMO[(request.backend, key)]
-        store = default_store(backend)
+        store = default_store()
 
     result = None
     if store is not None and not force:
@@ -122,14 +131,13 @@ def evaluate(request: EvalRequest,
                    workload=request.workload):
             result = backend.evaluate(request)
         if store is not None:
-            record = make_record(request, result,
-                                 fingerprint=backend.fingerprint())
+            record = make_record(request, result)
             try:
                 with trace("eval.persist", backend=request.backend):
                     store.put(key, record)
             except OSError:
-                if not explicit:  # degrade: stop retrying this namespace
-                    _STORES[backend.fingerprint()] = None
+                if not explicit:  # degrade: stop retrying the store
+                    _STORE = None
     else:
         counter("eval.cache", result="store", backend=request.backend)
     if not explicit:

@@ -32,7 +32,6 @@ from repro.accelerators import (
 )
 from repro.accelerators.base import Accelerator, NetworkEvaluation
 from repro.arch import ArchSpec, parse_arch
-from repro.eval.fingerprints import code_fingerprint, sim_backend_fingerprint
 from repro.eval.lowering import lower_layer
 from repro.eval.registry import register_backend
 from repro.obs import trace
@@ -69,9 +68,6 @@ class ModelBackend:
 
     name = "model"
 
-    def fingerprint(self) -> str:
-        return code_fingerprint()
-
     def arch_reads(self, accelerator: str,
                    variant: str | None) -> frozenset[str]:
         return config_arch_reads(accelerator, variant)
@@ -104,9 +100,6 @@ class SimBackend:
         "columns", "dense_precision", "sram_kb", "clock_mhz",
         "dram_pj", "sram_pj", "reg_pj", "bce_pj",
     })
-
-    def fingerprint(self) -> str:
-        return sim_backend_fingerprint()
 
     def arch_reads(self, accelerator: str,
                    variant: str | None) -> frozenset[str]:

@@ -1,15 +1,15 @@
-"""Source fingerprints namespacing the persistent result store.
+"""The source fingerprint naming the persistent result store's namespace.
 
 Persisted results are only valid for the code that produced them, so
-every store namespace derives from one digest of every ``*.py`` file
-under the installed ``repro`` package and of numpy's version, computed
-once per process.  numpy counts because every cached number derives
-from a ``Generator`` draw, and numpy promises no stable stream across
-releases (NEP 19).  The model namespace is the bare digest; the
-simulator and co-search namespaces prefix it with ``simnet-`` and
-``opt-``.  Any edit under ``src/repro``, or another numpy, rotates
-every namespace (one cold start), and :mod:`repro.dse.gc` treats the
-old ones as stale.
+the store namespace is one digest of every ``*.py`` file under the
+installed ``repro`` package and of numpy's version, computed once per
+process.  numpy counts because every cached number derives from a
+``Generator`` draw, and numpy promises no stable stream across
+releases (NEP 19).  Every backend's records and every co-search probe
+live under this one namespace: their keys already hash the backend
+(or the probe kind), so nothing else needs separating.  Any edit under
+``src/repro``, or another numpy, rotates the namespace (one cold
+start), and :mod:`repro.dse.gc` treats the old ones as stale.
 
 Nothing narrower is worth its cost: a hand-kept package list misses the
 next new import, and both backends' ``evaluate`` methods live in
@@ -40,35 +40,8 @@ def tree_digest(root: str | Path) -> str:
 
 
 @lru_cache(maxsize=1)
-def _installed_digest() -> str:
+def code_fingerprint() -> str:
+    """The store namespace: the installed tree's :func:`tree_digest`."""
     import repro
 
     return tree_digest(Path(repro.__file__).parent)  # type: ignore[arg-type]
-
-
-def code_fingerprint() -> str:
-    """The model namespace: the installed tree's :func:`tree_digest`."""
-    return _installed_digest()
-
-
-def sim_backend_fingerprint() -> str:
-    """The namespace of simulator-backed evaluations."""
-    return "simnet-" + _installed_digest()
-
-
-def opt_fingerprint() -> str:
-    """The namespace of co-search probe records (:mod:`repro.opt`)."""
-    return "opt-" + _installed_digest()
-
-
-def live_fingerprints() -> frozenset[str]:
-    """The registered evaluation backends' namespaces.
-
-    Every other namespace under a store root was written by an earlier
-    revision of the code; :func:`repro.dse.gc.live_namespaces` adds the
-    co-search namespace to this set.
-    """
-    from repro.eval.registry import backend_names, get_backend
-
-    return frozenset(
-        get_backend(name).fingerprint() for name in backend_names())

@@ -81,9 +81,8 @@ def prewarm_grids(
     from repro.dse.executor import run_campaign
     from repro.dse.spec import CampaignSpec
     from repro.eval import api
-    from repro.eval.registry import get_backend
 
-    store = api.default_store(get_backend("model"))
+    store = api.default_store()
     if store is None:
         return None
     spec = CampaignSpec(

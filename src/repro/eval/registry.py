@@ -3,10 +3,10 @@
 A backend is anything that can answer an :class:`EvalRequest` with a
 canonical :class:`EvalResult`: the analytical model, a structural
 simulator datapath, or (later) an RTL trace reader or remote service.
-Backends self-describe with a ``fingerprint`` -- their result-store
-namespace, the whole-tree digest of :mod:`repro.eval.fingerprints`
-behind a backend-specific prefix -- so any source edit invalidates
-every backend's cached results.
+A backend names itself, declares the arch fields it reads, and
+evaluates; every backend's results share the one store namespace of
+:mod:`repro.eval.fingerprints`, told apart by the request key, which
+hashes the backend's name.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class EvalBackend(Protocol):
 
     #: Registry name (``"model"``, ``"sim-vectorized"``, ...).
     name: str
-
-    def fingerprint(self) -> str:
-        """This backend's store namespace (a whole-tree digest)."""
-        ...
 
     def arch_reads(self, accelerator: str,
                    variant: str | None) -> frozenset[str]:

@@ -16,10 +16,10 @@ frontier across ``{strategy x arch}``.
 
 Pricing probes go through :meth:`repro.opt.objective.Objective.answer`
 like every guided probe (same counters, fault site, retries and record
-stamping), and persist in an ``opt-`` fingerprinted namespace of the
-shared store root (keys hash the strategy + arch + workload), so
-re-running a co-search re-prices nothing, and records carry
-``origin="opt:cosearch"`` provenance.
+stamping), and persist in the store the co-search is given, beside
+the other records (keys hash the probe kind + strategy + arch +
+workload), so re-running a co-search re-prices nothing, and records
+carry ``origin="opt:cosearch"`` provenance.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.core.search import (
 from repro.dse.retry import RetryPolicy
 from repro.dse.store import ResultStore
 from repro.dse.summary import METRICS
-from repro.eval.fingerprints import opt_fingerprint
 from repro.eval.request import config_hash
 from repro.eval.result import EvalResult, from_network_evaluation
 from repro.models import BUILDERS
@@ -214,7 +213,6 @@ def cosearch(
     """
     config = config or CosearchConfig()
     objective = Objective(store, origin=COSEARCH_ORIGIN, policy=policy)
-    probe_store = ResultStore(store.root, namespace=opt_fingerprint())
 
     with trace("opt.round", origin=COSEARCH_ORIGIN, round=0,
                phase="accuracy-search"):
@@ -252,8 +250,7 @@ def cosearch(
                     workload=config.network, arch=arch,
                     preset=config.preset, strategy=strategy)
                 result, _, _ = objective.answer(
-                    probe, probe_store, partial(_price, probe),
-                    opt_fingerprint, round_index=round_index,
+                    probe, partial(_price, probe), round_index=round_index,
                     backend="model", workload=probe.workload)
                 if result is None:
                     continue

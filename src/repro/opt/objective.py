@@ -1,8 +1,8 @@
 """The failure-tolerant, cache-sharing objective behind every probe.
 
 An :class:`Objective` turns ``repro.eval.evaluate``'s machinery into a
-deterministic callback for guided drivers: store lookup first (guided
-and exhaustive runs share the fingerprint-namespaced cache keyspace),
+deterministic callback for guided drivers: lookup in the store it was
+given first (guided and exhaustive runs share its keyspace),
 backend compute on a miss with bounded retries
 (:meth:`repro.dse.retry.RetryPolicy.call`), and a store record stamped
 with search provenance (``origin`` and round index in ``extra``) so
@@ -27,7 +27,7 @@ from typing import Callable
 from repro import faults
 from repro.dse.records import Keyed, make_record
 from repro.dse.retry import RetryPolicy
-from repro.dse.store import ResultStore, StoreRouter
+from repro.dse.store import ResultStore
 from repro.eval.registry import get_backend
 from repro.eval.request import EvalRequest
 from repro.eval.result import EvalResult
@@ -56,10 +56,10 @@ class Objective:
     """Deterministic, failure-tolerant ``probe(request) -> Probe`` callback.
 
     ``origin`` names the driver (``"opt:sh"``, ``"opt:cosearch"``, ...)
-    and is stamped into every record this objective writes.  The
-    ``trajectory`` lists every probed request key in call order --
-    cache hits included -- so two runs of a seeded driver can be
-    checked for bit-identical probe sequences.
+    and is stamped into every record this objective writes to
+    ``store``.  The ``trajectory`` lists every probed request key in
+    call order -- cache hits included -- so two runs of a seeded driver
+    can be checked for bit-identical probe sequences.
     """
 
     def __init__(
@@ -69,7 +69,7 @@ class Objective:
         origin: str,
         policy: RetryPolicy | None = None,
     ) -> None:
-        self.router = StoreRouter(store)
+        self.store = store
         self.origin = origin
         self.policy = policy or RetryPolicy()
         self.trajectory: list[str] = []
@@ -89,20 +89,17 @@ class Objective:
         request.validate()
         backend = get_backend(request.backend)
         result, attempts, error = self.answer(
-            request, self.router.for_point(request),
-            lambda: backend.evaluate(request), backend.fingerprint,
+            request, lambda: backend.evaluate(request),
             round_index=round_index, backend=request.backend,
             workload=request.workload)
         return Probe(request=request, result=result, cached=attempts == 0,
                      attempts=attempts, error=error)
 
-    def answer(self, subject: Keyed, store: ResultStore,
-               evaluate: Callable[[], EvalResult],
-               fingerprint: Callable[[], str], *, round_index: int,
-               backend: str, workload: str,
+    def answer(self, subject: Keyed, evaluate: Callable[[], EvalResult],
+               *, round_index: int, backend: str, workload: str,
                ) -> tuple[EvalResult | None, int, str | None]:
-        """``subject``'s result from ``store``, else ``evaluate()`` under
-        the retry policy, recorded under ``fingerprint()``.
+        """``subject``'s result from the store, else ``evaluate()`` under
+        the retry policy, recorded in the store.
 
         Returns ``(result, attempts, error)``; a store hit took 0
         attempts, and a failure has ``result=None`` and its last error.
@@ -111,7 +108,7 @@ class Objective:
         self.trajectory.append(key)
         with trace("opt.probe", origin=self.origin, round=round_index,
                    backend=backend, workload=workload):
-            cached = store.result(key)
+            cached = self.store.result(key)
             if cached is not None:
                 self.saved += 1
                 counter("opt.probes.saved", origin=self.origin)
@@ -137,9 +134,8 @@ class Objective:
                 return None, len(failures), last_error
             result, elapsed = value
             attempts = len(failures) + 1
-            store.put(key, make_record(
+            self.store.put(key, make_record(
                 subject, result, elapsed_s=elapsed,
-                fingerprint=fingerprint(),
                 attempts=attempts if failures else None,
                 last_error=last_error,
                 extra={"origin": self.origin, "round": round_index},

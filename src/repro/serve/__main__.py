@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "$REPRO_DSE_STORE or ~/.cache/repro-dse)")
     parser.add_argument("--workers", type=int, default=0,
                         help="supervised worker processes per batch; 0 "
-                             "evaluates inline in-process "
+                             "evaluates inline in-process, or on one "
+                             "supervised worker when --timeout is set "
                              "(default %(default)s)")
     parser.add_argument("--hot-max", type=int, default=DEFAULT_HOT_MAX,
                         help="hot-tier capacity in results; 0 disables "

@@ -18,15 +18,10 @@ import threading
 from collections import deque
 
 from repro import obs
+from repro.obs.report import percentile
 
 #: Request latencies retained for the percentile window.
 LATENCY_WINDOW = 1024
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty list."""
-    rank = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 class ServeMetrics:
@@ -67,7 +62,7 @@ class ServeMetrics:
         return {
             "count": len(ordered),
             "mean_ms": 1e3 * sum(ordered) / len(ordered),
-            "p50_ms": 1e3 * _percentile(ordered, 0.50),
-            "p95_ms": 1e3 * _percentile(ordered, 0.95),
+            "p50_ms": 1e3 * percentile(ordered, 0.50),
+            "p95_ms": 1e3 * percentile(ordered, 0.95),
             "max_ms": 1e3 * ordered[-1],
         }

@@ -12,21 +12,23 @@ questions through four tiers, cheapest first:
    that replaces :mod:`repro.eval.api`'s per-process memo, which is
    not safe for concurrent callers (see that module's docstring);
 3. **store** -- the fcntl-locked persistent
-   :class:`~repro.dse.store.ResultStore`, one namespace per backend
-   fingerprint, shared with every campaign and CLI run.  A key already
-   in a loaded namespace's in-memory index is answered on the event
-   loop; only a read of the file (the first load, or the refresh after
-   a miss) goes to a thread.  The store keeps each result's JSON bytes
+   :class:`~repro.dse.store.ResultStore`: one namespace under the
+   root, holding every backend's records and shared with every
+   campaign and CLI run.  A key already in the loaded namespace's
+   in-memory index is answered on the event loop; only a read of the
+   file (the first load, or the refresh after a miss) goes to a
+   thread.  The store keeps each result's JSON bytes
    (:func:`~repro.dse.store.encode_json`, the encoding of its record
    lines too), encoded on the key's first store hit, so a key evicted
    from the hot tier is not encoded again;
 4. **compute** -- a bounded background worker pool.  ``workers=0``
    evaluates misses inline on the dispatch thread (no subprocesses;
-   the low-latency single-host mode); ``workers>=1`` fans each batch
-   of misses out over the supervised, self-healing
-   :class:`~repro.dse.pool.WatchdogPool`, so a crashing or hanging
-   evaluation costs one worker process, never the service.  The
-   queued requests themselves are the pool tasks, as a campaign's
+   the low-latency single-host mode) unless the retry policy sets a
+   timeout, which only a watchdog can enforce; ``workers>=1``, or a
+   timeout, fans each batch of misses out over the supervised,
+   self-healing :class:`~repro.dse.pool.WatchdogPool`, so a crashing
+   or hanging evaluation costs one worker process, never the service.
+   The queued requests themselves are the pool tasks, as a campaign's
    points are.
 
 Both compute modes report to one outcome handler, which retries
@@ -157,7 +159,7 @@ class EvalService:
         self.policy = policy or RetryPolicy()
         self.hot = HotCache(hot_max)
         self.metrics = ServeMetrics()
-        self._stores: dict[str, ResultStore] = {}
+        self.store = ResultStore(self.store_root)
         self._inflight: dict[str, "asyncio.Future[Outcome]"] = {}
         self._queue: "asyncio.Queue[EvalRequest] | None" = None
         self._dispatcher: "asyncio.Task[None] | None" = None
@@ -208,7 +210,7 @@ class EvalService:
     async def submit(self, request: EvalRequest) -> Outcome:
         """Answer one request through hot -> coalesce -> store -> compute.
 
-        A hot hit, and a store hit from a loaded namespace's in-memory
+        A hot hit, and a store hit from the loaded namespace's in-memory
         index, settle without an await, so a duplicate key later in
         the same batch finds the hot tier rather than a flight to
         coalesce onto.  Raises ``ValueError`` for an invalid request;
@@ -233,13 +235,13 @@ class EvalService:
                 outcome = await asyncio.shield(inflight)
                 return replace(outcome, source="coalesced")
 
-            store = self._stores.get(request.backend)
-            if store is not None and not faults.enabled():
-                # The in-memory index answers on the loop; a miss (or a
-                # lookup racing a refresh) takes the thread path below,
-                # as does every lookup while a fault plan may stall it.
+            if not faults.enabled():
+                # The in-memory index answers on the loop once the
+                # thread path below has loaded the file; a miss (or a
+                # lookup racing a refresh) takes the thread path, as
+                # does every lookup while a fault plan may stall it.
                 with trace("serve.store_lookup", backend=request.backend):
-                    stored = store.result_with_json(key, load=False)
+                    stored = self.store.result_with_json(key, load=False)
                 if stored is not None:
                     return self._store_hit(key, *stored)
 
@@ -303,19 +305,11 @@ class EvalService:
         if future is not None and not future.done():
             future.set_result(outcome)
 
-    def _store_for(self, backend_name: str) -> ResultStore:
-        """This backend's fingerprint-namespaced store under the root."""
-        if backend_name not in self._stores:
-            self._stores[backend_name] = ResultStore(
-                self.store_root,
-                namespace=get_backend(backend_name).fingerprint())
-        return self._stores[backend_name]
-
     def _load_stored(self, request: EvalRequest,
                      key: str) -> tuple[EvalResult, bytes] | None:
         """Blocking store lookup (runs off-loop; chaos-instrumented).
 
-        :meth:`submit` calls it for a namespace not loaded yet, for a
+        :meth:`submit` calls it before the namespace is loaded, for a
         key its in-memory index missed, and for every lookup while a
         fault plan is armed.  A miss re-reads the backing file once
         before giving up: another process (a campaign shard, a sibling
@@ -325,12 +319,11 @@ class EvalService:
         if faults.serve_read_fault(key) is not None:
             self.metrics.incr("serve.faults.slow_read")
         try:
-            store = self._store_for(request.backend)
             with trace("serve.store_lookup", backend=request.backend):
-                stored = store.result_with_json(key)
+                stored = self.store.result_with_json(key)
                 if stored is None:
-                    store.refresh()
-                    stored = store.result_with_json(key)
+                    self.store.refresh()
+                    stored = self.store.result_with_json(key)
             return stored
         except OSError as exc:
             self.metrics.incr("serve.store_errors")
@@ -363,9 +356,12 @@ class EvalService:
 
     def _run_batch(self,
                    requests: list[EvalRequest]) -> dict[str, Outcome]:
-        """Evaluate one batch of misses (blocking; runs off-loop).  No
-        watchdog can end a hung inline attempt; ``workers>=1`` buys the
-        supervised pool when that matters."""
+        """Evaluate one batch of misses (blocking; runs off-loop).
+
+        Inline when ``workers=0`` and the policy sets no timeout;
+        otherwise on a supervised pool of at least one worker, whose
+        watchdog kills an attempt past the policy's deadline, as the
+        campaign executor does."""
         unique = list({request.key(): request
                        for request in requests}.values())
         outcomes: dict[str, Outcome] = {}
@@ -395,11 +391,12 @@ class EvalService:
             outcomes[key] = self._failed(key, failure, attempt + 1)
             return None
 
-        if self.workers == 0:
-            run_inline(_serve_worker, unique, handle)
-        else:
-            WatchdogPool(_serve_worker, min(self.workers, len(unique)),
+        if self.workers >= 1 or self.policy.needs_watchdog():
+            WatchdogPool(_serve_worker,
+                         max(1, min(self.workers, len(unique))),
                          self.policy).run(unique, handle)
+        else:
+            run_inline(_serve_worker, unique, handle)
         return outcomes
 
     def _commit(self, request: EvalRequest, payload: dict[str, Any],
@@ -408,14 +405,13 @@ class EvalService:
         """Persist one fresh result and fill the hot tier (terminal)."""
         key = request.key()
         result = result_from_dict(payload)
-        backend = get_backend(request.backend)
         record = make_record(
-            request, payload, elapsed, fingerprint=backend.fingerprint(),
+            request, payload, elapsed,
             attempts=attempts if attempts > 1 else None,
             last_error=last_error if attempts > 1 else None)
         try:
             with trace("serve.persist", backend=request.backend):
-                self._store_for(request.backend).put(key, record)
+                self.store.put(key, record)
         except OSError:
             # An unwritable store costs persistence, not the answer.
             self.metrics.incr("serve.persist_failures")

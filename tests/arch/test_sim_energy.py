@@ -159,7 +159,7 @@ class TestArchAxisCaching:
         per arch override, on both backends."""
         from repro.dse.executor import run_campaign
         from repro.dse.spec import CampaignSpec
-        from repro.dse.store import ResultStore, StoreRouter
+        from repro.dse.store import ResultStore
 
         spec = CampaignSpec(
             name="tech-sense",
@@ -176,9 +176,8 @@ class TestArchAxisCaching:
         store = ResultStore(tmp_path)
         run = run_campaign(spec, store)
         assert (run.total, run.evaluated) == (6, 6)
-        router = StoreRouter(store)
         for point in points:
-            stored = router.result(point)
+            stored = store.result(point.key())
             assert stored is not None
             assert stored.models_energy  # both backends price energy
         # Resume is fully cached -- records really landed per-arch.

@@ -22,14 +22,9 @@ from repro.dse.executor import CampaignRun, _worker, drive_points, run_campaign
 from repro.dse.gc import collect_garbage, gc_table, live_namespaces
 from repro.dse.records import make_record, result_from_dict
 from repro.dse.spec import CampaignSpec, Shard
-from repro.dse.store import ResultStore, StoreRouter
+from repro.dse.store import ResultStore
 from repro.dse.summary import summary_data, summary_table
-from repro.eval.fingerprints import (
-    code_fingerprint,
-    opt_fingerprint,
-    sim_backend_fingerprint,
-)
-from repro.eval.registry import get_backend
+from repro.eval.fingerprints import code_fingerprint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -41,17 +36,15 @@ def _spec(**overrides) -> CampaignSpec:
     return CampaignSpec(**base)
 
 
-def _drive(points, run, router, worker, **kwargs):
+def _drive(points, run, store, worker, **kwargs):
     """drive_points with the standard evaluation-grid plumbing."""
     drive_points(
         points, run,
         worker=worker,
-        cached_result=router.result,
-        make_point_record=lambda point, payload, elapsed: make_record(
-            point, payload, elapsed,
-            fingerprint=get_backend(point.backend).fingerprint()),
+        cached_result=lambda point: store.result(point.key()),
+        make_point_record=make_record,
         decode_result=result_from_dict,
-        store_for=router.for_point,
+        store=store,
         **kwargs,
     )
 
@@ -312,34 +305,30 @@ class TestGc:
         return store
 
     def test_live_namespaces_cover_every_backend(self):
-        assert live_namespaces() == {code_fingerprint(),
-                                     sim_backend_fingerprint(),
-                                     opt_fingerprint()}
+        # Every backend and the co-search write the one digest.
+        assert live_namespaces() == {code_fingerprint()}
 
     def test_leftover_sim_namespace_is_stale(self, tmp_path):
         # The retired sim-validation campaigns wrote a ``sim-`` prefix
-        # on the current digest; nothing reads it any more.
-        leftover = "sim-" + code_fingerprint()
-        for live_ns in live_namespaces():
-            ResultStore(tmp_path, namespace=live_ns).put("k", {})
-        store = self._stale(tmp_path, leftover, age_days=10)
-        assert live_namespaces() == {code_fingerprint(),
-                                     sim_backend_fingerprint(),
-                                     opt_fingerprint()}
+        # on the current digest, and the simulator and co-search once
+        # wrote ``simnet-`` and ``opt-``; nothing reads them any more.
+        live = code_fingerprint()
+        leftovers = [prefix + live for prefix in ("sim-", "simnet-", "opt-")]
+        ResultStore(tmp_path).put("k", {})
+        stores = [self._stale(tmp_path, name, age_days=10)
+                  for name in leftovers]
+        assert live_namespaces() == {live}
         now = time.time()
         kept = collect_garbage(tmp_path, max_age_days=30, now=now)
-        entry = next(ns for ns in kept.namespaces
-                     if ns.namespace == leftover)
-        assert (entry.live, entry.action) == (False, "keep")
-        assert store.path.exists()
-        assert all(ns.live for ns in kept.namespaces if ns is not entry)
+        assert {ns.namespace: ns.live for ns in kept.namespaces} \
+            == {live: True, **dict.fromkeys(leftovers, False)}
+        assert all(ns.action == "keep" for ns in kept.namespaces)
+        assert all(store.path.exists() for store in stores)
         evicted = collect_garbage(tmp_path, max_age_days=30,
                                   now=now + 21 * 86400)
         actions = {ns.namespace: ns.action for ns in evicted.namespaces}
-        assert actions[leftover] == "evict"
-        assert not store.path.parent.exists()
-        assert all(action != "evict" for ns, action in actions.items()
-                   if ns != leftover)
+        assert actions == {live: "keep", **dict.fromkeys(leftovers, "evict")}
+        assert not any(store.path.parent.exists() for store in stores)
 
     def test_stale_namespace_evicted_by_age(self, tmp_path):
         self._stale(tmp_path, "deadbeef0001", age_days=90)
@@ -450,7 +439,7 @@ class TestFailureTolerance:
         run: CampaignRun = CampaignRun(
             spec=spec, store_path=store.path, points=points,
             total=len(points))
-        _drive(points, run, StoreRouter(store), worker, **kwargs)
+        _drive(points, run, store, worker, **kwargs)
         return run, store
 
     def test_serial_poisoned_point_spares_the_rest(self, tmp_path):
@@ -579,7 +568,7 @@ class TestDedupeAndRecommits:
             spec=spec, store_path=store.path, points=points,
             total=len(points))
         with pytest.warns(RuntimeWarning, match="duplicates the key"):
-            _drive(points, run, StoreRouter(store), _worker, jobs=1)
+            _drive(points, run, store, _worker, jobs=1)
         # total corrected, one evaluation, one record, progress sane,
         # and the run's own point list deduped (so failure reporting
         # could never list one point twice).
@@ -607,7 +596,7 @@ class TestDedupeAndRecommits:
         run: CampaignRun = CampaignRun(
             spec=spec, store_path=store.path, points=points,
             total=len(points))
-        _drive(points, run, StoreRouter(store), same_key_worker, jobs=1,
+        _drive(points, run, store, same_key_worker, jobs=1,
                progress=progress)
         assert run.evaluated == 1
         assert run.recommits == 1

@@ -82,7 +82,7 @@ def _drive(points, store, *, jobs=1, policy=None, worker=_ok_worker,
         cached_result=lambda p: (store.get(p.key()) or {}).get("result"),
         make_point_record=lambda p, payload, elapsed: {"result": payload},
         decode_result=lambda payload: payload,
-        store_for=lambda p: store,
+        store=store,
         policy=policy,
         progress=progress,
     )

@@ -136,12 +136,10 @@ class TestResolveJobs:
 
 class TestBackendAxis:
     """Backend is a first-class campaign axis: sim-backed points ride
-    the same executor and land in the simulator's fingerprint-namespaced
-    store next to the model store."""
+    the same executor and land in the campaign's store beside the
+    model's records."""
 
     def test_mixed_backend_campaign(self, tmp_path):
-        from repro.eval.fingerprints import sim_backend_fingerprint
-
         spec = CampaignSpec(
             name="mixed",
             accelerators=("SCNN", "BitWave"),
@@ -161,14 +159,13 @@ class TestBackendAxis:
         run = run_campaign(spec, store)
         assert (run.total, run.cached, run.evaluated) == (3, 0, 3)
 
-        sim_store = ResultStore(tmp_path,
-                                namespace=sim_backend_fingerprint())
         sim_point = points[-1]
-        assert sim_point.key() in sim_store
-        assert sim_point.key() not in store
+        assert sim_point.key() in store
         assert store.result(points[0].key()) is not None
+        assert [path.name for path in tmp_path.iterdir()] \
+            == [store.namespace]
 
-        # Resume serves every backend from its own namespace.
+        # Resume serves every backend from the one namespace.
         resumed = run_campaign(spec, ResultStore(tmp_path))
         assert (resumed.cached, resumed.evaluated) == (3, 0)
         assert resumed.results == run.results
@@ -212,7 +209,6 @@ class TestBackendAxis:
         import json as json_mod
 
         from repro.dse.records import make_record
-        from repro.dse.store import StoreRouter
         from repro.dse.summary import pareto_data, summary_data
         from repro.eval.result import EvalResult, LayerResult
 
@@ -241,9 +237,7 @@ class TestBackendAxis:
         # (energy_pj=0, empty component dicts -- the pre-epilog layout).
         sim_point = next(p for p in spec.points()
                          if p.backend == "sim-vectorized")
-        router = StoreRouter(store)
-        sim_store = router.for_point(sim_point)
-        stored = sim_store.result(sim_point.key())
+        stored = store.result(sim_point.key())
         unpriced = EvalResult(
             workload=stored.workload,
             config_label=stored.config_label,
@@ -255,8 +249,7 @@ class TestBackendAxis:
                             detail=l.detail)
                 for l in stored.layers),
         )
-        sim_store.put(sim_point.key(),
-                      make_record(sim_point, unpriced))
+        store.put(sim_point.key(), make_record(sim_point, unpriced))
         rows = summary_data(spec, store)
         legacy = {row["backend"]: row for row in rows}["sim-vectorized"]
         assert legacy["stored"] is True

@@ -7,13 +7,9 @@ import pytest
 from repro.accelerators import BITWAVE_VARIANTS, SOTA_ACCELERATORS
 from repro.accelerators.base import LayerEvaluation, NetworkEvaluation
 from repro.dse.records import make_record, result_from_dict, result_to_dict
-from repro.dse.spec import (
-    CampaignSpec,
-    code_fingerprint,
-    config_hash,
-    paper_grid,
-)
+from repro.dse.spec import CampaignSpec, config_hash, paper_grid
 from repro.dse.store import ResultStore
+from repro.eval.fingerprints import code_fingerprint
 from repro.eval.request import EvalRequest
 from repro.eval.result import from_network_evaluation
 from repro.model.energy import EnergyBreakdown
@@ -179,11 +175,11 @@ class TestRecords:
         assert record["result"]["layers"]
         assert record["result"]["backend"] == "model"
 
-    def test_make_record_custom_fingerprint(self):
+    def test_make_record_names_the_tree_for_every_backend(self):
         point = EvalRequest("cnn_lstm", backend="sim-vectorized")
         result = from_network_evaluation(_synthetic_evaluation())
-        record = make_record(point, result, fingerprint="simnet-abc")
-        assert record["fingerprint"] == "simnet-abc"
+        record = make_record(point, result)
+        assert record["fingerprint"] == code_fingerprint()
 
 
 class TestResultStore:

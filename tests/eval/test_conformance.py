@@ -74,16 +74,9 @@ class TestBuiltinRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("rtl")
 
-    def test_fingerprints_distinct(self):
-        assert get_backend("model").fingerprint() \
-            != get_backend("sim-vectorized").fingerprint()
-
     def test_custom_backend_registration(self):
         class Echo:
             name = "echo-test"
-
-            def fingerprint(self) -> str:
-                return "echo-0"
 
             def evaluate(self, request):
                 return EvalResult(workload=request.workload,
@@ -92,7 +85,7 @@ class TestBuiltinRegistry:
         register_backend(Echo())
         try:
             assert "echo-test" in backend_names()
-            assert get_backend("echo-test").fingerprint() == "echo-0"
+            assert get_backend("echo-test").name == "echo-test"
         finally:
             from repro.eval.registry import _REGISTRY
 
@@ -228,13 +221,11 @@ class TestExplicitStore:
 
     def test_explicit_store_bypasses_memo(self, isolated_store, tmp_path):
         from repro.dse.store import ResultStore
-        from repro.eval import get_backend
 
         request = EvalRequest(workload=MINI_WORKLOAD)
         evaluate(request)  # warms the default store + memo
 
-        mine = ResultStore(tmp_path / "mine",
-                           namespace=get_backend("model").fingerprint())
+        mine = ResultStore(tmp_path / "mine")
         result = evaluate(request, store=mine)
         assert request.key() in mine  # written despite the warm memo
         assert result == evaluate(request)

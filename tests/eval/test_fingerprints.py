@@ -1,11 +1,11 @@
-"""Every store namespace digests the whole ``repro`` tree and numpy's
+"""The store namespace digests the whole ``repro`` tree and numpy's
 version.
 
-A module left out of a fingerprint can change a result without
+A module left out of the fingerprint can change a result without
 rotating the namespace that serves it, so any source edit must rotate
-all three namespaces: model, ``simnet-`` and ``opt-``.  So must another
-numpy: every cached number is a ``Generator`` draw, and numpy promises
-no stable stream across releases (NEP 19).
+the one namespace every backend and the co-search share.  So must
+another numpy: every cached number is a ``Generator`` draw, and numpy
+promises no stable stream across releases (NEP 19).
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.eval.fingerprints import (
-    code_fingerprint,
-    opt_fingerprint,
-    sim_backend_fingerprint,
-    tree_digest,
-)
+from repro.eval.fingerprints import code_fingerprint, tree_digest
 
 INSTALLED = Path(repro.__file__).parent
 
@@ -33,26 +28,20 @@ INSTALLED = Path(repro.__file__).parent
 FEEDERS = ("eval/backends.py", "eval/result.py", "quant/quantizer.py",
            "utils/rng.py", "utils/bits.py", "core/bitcolumn.py")
 
-PRINT_NAMESPACES = """
-from repro.eval.fingerprints import (
-    code_fingerprint, opt_fingerprint, sim_backend_fingerprint)
-print(code_fingerprint(), sim_backend_fingerprint(), opt_fingerprint())
+PRINT_NAMESPACE = """
+from repro.eval.fingerprints import code_fingerprint
+print(code_fingerprint())
 """
 
 
-def namespaces() -> tuple[str, ...]:
-    return (code_fingerprint(), sim_backend_fingerprint(),
-            opt_fingerprint())
-
-
-def namespaces_of(root: Path, prelude: str = "") -> tuple[str, ...]:
-    """The three namespaces as a fresh process importing ``root``
-    computes them, after running ``prelude``."""
+def namespace_of(root: Path, prelude: str = "") -> str:
+    """The namespace as a fresh process importing ``root`` computes it,
+    after running ``prelude``."""
     env = {**os.environ, "PYTHONPATH": str(root.parent)}
     out = subprocess.run(
-        [sys.executable, "-c", prelude + PRINT_NAMESPACES], env=env,
+        [sys.executable, "-c", prelude + PRINT_NAMESPACE], env=env,
         capture_output=True, text=True, check=True, timeout=300).stdout
-    return tuple(out.split())
+    return out.strip()
 
 
 def append_line(path: Path) -> str:
@@ -71,20 +60,19 @@ def tree_copy(tmp_path):
     return root
 
 
-def test_namespaces_prefix_one_digest():
+def test_the_namespace_is_the_digest():
     digest = tree_digest(INSTALLED)
     assert len(digest) == 12
-    assert namespaces() == (digest, "simnet-" + digest, "opt-" + digest)
+    assert code_fingerprint() == digest
 
 
 def test_another_numpy_rotates_every_namespace():
-    same = namespaces_of(INSTALLED)
-    other = namespaces_of(
+    same = namespace_of(INSTALLED)
+    other = namespace_of(
         INSTALLED, "import numpy\nnumpy.__version__ = '0.0.0+other'\n")
-    assert same == namespaces()
-    assert len(other) == 3
-    unchanged = [ns for ns, old in zip(other, same) if ns == old]
-    assert not unchanged, f"another numpy left {unchanged} in place"
+    assert same == code_fingerprint()
+    assert len(other) == 12
+    assert other != same, "another numpy left the namespace in place"
 
 
 def test_every_module_edit_rotates_the_digest(tree_copy):
@@ -116,9 +104,8 @@ def test_new_module_rotates_the_digest(tree_copy):
 
 @pytest.mark.parametrize("module", FEEDERS)
 def test_feeder_edit_rotates_every_namespace(tree_copy, module):
-    before = namespaces()
+    before = code_fingerprint()
     append_line(tree_copy / module)
-    after = namespaces_of(tree_copy)
-    assert len(after) == 3
-    unchanged = [ns for ns, old in zip(after, before) if ns == old]
-    assert not unchanged, f"{module} edit left {unchanged} in place"
+    after = namespace_of(tree_copy)
+    assert len(after) == 12
+    assert after != before, f"{module} edit left the namespace in place"

@@ -9,7 +9,6 @@ import pytest
 from repro import faults
 from repro.dse.retry import RetryPolicy
 from repro.dse.store import ResultStore
-from repro.eval.fingerprints import opt_fingerprint
 from repro.opt.cosearch import (
     COSEARCH_ORIGIN,
     CosearchConfig,
@@ -83,9 +82,9 @@ class TestDeterminism:
 
 
 class TestPersistence:
-    def test_probes_land_in_the_opt_namespace_with_origin(self, run):
+    def test_probes_land_beside_the_other_records_with_origin(self, run):
         store, result = run
-        cache = ResultStore(store.root, namespace=opt_fingerprint())
+        cache = ResultStore(store.root)
         for key in result.trajectory:
             record = cache.get(key)
             assert record is not None
@@ -145,7 +144,7 @@ class TestChaos:
         assert result.front == ()
         assert result.counts == {
             "probes": 8, "evaluated": 0, "saved": 0, "failed": 8}
-        assert len(ResultStore(tmp_path, namespace=opt_fingerprint())) == 0
+        assert len(ResultStore(tmp_path)) == 0
 
 
 class TestStrategyShapes:

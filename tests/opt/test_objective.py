@@ -67,7 +67,7 @@ class TestFailureTolerance:
                               policy=RetryPolicy(backoff_s=0.0))
         probe = objective.probe(POINT)
         assert probe.ok and probe.attempts == 2
-        record = objective.router.record(POINT)
+        record = objective.store.get(POINT.key())
         assert record["attempts"] == 2
         assert "InjectedFault" in record["last_error"]
 
@@ -81,15 +81,12 @@ class TestFailureTolerance:
         assert "InjectedFault" in probe.error
         assert objective.failed == 1
         # Nothing broken was persisted: the store has no record.
-        assert objective.router.record(POINT) is None
+        assert objective.store.get(POINT.key()) is None
 
     def test_poison_error_fails_fast(self, tmp_path, monkeypatch):
         class _Poison:
             def evaluate(self, request):
                 raise ValueError("deterministic bug")
-
-            def fingerprint(self):
-                return "poison"
 
         monkeypatch.setattr("repro.opt.objective.get_backend",
                             lambda name: _Poison())
@@ -111,9 +108,6 @@ class TestFailureTolerance:
                     raise RuntimeError("weather")
                 return real.evaluate(request)
 
-            def fingerprint(self):
-                return real.fingerprint()
-
         monkeypatch.setattr("repro.opt.objective.get_backend",
                             lambda name: _Flaky())
         objective = Objective(_store(tmp_path), origin="opt:test",
@@ -126,7 +120,7 @@ class TestProvenance:
     def test_record_extra_carries_origin_and_round(self, tmp_path):
         objective = Objective(_store(tmp_path), origin="opt:test")
         objective.probe(POINT, round_index=3)
-        record = objective.router.record(POINT)
+        record = objective.store.get(POINT.key())
         assert record["extra"] == {"origin": "opt:test", "round": 3}
 
     def test_summary_and_pareto_rows_surface_provenance(self, tmp_path):

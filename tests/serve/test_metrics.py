@@ -48,6 +48,13 @@ class TestLatency:
         assert abs(stats["p50_ms"] - 50.0) <= 1.0
         assert abs(stats["p95_ms"] - 95.0) <= 1.0
         assert abs(stats["mean_ms"] - 50.5) < 1e-9
+        # Nearest rank ceil(q*n), as `obs report` computes it.
+        four = ServeMetrics()
+        for ms in (1, 2, 3, 4):
+            four.observe_latency(ms / 1e3)
+        stats = four.latency()
+        assert stats["p50_ms"] == 2.0
+        assert stats["p95_ms"] == 4.0
 
     def test_window_is_bounded(self):
         metrics = ServeMetrics(window=8)

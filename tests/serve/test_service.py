@@ -17,6 +17,7 @@ import json
 import multiprocessing
 import sys
 import threading
+import time
 
 import pytest
 
@@ -31,6 +32,11 @@ from serve_helpers import counting_backend, fake_result, mini_request, run_async
 
 #: A zero-wait retry policy so failure tests don't sleep.
 FAST_RETRY = RetryPolicy(backoff_s=0.0, jitter=0.0)
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a pool worker sees the stubbed backend only when forked "
+           "from this process")
 
 
 async def _started(root, **kwargs) -> EvalService:
@@ -316,7 +322,7 @@ class TestStoredResultBytes:
         async def main():
             service = await _started(tmp_path, hot_max=0)
             answers = [await service.submit(request)]
-            store = service._store_for(request.backend)
+            store = service.store
             store.put(request.key(), replaced(store, 7.0))
             answers.append(await service.submit(request))
             other = ResultStore(tmp_path, namespace=store.namespace)
@@ -451,13 +457,43 @@ class TestFailures:
         assert service.metrics.count("serve.failed") == 1
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="a pool worker sees the stubbed backend only "
-                           "when forked from this process")
+@FORK_ONLY
 class TestPoolFailures(TestFailures):
     """The same table through the supervised pool (``workers=1``)."""
 
     workers = 1
+
+
+@FORK_ONLY
+class TestTimeout:
+    def test_inline_service_enforces_the_timeout(self, tmp_path,
+                                                 monkeypatch):
+        # A timeout needs the watchdog even at workers=0, as a
+        # campaign's does at --jobs 1.
+        def hung(request):
+            time.sleep(2.0)
+            return fake_result(request)
+
+        counting_backend(monkeypatch, "model", fn=hung)
+
+        async def main():
+            service = await _started(
+                tmp_path, workers=0,
+                policy=FAST_RETRY.with_overrides(timeout_s=0.5,
+                                                 max_attempts=1))
+            start = time.perf_counter()
+            outcome = await service.submit(mini_request())
+            elapsed = time.perf_counter() - start
+            await service.drain(timeout_s=5)
+            return service, outcome, elapsed
+
+        service, outcome, elapsed = run_async(main())
+        assert not outcome.ok
+        assert outcome.kind == "timeout"
+        assert outcome.attempts == 1
+        assert elapsed < 1.5
+        assert service.metrics.count("serve.timed_out") == 1
+        assert _store_lines(tmp_path) == []
 
 
 class TestDrain:
