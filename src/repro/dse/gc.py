@@ -186,17 +186,17 @@ def collect_garbage(
                 })
                 continue
             stat = path.stat()
-            records, raw_lines, corrupt = scan_jsonl(path)
+            scan = scan_jsonl(path)
             scanned.append({
                 "namespace": ns_dir.name,
                 "dir": ns_dir,
                 "live": ns_dir.name in live,
-                "records": raw_lines,
-                "live_records": len(records),
+                "records": scan.raw_lines,
+                "live_records": len(scan.records),
                 "size_bytes": stat.st_size,
                 "age_days": max(0.0, (clock - stat.st_mtime) / 86400.0),
-                "compacted_size": _compacted_size(records),
-                "corrupt_lines": len(corrupt),
+                "compacted_size": _compacted_size(scan.records),
+                "corrupt_lines": len(scan.corrupt),
             })
 
     # Pass 1: age policy (plus unconditional compaction of live dirs).

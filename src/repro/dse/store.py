@@ -13,12 +13,19 @@ skipped, so a crashed campaign resumes cleanly.  Writes are
 multi-writer safe: every mutation (:meth:`ResultStore.put`,
 :meth:`~ResultStore.compact`, :meth:`~ResultStore.merge`) takes an
 advisory ``fcntl`` lock on a per-namespace lockfile, so N sharded
-campaign processes may append to one namespace concurrently; readers
-never lock (appends are atomic single writes and a torn trailing line
-is tolerated).  :meth:`ResultStore.merge` folds another shard's store
--- or a ``results.jsonl`` copied from another host -- into this one,
-last-wins by key and idempotent under re-merge, committing only the
-records computed under this namespace's fingerprint.
+campaign processes may append to one namespace concurrently.  Readers
+take no ``fcntl`` lock: appends are atomic single writes, and a line
+without its newline yet is left for the next read.
+:meth:`ResultStore.refresh` reads only the lines appended since the
+index last read the file, other processes' included, and reads the
+file whole when it was replaced (a ``compact``/``dse gc`` rename),
+truncated or rewritten.  Within one process, one thread lock per store
+orders every index update (a read, ``put``, ``merge``, ``compact``,
+``destroy``), so an older read never overwrites a newer record.
+:meth:`ResultStore.merge` folds another shard's store -- or a
+``results.jsonl`` copied from another host -- into this one, last-wins
+by key and idempotent under re-merge, committing only the records
+computed under this namespace's fingerprint.
 
 Record lines and served replies share one JSON encoding
 (:func:`encode_json`).  A store answering the same key many times (the
@@ -32,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -58,6 +66,10 @@ LOCK_FILENAME = ".lock"
 #: that are not valid records (torn writes, foreign JSON).
 CORRUPT_PREFIX = "corrupt-"
 
+#: How many bytes before its read offset a store compares with what it
+#: read there, to tell an append from an in-place rewrite.
+_SEEN_BYTES = 4096
+
 
 def default_store_root() -> Path:
     """``$REPRO_DSE_STORE`` or ``~/.cache/repro-dse``."""
@@ -79,38 +91,61 @@ class ScanResult(NamedTuple):
     #: Lines that are not valid records -- torn writes from crashed
     #: campaigns, foreign/non-dict JSON -- verbatim, for quarantine.
     corrupt: tuple[str, ...]
+    #: Byte offset just past the last newline-terminated line: where a
+    #: scan of the lines appended later starts.
+    end: int
+    #: Whether a non-blank line without its newline follows ``end``: a
+    #: torn write, or an append still in progress.  It is counted in
+    #: ``raw_lines`` and ``corrupt``, never parsed as a record.
+    partial: bool
 
 
-def scan_jsonl(path: Path) -> ScanResult:
-    """One-pass parse of a ``results.jsonl``.
+def scan_jsonl(path: Path, start: int = 0) -> ScanResult:
+    """One-pass parse of a ``results.jsonl`` from byte ``start`` on.
 
     A torn or otherwise corrupt line is skipped (and reported in
     ``corrupt``), never fatal, so a crashed campaign resumes cleanly;
-    a missing file reads as empty.
+    a missing file reads as empty.  ``start`` must be a line boundary,
+    such as the ``end`` of an earlier scan of the same file.
     """
     records: dict[str, dict[str, Any]] = {}
     raw_lines = 0
     corrupt: list[str] = []
-    if not path.exists():
-        return ScanResult(records, raw_lines, ())
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
+    end = start
+    partial = False
+    try:
+        handle = path.open("rb")
+    except (FileNotFoundError, NotADirectoryError):
+        return ScanResult(records, raw_lines, (), end, partial)
+    with handle:
+        handle.seek(start)
+        for raw in handle:
+            line = raw.strip()
+            if not raw.endswith(b"\n"):
+                # The last line has no newline yet: reported, not
+                # consumed, so a later scan from ``end`` reads it whole.
+                if line:
+                    raw_lines += 1
+                    corrupt.append(line.decode("utf-8", "replace"))
+                    partial = True
+                break
+            end += len(raw)
             if not line:
                 continue
             raw_lines += 1
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                corrupt.append(line)  # torn write from a crashed run
+            except ValueError:  # torn write from a crashed run
+                corrupt.append(line.decode("utf-8", "replace"))
                 continue
             if not isinstance(record, dict):
-                corrupt.append(line)  # valid JSON, not a record
+                # valid JSON, not a record
+                corrupt.append(line.decode("utf-8", "replace"))
                 continue
             key = record.get("key")
             if key:
                 records[key] = record
-    return ScanResult(records, raw_lines, tuple(corrupt))
+    return ScanResult(records, raw_lines, tuple(corrupt), end, partial)
 
 
 def load_jsonl_records(path: Path) -> dict[str, dict[str, Any]]:
@@ -149,9 +184,14 @@ class ResultStore:
 
     Next to the in-memory index it keeps, per key, the encoded result
     :meth:`result_with_json` answered with.  An entry is filled on first
-    request and belongs to the record it encodes: :meth:`put` and
-    :meth:`merge` drop the entries of the keys they write, and
-    :meth:`refresh`, :meth:`compact` and :meth:`destroy` drop them all.
+    request and belongs to the record it encodes: :meth:`put`,
+    :meth:`merge` and a :meth:`refresh` that reads on drop the entries
+    of the keys they write, and a whole re-read, :meth:`compact` and
+    :meth:`destroy` drop them all.
+
+    Index updates hold one thread lock; lookups take none.  A whole
+    read builds a fresh index and publishes it at once, so a lookup on
+    another thread sees the old index or the new one, never half of it.
     """
 
     def __init__(self, root: str | Path | None = None,
@@ -163,6 +203,13 @@ class ResultStore:
         self._loaded = False
         #: key -> (the record, its result's encoding)
         self._encoded: dict[str, tuple[dict[str, Any], bytes]] = {}
+        #: Where the index's read of the file stopped (just past its
+        #: last complete line), and what it saw there: the file's
+        #: ``(st_dev, st_ino)`` and the bytes just before the offset.
+        self._offset = 0
+        self._seen: tuple[tuple[int, int], bytes] | None = None
+        #: Orders every index update: reads, put, merge, compact, destroy.
+        self._lock = threading.Lock()
 
     # -- locking ---------------------------------------------------------
     @contextmanager
@@ -170,10 +217,11 @@ class ResultStore:
         """Advisory cross-process lock over this namespace's mutations.
 
         Readers never take it: appends land as atomic single writes and
-        the loader tolerates a torn trailing line, so the lock only has
-        to serialize writers (concurrent shard appends, ``compact``
-        rewrites, ``merge`` folds).  On platforms without ``fcntl`` the
-        store degrades to the old single-writer discipline.
+        a read leaves a line without its newline for the next read, so
+        the lock only has to serialize writers (concurrent shard
+        appends, ``compact`` rewrites, ``merge`` folds).  On platforms
+        without ``fcntl`` the store degrades to the old single-writer
+        discipline.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if fcntl is None:  # pragma: no cover - non-POSIX
@@ -194,24 +242,61 @@ class ResultStore:
 
     # -- loading ---------------------------------------------------------
     def _load(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
-        with trace("store.load", namespace=self.namespace):
-            scan = scan_jsonl(self.path)
-            self._records.update(scan.records)
-            if scan.corrupt:
-                # Observable, not fatal: the summary/gc paths surface
-                # the count so torn lines don't rot silently.
-                counter("store.corrupt_lines", n=len(scan.corrupt),
-                        namespace=self.namespace)
+        if not self._loaded:
+            self.refresh()
 
     def refresh(self) -> None:
-        """Re-read the backing file (e.g. after another process wrote)."""
-        self._records.clear()
-        self._encoded.clear()
-        self._loaded = False
-        self._load()
+        """Index the records appended since the last read of the file.
+
+        Picks up other processes' appends.  The first call, and any call
+        after the file was replaced, truncated or rewritten, reads the
+        file whole instead.
+        """
+        with self._lock:
+            self._read()
+
+    def _probe(self, offset: int) -> tuple[tuple[int, int], bytes] | None:
+        """The file's identity and up to ``_SEEN_BYTES`` bytes before
+        ``offset`` (fewer if the file is shorter); ``None`` if absent."""
+        try:
+            with self.path.open("rb") as handle:
+                stat = os.fstat(handle.fileno())
+                begin = max(0, offset - _SEEN_BYTES)
+                handle.seek(begin)
+                return (stat.st_dev, stat.st_ino), handle.read(offset - begin)
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+
+    def _read(self) -> None:
+        """The body of :meth:`refresh`; the caller holds ``_lock``.
+
+        Reads on from the remembered offset while the file is the one
+        the index read (same identity, same bytes before the offset),
+        else reads it whole into a fresh index.  A file that appears,
+        vanishes or is replaced during the read is read whole next time.
+        """
+        with trace("store.load", namespace=self.namespace):
+            before = self._probe(self._offset)
+            start = self._offset if before == self._seen else 0
+            scan = scan_jsonl(self.path, start)
+            if start:
+                self._records.update(scan.records)
+                for key in scan.records:
+                    self._encoded.pop(key, None)
+            else:
+                self._records, self._encoded = scan.records, {}
+            self._loaded = True
+            after = self._probe(scan.end)
+            if before is None or after is None or before[0] != after[0]:
+                self._offset, self._seen = 0, None
+            else:
+                self._offset, self._seen = scan.end, after
+            corrupt = len(scan.corrupt) - scan.partial
+            if corrupt:
+                # Observable, not fatal: the summary/gc paths surface
+                # the count so torn lines don't rot silently.
+                counter("store.corrupt_lines", n=corrupt,
+                        namespace=self.namespace)
 
     # -- mapping protocol ------------------------------------------------
     def get(self, key: str) -> dict[str, Any] | None:
@@ -276,10 +361,10 @@ class ResultStore:
             if faults.store_write_fault(key) == "torn_write":
                 data = data[:max(1, len(data) // 2)].rstrip(b"\n")
         with trace("store.put", namespace=self.namespace):
-            with self._locked():
+            with self._lock, self._locked():
                 self._append([data])
-        self._records[key] = record
-        self._encoded.pop(key, None)
+                self._records[key] = record
+                self._encoded.pop(key, None)
 
     def _quarantine(self, corrupt: tuple[str, ...]) -> None:
         """Move non-record lines into a ``corrupt-<ts>.jsonl`` sidecar.
@@ -312,11 +397,9 @@ class ResultStore:
             # lockfile husk) just to discover there is nothing to do.
             self.refresh()
             return CompactStats(0, 0)
-        with self._locked():
+        with self._lock, self._locked():
             scan = scan_jsonl(self.path)
-            self._records.clear()
-            self._encoded.clear()
-            self._records.update(scan.records)
+            self._records, self._encoded = scan.records, {}
             self._loaded = True
             if scan.corrupt:
                 self._quarantine(scan.corrupt)
@@ -331,6 +414,9 @@ class ResultStore:
                     handle.write(encode_record(record).decode("utf-8"))
             tmp.replace(self.path)
             after = self.path.stat().st_size
+            # The rewrite holds exactly the index, and the namespace
+            # lock keeps appends out until it is released.
+            self._offset, self._seen = after, self._probe(after)
         return CompactStats(len(self._records), before - after)
 
     def destroy(self) -> None:
@@ -345,11 +431,11 @@ class ResultStore:
         """
         if not self.path.parent.is_dir():
             return
-        with self._locked():
+        with self._lock, self._locked():
             shutil.rmtree(self.path.parent)
-        self._records.clear()
-        self._encoded.clear()
-        self._loaded = True
+            self._records, self._encoded = {}, {}
+            self._loaded = True
+            self._offset, self._seen = 0, None
 
     def merge(self, source: "ResultStore | str | Path") -> MergeStats:
         """Fold another store's records into this one, last-wins by key.
@@ -375,8 +461,8 @@ class ResultStore:
         if not ours:
             return MergeStats(0, skipped)
         written = 0
-        with self._locked():
-            self.refresh()
+        with self._lock, self._locked():
+            self._read()
             lines: list[bytes] = []
             for key, record in ours.items():
                 if self._records.get(key) == record:

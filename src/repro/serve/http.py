@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Mapping, cast
+from typing import Any, Callable, Mapping, cast
 from urllib.parse import parse_qs, urlsplit
 
 from repro.dse.retry import PointFailure
 from repro.dse.spec import CampaignSpec, paper_grid
-from repro.dse.store import ResultStore, encode_json
+from repro.dse.store import encode_json
 from repro.dse.summary import METRICS, pareto_data, summary_data
 from repro.eval.request import EvalOptions, EvalRequest
 from repro.serve.dashboard import DASHBOARD_HTML
@@ -258,15 +258,23 @@ class HttpFrontend:
         return 200, splice_json({"count": len(results)}, "results",
                                 b"[" + b", ".join(results) + b"]")
 
-    def _base_store(self) -> ResultStore:
-        return ResultStore(self.service.store_root)
+    async def _stored_rows(self, view: Callable[..., list[dict[str, Any]]],
+                           spec: CampaignSpec, *args: str
+                           ) -> list[dict[str, Any]]:
+        """``view(spec, store, *args)`` over the service's store, refreshed
+        first; both run in a worker thread, off the event loop."""
+        def rows() -> list[dict[str, Any]]:
+            store = self.service.store
+            store.refresh()
+            return view(spec, store, *args)
+
+        return await asyncio.to_thread(rows)
 
     async def _summary(self, query: Mapping[str, list[str]]
                        ) -> tuple[int, Any]:
         try:
             spec = spec_from_query(query)
-            rows = await asyncio.to_thread(
-                summary_data, spec, self._base_store())
+            rows = await self._stored_rows(summary_data, spec)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
         return 200, {"campaign": spec.name, "points": len(rows),
@@ -281,8 +289,7 @@ class HttpFrontend:
                                  f"{sorted(METRICS)}; got x={x!r} y={y!r}")
         try:
             spec = spec_from_query(query)
-            rows = await asyncio.to_thread(
-                pareto_data, spec, self._base_store(), x, y)
+            rows = await self._stored_rows(pareto_data, spec, x, y)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
         return 200, {"campaign": spec.name, "x": x, "y": y,

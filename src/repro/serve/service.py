@@ -16,11 +16,13 @@ questions through four tiers, cheapest first:
    root, holding every backend's records and shared with every
    campaign and CLI run.  A key already in the loaded namespace's
    in-memory index is answered on the event loop; only a read of the
-   file (the first load, or the refresh after a miss) goes to a
-   thread.  The store keeps each result's JSON bytes
-   (:func:`~repro.dse.store.encode_json`, the encoding of its record
-   lines too), encoded on the key's first store hit, so a key evicted
-   from the hot tier is not encoded again;
+   file goes to a thread.  The first read loads the file whole; after
+   an index miss the refresh reads only the lines appended since the
+   last read, other processes' included, and a file that was
+   compacted or replaced is read whole.  The store keeps each
+   result's JSON bytes (:func:`~repro.dse.store.encode_json`, the
+   encoding of its record lines too), encoded on the key's first
+   store hit, so a key evicted from the hot tier is not encoded again;
 4. **compute** -- a bounded background worker pool.  ``workers=0``
    evaluates misses inline on the dispatch thread (no subprocesses;
    the low-latency single-host mode) unless the retry policy sets a
@@ -237,9 +239,9 @@ class EvalService:
 
             if not faults.enabled():
                 # The in-memory index answers on the loop once the
-                # thread path below has loaded the file; a miss (or a
-                # lookup racing a refresh) takes the thread path, as
-                # does every lookup while a fault plan may stall it.
+                # thread path below has loaded the file; a miss takes
+                # the thread path, as does every lookup while a fault
+                # plan may stall it.
                 with trace("serve.store_lookup", backend=request.backend):
                     stored = self.store.result_with_json(key, load=False)
                 if stored is not None:
@@ -311,20 +313,19 @@ class EvalService:
 
         :meth:`submit` calls it before the namespace is loaded, for a
         key its in-memory index missed, and for every lookup while a
-        fault plan is armed.  A miss re-reads the backing file once
-        before giving up: another process (a campaign shard, a sibling
-        service) may have appended the record after this process first
-        loaded the namespace.
+        fault plan is armed.  It refreshes the index, then looks the
+        key up once.  The first refresh reads the file whole; later ones
+        read only the lines appended since, so a record another process
+        (a campaign shard, a sibling service) appended is found without
+        re-parsing the namespace, and a file compacted by ``dse gc`` is
+        read whole again.
         """
         if faults.serve_read_fault(key) is not None:
             self.metrics.incr("serve.faults.slow_read")
         try:
             with trace("serve.store_lookup", backend=request.backend):
-                stored = self.store.result_with_json(key)
-                if stored is None:
-                    self.store.refresh()
-                    stored = self.store.result_with_json(key)
-            return stored
+                self.store.refresh()
+                return self.store.result_with_json(key, load=False)
         except OSError as exc:
             self.metrics.incr("serve.store_errors")
             observe("serve.store_error", 0.0, error=type(exc).__name__)

@@ -1,14 +1,19 @@
 """Campaign specs, config hashing, and the persistent result store."""
 
 import json
+import os
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.accelerators import BITWAVE_VARIANTS, SOTA_ACCELERATORS
 from repro.accelerators.base import LayerEvaluation, NetworkEvaluation
+from repro.dse import store as store_module
 from repro.dse.records import make_record, result_from_dict, result_to_dict
 from repro.dse.spec import CampaignSpec, config_hash, paper_grid
-from repro.dse.store import ResultStore
+from repro.dse.store import ResultStore, encode_record, scan_jsonl
 from repro.eval.fingerprints import code_fingerprint
 from repro.eval.request import EvalRequest
 from repro.eval.result import from_network_evaluation
@@ -315,3 +320,192 @@ class TestResultStore:
         store.put("k2", self._record("k2", 2))
         assert other.result("k2", load=False) is None  # index snapshot
         assert other.result("k1", load=False) == other.result("k1")
+
+
+def _spy_scans(monkeypatch) -> list:
+    """Record ``(start, ScanResult)`` of every store read from now on."""
+    scans = []
+    real = store_module.scan_jsonl
+
+    def spy(path, start=0):
+        result = real(path, start)
+        scans.append((start, result))
+        return result
+
+    monkeypatch.setattr(store_module, "scan_jsonl", spy)
+    return scans
+
+
+def _index(store: ResultStore) -> dict:
+    return {key: store.get(key) for key in store.keys()}
+
+
+class TestRefresh:
+    """``refresh()`` reads only what was appended since the last read,
+    and reads the file whole once it is not the file the index read."""
+
+    _record = TestResultStore._record
+
+    def _filled(self, tmp_path, *markers: int) -> ResultStore:
+        store = ResultStore(tmp_path, namespace="ns")
+        for i, marker in enumerate(markers):
+            store.put(f"k{i}", self._record(f"k{i}", marker))
+        return store
+
+    def test_one_external_append_parses_one_line(self, tmp_path,
+                                                 monkeypatch):
+        writer = self._filled(tmp_path, 1, 2, 3)
+        reader = ResultStore(tmp_path, namespace="ns")
+        assert len(reader) == 3
+        writer.put("k9", self._record("k9", 9))
+        scans = _spy_scans(monkeypatch)
+        reader.refresh()
+        assert [scan.raw_lines for _, scan in scans] == [1]
+        assert reader.get("k9")["marker"] == 9
+        reader.refresh()
+        assert [scan.raw_lines for _, scan in scans] == [1, 0]
+        assert _index(reader) == _index(ResultStore(tmp_path, namespace="ns"))
+
+    def test_a_file_compacted_elsewhere_is_read_whole(self, tmp_path,
+                                                      monkeypatch):
+        writer = self._filled(tmp_path, 1, 2)
+        writer.put("k0", self._record("k0", 5))
+        reader = ResultStore(tmp_path, namespace="ns")
+        assert len(reader) == 2
+        inode = reader.path.stat().st_ino
+        ResultStore(tmp_path, namespace="ns").compact()
+        for key in ("k7", "k8"):  # grow past the reader's offset
+            writer.put(key, self._record(key, 7))
+        assert reader.path.stat().st_ino != inode
+        scans = _spy_scans(monkeypatch)
+        reader.refresh()
+        assert [(start, scan.raw_lines) for start, scan in scans] == [(0, 4)]
+        assert _index(reader) == _index(ResultStore(tmp_path, namespace="ns"))
+
+    @pytest.mark.parametrize("rewrite", [
+        (("k1", 5), ("k0", 6), ("k2", 7)),  # longer, other bytes
+        (("k0", 6),),                       # truncated below the offset
+    ], ids=["longer", "shorter"])
+    def test_a_file_rewritten_in_place_is_read_whole(self, tmp_path,
+                                                     monkeypatch, rewrite):
+        self._filled(tmp_path, 1, 2)
+        reader = ResultStore(tmp_path, namespace="ns")
+        assert len(reader) == 2
+        inode = reader.path.stat().st_ino
+        reader.path.write_bytes(b"".join(
+            encode_record(self._record(key, marker))
+            for key, marker in rewrite))
+        assert reader.path.stat().st_ino == inode
+        scans = _spy_scans(monkeypatch)
+        reader.refresh()
+        assert [(start, scan.raw_lines) for start, scan in scans] == [
+            (0, len(rewrite))]
+        assert _index(reader) == _index(ResultStore(tmp_path, namespace="ns"))
+        assert reader.get("k0")["marker"] == 6
+
+    def test_a_line_is_indexed_once_its_newline_lands(self, tmp_path,
+                                                      monkeypatch):
+        self._filled(tmp_path, 1)
+        reader = ResultStore(tmp_path, namespace="ns")
+        assert len(reader) == 1
+        counted = []
+        monkeypatch.setattr(store_module, "counter",
+                            lambda name, n=1, **attrs: counted.append(n))
+        scans = _spy_scans(monkeypatch)
+        line = encode_record(self._record("k1", 2))
+        with reader.path.open("ab") as handle:
+            handle.write(line[:100])
+        reader.refresh()
+        assert "k1" not in reader and counted == []
+        # A whole-file scan (dse gc, dse summary) reports it corrupt.
+        assert scan_jsonl(reader.path).corrupt == (line[:100].decode(),)
+        with reader.path.open("ab") as handle:
+            handle.write(line[100:])
+        reader.refresh()
+        reader.refresh()
+        assert reader.get("k1")["marker"] == 2 and counted == []
+        assert [("k1" in scan.records) for _, scan in scans] == [
+            False, True, False]
+
+    def test_a_refresh_racing_a_put_keeps_the_newer_record(
+            self, tmp_path, monkeypatch):
+        store = self._filled(tmp_path, 1)  # loaded, file present
+        ResultStore(tmp_path, namespace="ns").put(
+            "k", self._record("k", 1))  # the older record, appended
+        real = store_module.scan_jsonl
+        scanned, put_done = threading.Event(), threading.Event()
+
+        def held_scan(*args):
+            result = real(*args)
+            if threading.current_thread() is reader:
+                scanned.set()
+                put_done.wait(timeout=0.5)  # hold the scan open
+            return result
+
+        def put_newer():
+            try:
+                store.put("k", self._record("k", 2))
+            finally:
+                put_done.set()
+
+        monkeypatch.setattr(store_module, "scan_jsonl", held_scan)
+        reader = threading.Thread(target=store.refresh)
+        writer = threading.Thread(target=put_newer)
+        reader.start()
+        assert scanned.wait(timeout=10)
+        writer.start()
+        for thread in (reader, writer):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert store.get("k")["marker"] == 2
+        assert ResultStore(tmp_path, namespace="ns").get("k")["marker"] == 2
+
+    def test_concurrent_refreshes_follow_a_writer(self, tmp_path):
+        store = self._filled(tmp_path, 0, 0, 0)
+        writer = ResultStore(tmp_path, namespace="ns")
+        records = [self._record(f"k{i % 3}", i) for i in range(3, 300)]
+        stop = threading.Event()
+        deadline = time.monotonic() + 20
+        problems: list[str] = []
+
+        def refresh_loop():
+            latest = dict.fromkeys(("k0", "k1", "k2"), 0)
+            try:
+                while not stop.is_set() and time.monotonic() < deadline:
+                    store.refresh()
+                    for key, seen in latest.items():
+                        record = store.get(key)
+                        marker = -1 if record is None else record["marker"]
+                        if marker < seen:  # an older read won
+                            problems.append(f"{key}: {seen} -> {marker}")
+                        latest[key] = marker
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                problems.append(repr(exc))
+
+        def write():
+            try:
+                for record in records:
+                    if time.monotonic() > deadline:
+                        break
+                    writer.put(record["key"], record)
+            finally:
+                stop.set()
+
+        threads = [threading.Thread(target=refresh_loop)
+                   for _ in range((os.cpu_count() or 1) + 2)]
+        threads.append(threading.Thread(target=write))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.monotonic() < deadline, "the writer never finished"
+        assert problems == []
+        store.refresh()
+        assert _index(store) == _index(ResultStore(tmp_path, namespace="ns"))
+        assert store.get("k2")["marker"] == 299

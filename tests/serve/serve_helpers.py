@@ -11,6 +11,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 from typing import Any, Awaitable, Callable, TypeVar
 
 import pytest
@@ -22,6 +28,9 @@ T = TypeVar("T")
 
 #: The parametrized CNN-LSTM small enough for every backend.
 MINI_WORKLOAD = "cnn_lstm@frames=4+bins=64+hidden=64"
+
+#: The ``src`` directory a child ``python -m repro...`` imports from.
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def run_async(coro: Awaitable[T]) -> T:
@@ -112,3 +121,34 @@ def counting_backend(monkeypatch: pytest.MonkeyPatch, name: str,
 
     monkeypatch.setattr(backend, "evaluate", evaluate)
     return calls
+
+
+def cli_env() -> dict[str, str]:
+    """The environment of a ``python -m repro...`` child process: this
+    tree on its path, unbuffered output, no inherited fault plan."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+    env.pop("REPRO_FAULTS", None)
+    return env
+
+
+def spawn_server(store: Path, *extra: str) -> subprocess.Popen:
+    """``python -m repro.serve`` on an ephemeral port over ``store``."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0",
+         "--store", str(store), *extra],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+
+
+def await_port(proc: subprocess.Popen, deadline_s: float = 20.0) -> int:
+    """Parse the listening port from the startup line on stderr."""
+    deadline = time.monotonic() + deadline_s
+    assert proc.stderr is not None
+    while time.monotonic() < deadline:
+        line = proc.stderr.readline().decode()
+        if not line:
+            assert proc.poll() is None, "server died during startup"
+            continue
+        match = re.search(r"listening on http://[^:]+:(\d+)", line)
+        if match:
+            return int(match.group(1))
+    raise AssertionError("server never announced its port")

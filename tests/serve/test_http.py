@@ -17,7 +17,9 @@ from urllib.parse import quote, urlencode
 
 import pytest
 
+from repro.dse.records import make_record, result_to_dict
 from repro.dse.retry import RetryPolicy
+from repro.dse.store import ResultStore
 from repro.eval.request import EvalRequest
 from repro.serve import http
 from repro.serve.http import (
@@ -131,6 +133,28 @@ class TestEndpoints:
         assert pareto[0] == 200
         assert pareto[2]["x"] == "cycles"
         assert len(pareto[2]["rows"]) == 1
+
+    def test_summary_sees_records_another_store_appended(self, tmp_path,
+                                                         monkeypatch):
+        counting_backend(monkeypatch, "model")
+        grid = urlencode({"name": "mini", "accelerators": "BitWave,SCNN",
+                          "networks": MINI_WORKLOAD})
+        appended = mini_request(accelerator="SCNN")
+
+        async def main():
+            service, server, port = await _served(tmp_path)
+            await http_request(port, "GET", EVAL_PATH)  # loads the store
+            ResultStore(tmp_path).put(appended.key(), make_record(
+                appended, result_to_dict(fake_result(appended)), 0.0))
+            summary = await http_request(port, "GET", f"/summary?{grid}")
+            await _shutdown(service, server)
+            return service, summary
+
+        service, summary = run_async(main())
+        assert summary[0] == 200
+        stored = {row["config"]: row["stored"] for row in summary[2]["rows"]}
+        assert stored == {"BitWave": True, "SCNN": True}
+        assert service.metrics.count("serve.evaluated") == 1
 
     def test_dashboard_served_as_html(self, tmp_path):
         async def main():

@@ -8,51 +8,21 @@ only compose for real in a child), plus parser-level checks.
 from __future__ import annotations
 
 import json
-import os
-import re
 import signal
-import subprocess
-import sys
-import time
 import urllib.request
 
 import pytest
 
 from repro.serve.__main__ import build_parser
-
-SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-
-
-def _spawn_server(tmp_path, *extra):
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
-    env.pop("REPRO_FAULTS", None)
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", "0",
-         "--store", str(tmp_path / "store"), *extra],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-
-
-def _await_port(proc, deadline_s=20.0):
-    """Parse the listening port from the startup line on stderr."""
-    deadline = time.monotonic() + deadline_s
-    assert proc.stderr is not None
-    while time.monotonic() < deadline:
-        line = proc.stderr.readline().decode()
-        if not line:
-            assert proc.poll() is None, "server died during startup"
-            continue
-        match = re.search(r"listening on http://[^:]+:(\d+)", line)
-        if match:
-            return int(match.group(1))
-    raise AssertionError("server never announced its port")
+from serve_helpers import await_port, spawn_server
 
 
 class TestServerProcess:
     def test_serves_then_drains_on_sigterm_with_128n_exit(self, tmp_path):
         # The context manager closes the stdout/stderr pipes on exit.
-        with _spawn_server(tmp_path) as proc:
+        with spawn_server(tmp_path / "store") as proc:
             try:
-                port = _await_port(proc)
+                port = await_port(proc)
                 with urllib.request.urlopen(
                         f"http://127.0.0.1:{port}/healthz",
                         timeout=10) as reply:
