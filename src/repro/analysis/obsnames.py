@@ -45,10 +45,7 @@ SPAN_NAMES = frozenset({
     "opt.probe",
     "opt.round",
     "opt.scalar",
-    "serve.persist",
-    "serve.point",
     "serve.request",
-    "serve.retry.backoff",
     "serve.store_error",
     "serve.store_lookup",
     "sim.compute",
@@ -74,7 +71,6 @@ COUNTER_NAMES = frozenset({
     "dse.points.failed",
     "dse.points.persist_failures",
     "dse.points.poisoned",
-    "dse.points.recommits",
     "dse.points.retried",
     "dse.points.timed_out",
     "dse.points.total",
@@ -89,6 +85,7 @@ COUNTER_NAMES = frozenset({
     "opt.probe_errors",
     "opt.probes.evaluated",
     "opt.probes.failed",
+    "opt.probes.persist_failures",
     "opt.probes.saved",
     "opt.rounds",
     "opt.sampled",

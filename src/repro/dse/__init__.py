@@ -13,7 +13,9 @@ Campaigns shard across processes/hosts deterministically
 with :meth:`ResultStore.merge`, and :func:`repro.dse.gc.collect_garbage`
 compacts live store namespaces and evicts stale ones.
 
-Execution is self-healing (:class:`RetryPolicy` + the watchdog pool in
+Execution is self-healing (the evaluation engine in
+:mod:`repro.dse.engine`, which campaigns, the service and guided search
+share: :class:`RetryPolicy` + the watchdog pool in
 :mod:`repro.dse.pool`): worker exceptions become per-point failure
 records instead of aborting the pool, transient failures retry with
 exponential backoff, hung or dead workers are killed and respawned,

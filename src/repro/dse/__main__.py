@@ -236,7 +236,7 @@ def _policy_from_args(args: argparse.Namespace,
     )
 
 
-def _run_exit_code(run: "CampaignRun[Any, Any]") -> int:
+def _run_exit_code(run: CampaignRun) -> int:
     """Campaign exit status: 0 clean, 1 failed points, 128+N signal."""
     if run.interrupted:
         return 128 + (run.interrupt_signum or 0)

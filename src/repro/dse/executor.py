@@ -1,29 +1,26 @@
 """Self-healing parallel campaign execution.
 
-The executor fans the campaign's evaluation points out over supervised
-worker processes (:class:`~repro.dse.pool.WatchdogPool`).  Workers
-only compute; the parent process owns the result store and appends
-records as results stream back, so resuming an interrupted campaign
+:func:`run_campaign` expands a :class:`~repro.dse.spec.CampaignSpec`,
+drops duplicate keys, serves every point already in the store, and
+hands the rest to the evaluation engine
+(:func:`~repro.dse.engine.settle_all`), which computes, retries and
+commits them inline or over supervised worker processes.  Workers only
+compute; the parent process owns the result store and appends records
+as results stream back, so resuming an interrupted campaign
 re-evaluates only the missing points.
 
-Failure handling is layered so one bad point -- or one bad worker --
-costs exactly itself:
-
-- a worker exception streams back as a
-  :class:`~repro.dse.retry.PointFailure` payload (the pool keeps
-  draining, completed results still persist);
-- a worker that hangs past the :class:`~repro.dse.retry.RetryPolicy`
-  deadline, goes heartbeat-silent, or dies without a payload
-  (OOM-killed) is detected by the parent-side watchdog, killed, and
-  replaced;
-- failed attempts are retried with exponential backoff up to the
-  policy's budget, except *poison* errors (deterministic bugs that
-  would fail identically every time), which are quarantined at once
-  (:meth:`~repro.dse.retry.RetryPolicy.settle` decides, for the pool
-  and the serial :func:`~repro.dse.pool.run_inline` alike);
-- SIGINT/SIGTERM stop dispatch gracefully: completed results are
-  already on disk, the summary says how to resume, and the exit code
-  is ``128 + signum``.
+Failure handling is the engine's, so one bad point -- or one bad
+worker -- costs exactly itself: an exception becomes a
+:class:`~repro.dse.retry.PointFailure`, a worker that hangs past the
+:class:`~repro.dse.retry.RetryPolicy` deadline, goes heartbeat-silent
+or dies without a payload is killed and replaced, and failed attempts
+retry with exponential backoff up to the policy's budget, except
+*poison* errors, which are quarantined at once.  What is the
+campaign's own: the cache scan, progress events, the counters of
+:class:`CampaignRun` (mirrored to ``dse.points.*``), the profile pass
+below, and SIGINT/SIGTERM, which stop dispatch gracefully: completed
+results are already on disk, the summary says how to resume, and the
+exit code is ``128 + signum``.
 
 Points are :class:`~repro.eval.request.EvalRequest` objects: workers
 receive the requests themselves, and each record's ``point`` is
@@ -61,11 +58,10 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import FrameType
-from typing import Any, Callable, Generic, Protocol, TypeVar, cast
+from typing import Any, Callable
 
-from repro import faults
-from repro.dse.pool import WatchdogPool, run_inline
-from repro.dse.records import make_record, result_from_dict, result_to_dict
+from repro.dse.engine import Settled, settle_all
+from repro.dse.pool import WatchdogPool
 from repro.dse.retry import PointFailure, RetryPolicy
 from repro.dse.spec import CampaignSpec, Shard
 from repro.dse.store import ResultStore
@@ -85,33 +81,6 @@ from repro.workloads.spec import LayerSpec
 #: ``progress(done, total, label, *, cached, elapsed_s)``
 ProgressFn = Callable[..., None]
 
-#: ``before_fork(pending, jobs, policy, should_stop)`` (see
-#: :func:`drive_points`).
-BeforeForkFn = Callable[
-    [list[Any], int, RetryPolicy, Callable[[], bool]], None]
-
-
-class CampaignPoint(Protocol):
-    """What the shared driver needs from a grid point."""
-
-    @property
-    def label(self) -> str: ...
-
-    def key(self) -> str: ...
-
-    def to_dict(self) -> dict[str, Any]: ...
-
-
-class NamedSpec(Protocol):
-    """What a run needs from its campaign spec."""
-
-    @property
-    def name(self) -> str: ...
-
-
-PointT = TypeVar("PointT", bound=CampaignPoint)
-ResultT = TypeVar("ResultT")
-
 
 def evaluate_point(request: EvalRequest) -> EvalResult:
     """Compute (never cache) one grid point through its backend."""
@@ -119,60 +88,6 @@ def evaluate_point(request: EvalRequest) -> EvalResult:
     with trace("eval.evaluate", backend=request.backend,
                workload=request.workload):
         return get_backend(request.backend).evaluate(request)
-
-
-def _worker(request: EvalRequest) -> tuple[str, dict[str, Any], float]:
-    start = time.perf_counter()
-    result = evaluate_point(request)
-    return request.key(), result_to_dict(result), time.perf_counter() - start
-
-
-#: perf_counter stamp of this worker process's previous point, so the
-#: gap to the next point (pool queue/dispatch wait plus idling) can be
-#: reported as ``dse.worker.queue_wait``.
-_WORKER_LAST_DONE: float | None = None
-
-
-class _FailureTolerant:
-    """Picklable worker wrapper turning exceptions into failure payloads.
-
-    One poisoned point must cost exactly that point, not the pool: an
-    exception escaping a pool worker would kill the worker and force
-    the watchdog to respawn it for nothing.
-
-    Also the worker-side observability and fault-injection hook: each
-    attempt runs under a ``dse.point`` span with the point bound as the
-    fault-injection context (so ``eval`` and deep ``gemm`` site faults
-    fire deterministically per ``(key, attempt)``), the gap since the
-    process's previous point is reported as ``dse.worker.queue_wait``,
-    and buffered trace events are flushed after every point -- worker
-    teardown does not run ``atexit`` hooks, so unflushed events would
-    otherwise vanish with the process.
-    """
-
-    def __init__(self, worker: Callable[[Any], tuple[str, Any, float]]):
-        self.worker = worker
-
-    def __call__(self, point: CampaignPoint,
-                 attempt: int = 0) -> tuple[str, Any, float]:
-        global _WORKER_LAST_DONE
-        start = time.perf_counter()
-        if _WORKER_LAST_DONE is not None:
-            observe("dse.worker.queue_wait", start - _WORKER_LAST_DONE)
-        faults.set_point_context(point.key(), attempt)
-        try:
-            with trace("dse.point", label=point.label, attempt=attempt):
-                faults.fire("eval")
-                return self.worker(point)
-        except Exception as exc:  # noqa: BLE001 -- any worker fault
-            counter("dse.point.exception", error=type(exc).__name__,
-                    label=point.label)
-            return (point.key(), PointFailure.from_exception(exc),
-                    time.perf_counter() - start)
-        finally:
-            faults.clear_point_context()
-            _WORKER_LAST_DONE = time.perf_counter()
-            flush()
 
 
 class _SignalGuard:
@@ -222,25 +137,17 @@ class _SignalGuard:
 
 
 @dataclass
-class CampaignRun(Generic[PointT, ResultT]):
-    """Outcome of one campaign-driver invocation.
+class CampaignRun:
+    """Outcome of one :func:`run_campaign` invocation."""
 
-    Evaluation grids run as ``CampaignRun[EvalRequest, EvalResult]``;
-    the type parameters keep the driver (:func:`drive_points`)
-    independent of the point and result types it moves.
-    """
-
-    spec: NamedSpec
+    spec: CampaignSpec
     store_path: Path
-    points: list[PointT]
-    total: int = 0
+    #: The campaign's points, one per key.
+    points: list[EvalRequest]
     cached: int = 0
     evaluated: int = 0
     #: Evaluations whose records could not be written (store down).
     persist_failures: int = 0
-    #: Results for an already-committed key streaming back again
-    #: (defensive: a driver bug, or a caller bypassing point dedupe).
-    recommits: int = 0
     #: Points whose final outcome needed more than one attempt.
     retried: int = 0
     #: Watchdog kill events (timeout or heartbeat silence), counted
@@ -263,7 +170,7 @@ class CampaignRun(Generic[PointT, ResultT]):
     #: config-hash key -> attempts consumed (only settled points).
     attempts: dict[str, int] = field(default_factory=dict)
     #: config-hash key -> deserialized/computed result, all points.
-    results: dict[str, ResultT] = field(default_factory=dict)
+    results: dict[str, EvalResult] = field(default_factory=dict)
     #: Worker-measured evaluation seconds, summed over fresh points.
     eval_seconds: float = 0.0
     #: Parent-measured store-persist seconds (record build + locked
@@ -271,10 +178,14 @@ class CampaignRun(Generic[PointT, ResultT]):
     #: misattributed to the evaluation backends.
     persist_seconds: float = 0.0
 
-    def result_for(self, point: PointT) -> ResultT:
+    @property
+    def total(self) -> int:
+        return len(self.points)
+
+    def result_for(self, point: EvalRequest) -> EvalResult:
         return self.results[point.key()]
 
-    def failure_for(self, point: PointT) -> str | None:
+    def failure_for(self, point: EvalRequest) -> str | None:
         """The worker error for ``point``, or ``None`` if it succeeded."""
         return self.failed.get(point.key())
 
@@ -288,7 +199,7 @@ class CampaignRun(Generic[PointT, ResultT]):
         """Points not yet settled (nonzero only after an interrupt)."""
         return self.total - self.cached - self.evaluated - len(self.failed)
 
-    def grid(self) -> dict[tuple[str, str], ResultT]:
+    def grid(self) -> dict[tuple[str, str], EvalResult]:
         """``(config label, network) -> result``."""
         if self.failed:
             # Harness grids (Fig. 13-17) need every cell; a partial
@@ -296,11 +207,8 @@ class CampaignRun(Generic[PointT, ResultT]):
             raise RuntimeError(
                 f"{len(self.failed)} campaign points failed: "
                 + ", ".join(sorted(self.failed_labels())))
-        return {
-            (cast(EvalRequest, point).config_label,
-             cast(EvalRequest, point).workload): self.result_for(point)
-            for point in self.points
-        }
+        return {(point.config_label, point.workload): self.result_for(point)
+                for point in self.points}
 
     @property
     def summary_line(self) -> str:
@@ -321,8 +229,6 @@ class CampaignRun(Generic[PointT, ResultT]):
         if self.evaluated:
             line += (f" (eval={self.eval_seconds:.2f}s "
                      f"persist={self.persist_seconds:.2f}s)")
-        if self.recommits:
-            line += f" (note: {self.recommits} re-committed results)"
         if self.persist_failures:
             line += f" (WARNING: {self.persist_failures} results not persisted)"
         if self.failed:
@@ -333,6 +239,32 @@ class CampaignRun(Generic[PointT, ResultT]):
                      f"evaluated; rerun the same command to resume)")
         return line
 
+    def account(self, outcome: Settled) -> None:
+        """Fold one settled evaluation into the run's counters."""
+        key, label = outcome.key, outcome.subject.label
+        self.attempts[key] = outcome.attempts
+        if outcome.failures:
+            self.last_error[key] = outcome.failures[-1].error
+        self.timed_out += outcome.timeouts
+        if outcome.attempts > 1:
+            self.retried += 1
+        if outcome.result is not None:
+            self.results[key] = outcome.result
+            self.evaluated += 1
+            self.eval_seconds += outcome.elapsed_s
+            self.persist_seconds += outcome.persist_s
+            if not outcome.persisted:
+                self.persist_failures += 1
+            if outcome.attempts > 1:
+                counter("dse.point.recovered", label=label,
+                        attempts=outcome.attempts)
+        else:
+            self.failed[key] = outcome.failures[-1].error
+            if outcome.poisoned:
+                self.poisoned += 1
+                counter("dse.point.poison", label=label,
+                        error=outcome.failures[-1].etype)
+
 
 def resolve_jobs(jobs: int) -> int:
     """``0`` means one worker per available CPU."""
@@ -341,231 +273,7 @@ def resolve_jobs(jobs: int) -> int:
     return jobs or os.cpu_count() or 1
 
 
-def drive_points(
-    points: list[PointT],
-    run: CampaignRun[PointT, ResultT],
-    *,
-    jobs: int,
-    worker: Callable[[PointT], tuple[str, Any, float]],
-    cached_result: Callable[[PointT], ResultT | None],
-    make_point_record: Callable[[PointT, Any, float], dict[str, Any]],
-    decode_result: Callable[[Any], ResultT],
-    store: ResultStore,
-    force: bool = False,
-    progress: ProgressFn | None = None,
-    policy: RetryPolicy | None = None,
-    before_fork: BeforeForkFn | None = None,
-) -> None:
-    """Shared campaign driver: cache scan, supervised fan-out, retries,
-    store commits.
-
-    :func:`run_campaign` drives evaluation grids through it.
-    Parameterized by:
-
-    - ``worker(point) -> (key, result_payload, elapsed_s)`` -- pool task;
-    - ``cached_result(point)`` -- decoded stored value or ``None``;
-    - ``make_point_record(point, payload, elapsed_s)`` -- store record;
-    - ``decode_result(payload)`` -- worker payload to stored value;
-    - ``store`` -- the store every record lands in;
-    - ``before_fork(pending, jobs, policy, should_stop)`` -- optional;
-      runs in the parent after the cache scan, inside the signal
-      guard, when the pending points go to a pool of two or more
-      workers, which inherit whatever it caches.
-
-    ``run`` accumulates ``results``/``cached``/``evaluated``/``failed``
-    (and the self-healing counters) in place.  The parent process owns
-    all store writes; workers only compute.  Failed attempts retry per
-    ``policy`` (default :class:`~repro.dse.retry.RetryPolicy`); only
-    terminal outcomes emit progress events, so a retried point still
-    reports exactly once.  Duplicate-key points are dropped up front
-    with a warning so one result can never double-commit or overrun
-    the progress accounting.
-    """
-    jobs = resolve_jobs(jobs)
-    if policy is None:
-        policy = RetryPolicy()
-    by_key: dict[str, PointT] = {}
-    unique: list[PointT] = []
-    for point in points:
-        key = point.key()
-        if key in by_key:
-            warnings.warn(
-                f"campaign point {point.label!r} duplicates the key of "
-                f"{by_key[key].label!r} ({key}); dropping the duplicate",
-                RuntimeWarning, stacklevel=2)
-            continue
-        by_key[key] = point
-        unique.append(point)
-    if len(unique) != len(points):
-        # Keep the run's own view consistent too: reporting paths
-        # (failed_labels, grid, per-point CLI lines) iterate run.points
-        # and must not see one point twice.
-        run.total = len(unique)
-        run.points = list(unique)
-    points = unique
-
-    drive_start = time.perf_counter()
-    pending = []
-    done = 0
-    with trace("dse.cache_scan", campaign=run.spec.name):
-        for point in points:
-            result = None if force else cached_result(point)
-            if result is not None:
-                run.results[point.key()] = result
-                run.cached += 1
-                done += 1
-                if progress is not None:
-                    progress(done, run.total, point.label,
-                             cached=True, elapsed_s=None)
-            else:
-                pending.append(point)
-
-    store_down = False
-
-    def commit(key: str, payload: Any, elapsed: float) -> None:
-        """Persist and account one successful result (terminal)."""
-        nonlocal done, store_down
-        point = by_key[key]
-        recommit = key in run.results
-        run.eval_seconds += elapsed
-        if store_down:
-            run.persist_failures += 1
-        else:
-            persist_start = time.perf_counter()
-            try:
-                record = make_point_record(point, payload, elapsed)
-                attempts = run.attempts.get(key, 1)
-                if attempts > 1:
-                    # The record remembers its bumpy history: attempt
-                    # count and the transient error recovered from.
-                    record = dict(record)
-                    record["attempts"] = attempts
-                    record["last_error"] = run.last_error.get(key)
-                with trace("dse.persist", label=point.label):
-                    store.put(key, record)
-            except OSError:
-                # An unwritable store costs persistence, not the run.
-                store_down = True
-                run.persist_failures += 1
-            finally:
-                run.persist_seconds += time.perf_counter() - persist_start
-        run.results[key] = decode_result(payload)
-        if recommit:
-            # The same key streaming back twice must not inflate the
-            # progress counters past run.total (101/100-style lines).
-            run.recommits += 1
-        else:
-            run.evaluated += 1
-            done = min(done + 1, run.total)
-        if progress is not None:
-            progress(done, run.total, point.label,
-                     cached=False, elapsed_s=elapsed)
-
-    def fail_point(key: str, failure: PointFailure, elapsed: float) -> None:
-        """Account one settled (budget-exhausted or poison) failure."""
-        nonlocal done
-        point = by_key[key]
-        run.failed[key] = failure.error
-        done = min(done + 1, run.total)
-        if progress is not None:
-            # Mark the live line: an operator watching a long run
-            # should see the fault when it happens, not only in the
-            # final summary.
-            progress(done, run.total,
-                     f"FAILED {point.label}: {failure.error}",
-                     cached=False, elapsed_s=elapsed)
-
-    def on_outcome(point: Any, attempt: int, key: Any, payload: Any,
-                   elapsed: float, reason: str) -> float | None:
-        """Settle or reschedule one attempt; returns a backoff delay
-        to retry, ``None`` when the point is settled.
-
-        ``key`` is the worker-returned store key on ``"ok"`` outcomes
-        (the committer trusts it, preserving the recommit-detection
-        semantics of the plain-pool era); parent-synthesized failures
-        carry no payload, so the point's own key stands in.
-        """
-        if key is None:
-            key = point.key()
-        if reason != "ok":
-            # The parent killed (or buried) the worker; there is no
-            # payload. Synthesize the failure the policy classifies.
-            if reason in ("timeout", "heartbeat-silent"):
-                run.timed_out += 1
-            failure = PointFailure.killed(reason, elapsed, attempt)
-        elif isinstance(payload, PointFailure):
-            failure = payload
-        else:
-            run.attempts[key] = attempt + 1
-            if attempt > 0:
-                run.retried += 1
-                counter("dse.point.recovered", label=point.label,
-                        attempts=attempt + 1)
-            commit(key, payload, elapsed)
-            return None
-
-        run.last_error[key] = failure.error
-        backoff = policy.settle(key, attempt, failure)
-        if backoff is not None:
-            observe("dse.retry.backoff", backoff, label=point.label,
-                    attempt=attempt + 1, error=failure.etype)
-            return backoff
-        run.attempts[key] = attempt + 1
-        if attempt > 0:
-            run.retried += 1
-        if policy.poisoned(failure):
-            run.poisoned += 1
-            counter("dse.point.poison", label=point.label,
-                    error=failure.etype)
-        fail_point(key, failure, elapsed)
-        return None
-
-    safe_worker = _FailureTolerant(worker)
-    with _SignalGuard() as guard:
-        use_pool = bool(pending) and (
-            (jobs > 1 and len(pending) > 1) or policy.needs_watchdog())
-        if use_pool:
-            workers = min(jobs, len(pending))
-            if before_fork is not None and workers > 1:
-                before_fork(pending, jobs, policy, guard.stop_requested)
-            if guard.stop_requested():
-                # Interrupted during before_fork: fork no point pool.
-                run.interrupted = True
-            else:
-                pool = WatchdogPool(safe_worker, workers,
-                                    policy, should_stop=guard.stop_requested)
-                if not pool.run(pending, on_outcome):
-                    run.interrupted = True
-        elif not run_inline(safe_worker, pending, on_outcome,
-                            guard.stop_requested):
-            run.interrupted = True
-        run.interrupt_signum = guard.signum
-
-    # Run-level accounting, emitted by the parent (the one process that
-    # owns the commit path) so the trace report's counters match the
-    # campaign summary exactly.
-    observe("dse.drive", time.perf_counter() - drive_start,
-            campaign=run.spec.name)
-    for name, value in (
-        ("dse.points.total", run.total),
-        ("dse.points.cached", run.cached),
-        ("dse.points.evaluated", run.evaluated),
-        ("dse.points.failed", len(run.failed)),
-        ("dse.points.persist_failures", run.persist_failures),
-        ("dse.points.recommits", run.recommits),
-        ("dse.points.retried", run.retried),
-        ("dse.points.timed_out", run.timed_out),
-        ("dse.points.poisoned", run.poisoned),
-    ):
-        counter(name, n=value, campaign=run.spec.name)
-    if run.interrupted:
-        counter("dse.interrupted", signum=run.interrupt_signum,
-                remaining=run.remaining, campaign=run.spec.name)
-    flush()
-
-
-def _profile_task(spec: LayerSpec,
-                  attempt: int = 0) -> tuple[str, Any, float]:
+def _profile_task(spec: LayerSpec, attempt: int = 0) -> tuple[Any, float]:
     """Profile-pass pool task: the layer's profile, or its error text.
 
     Never raises, as a pool task must not, and fires no faults: the
@@ -576,7 +284,7 @@ def _profile_task(spec: LayerSpec,
         payload: Any = layer_weight_stats(spec)
     except Exception as exc:  # noqa: BLE001 -- dropped; profiled lazily
         payload = PointFailure.from_exception(exc).error
-    return spec.name, payload, time.perf_counter() - start
+    return payload, time.perf_counter() - start
 
 
 def _profile_pass(points: list[EvalRequest], jobs: int, policy: RetryPolicy,
@@ -599,7 +307,7 @@ def _profile_pass(points: list[EvalRequest], jobs: int, policy: RetryPolicy,
         return
     profiled: list[tuple[LayerSpec, LayerWeightStats]] = []
 
-    def keep(spec: LayerSpec, attempt: int, key: Any, payload: Any,
+    def keep(spec: LayerSpec, attempt: int, payload: Any,
              elapsed: float, reason: str) -> None:
         if isinstance(payload, LayerWeightStats):
             profiled.append((spec, payload))
@@ -618,6 +326,22 @@ def _profile_pass(points: list[EvalRequest], jobs: int, policy: RetryPolicy,
     counter("dse.profile.layers", n=len(profiled))
 
 
+def _unique(points: list[EvalRequest]) -> list[EvalRequest]:
+    """``points`` less any whose key repeats an earlier one's, with a
+    warning: one result must never commit or report twice."""
+    by_key: dict[str, EvalRequest] = {}
+    for point in points:
+        key = point.key()
+        if key in by_key:
+            warnings.warn(
+                f"campaign point {point.label!r} duplicates the key of "
+                f"{by_key[key].label!r} ({key}); dropping the duplicate",
+                RuntimeWarning, stacklevel=3)
+            continue
+        by_key[key] = point
+    return list(by_key.values())
+
+
 def run_campaign(
     spec: CampaignSpec,
     store: ResultStore | None = None,
@@ -627,42 +351,91 @@ def run_campaign(
     progress: ProgressFn | None = None,
     shard: Shard | None = None,
     policy: RetryPolicy | None = None,
-) -> CampaignRun[EvalRequest, EvalResult]:
+) -> CampaignRun:
     """Run (or resume) a campaign; returns the result grid.
 
     Points whose key already exists in ``store`` are served from disk
     unless ``force`` re-evaluates them; ``store`` holds every point's
-    record, whatever its backend.  ``jobs > 1`` evaluates the pending
-    points on a supervised process pool, after a profile pass (see the
-    module docstring) has profiled their networks once; ``jobs=0``
-    uses every CPU.  ``shard`` restricts the run to one deterministic
-    slice of the grid (see :class:`repro.dse.spec.Shard`) so N
-    processes/hosts can split a campaign and later ``merge`` their
-    stores.  ``policy`` (default: the spec's ``retry`` field, else
-    :class:`RetryPolicy`'s defaults) governs retries, per-point
-    timeouts, and poison quarantine.
+    record, whatever its backend.  The pending points go to the
+    evaluation engine (:func:`~repro.dse.engine.settle_all`): in this
+    process at ``jobs=1``, else on a supervised process pool of up to
+    ``jobs`` workers, after a profile pass (see the module docstring)
+    has profiled their networks once; ``jobs=0`` uses every CPU.
+    ``shard`` restricts the run to one deterministic slice of the grid
+    (see :class:`repro.dse.spec.Shard`) so N processes/hosts can split
+    a campaign and later ``merge`` their stores.  ``policy`` (default:
+    the spec's ``retry`` field, else :class:`RetryPolicy`'s defaults)
+    governs retries, per-point timeouts, and poison quarantine.
+    Progress events fire once per point, when it settles.
     """
     spec.validate()
     if store is None:
         store = ResultStore()
     if policy is None:
         policy = spec.retry or RetryPolicy()
+    jobs = resolve_jobs(jobs)
     points = spec.points()
     if shard is not None:
         points = shard.select(points)
-    run: CampaignRun[EvalRequest, EvalResult] = CampaignRun(
-        spec=spec, store_path=store.path, points=points, total=len(points))
-    drive_points(
-        points, run,
-        jobs=jobs,
-        worker=_worker,
-        cached_result=lambda point: store.result(point.key()),
-        make_point_record=make_record,
-        decode_result=result_from_dict,
-        store=store,
-        force=force,
-        progress=progress,
-        policy=policy,
-        before_fork=_profile_pass,
-    )
+    run = CampaignRun(spec=spec, store_path=store.path,
+                      points=_unique(points))
+
+    drive_start = time.perf_counter()
+    pending = []
+    with trace("dse.cache_scan", campaign=spec.name):
+        for point in run.points:
+            result = None if force else store.result(point.key())
+            if result is None:
+                pending.append(point)
+                continue
+            run.results[point.key()] = result
+            run.cached += 1
+            if progress is not None:
+                progress(run.total - run.remaining, run.total, point.label,
+                         cached=True, elapsed_s=None)
+
+    def settled(outcome: Settled) -> None:
+        run.account(outcome)
+        if progress is not None:
+            # A failure marks the live line: an operator watching a
+            # long run should see it when it happens.
+            label = (outcome.subject.label if outcome.ok else
+                     f"FAILED {outcome.subject.label}: {outcome.last_error}")
+            progress(run.total - run.remaining, run.total, label,
+                     cached=False, elapsed_s=outcome.elapsed_s)
+
+    # One job is this process; so is a single pending point, unless a
+    # timeout needs the watchdog's pool.
+    workers = jobs if jobs > 1 and len(pending) > 1 else 0
+    with _SignalGuard() as guard:
+        if workers:
+            _profile_pass(pending, jobs, policy, guard.stop_requested)
+        if not guard.stop_requested():  # else fork no point pool
+            settle_all(pending, evaluate_point, site="eval", store=store,
+                       policy=policy, workers=workers,
+                       should_stop=guard.stop_requested,
+                       on_settled=settled)
+        run.interrupt_signum = guard.signum
+    run.interrupted = run.remaining > 0
+
+    # Run-level accounting, emitted by the parent (the one process that
+    # owns the commit path) so the trace report's counters match the
+    # campaign summary exactly.
+    observe("dse.drive", time.perf_counter() - drive_start,
+            campaign=spec.name)
+    for name, value in (
+        ("dse.points.total", run.total),
+        ("dse.points.cached", run.cached),
+        ("dse.points.evaluated", run.evaluated),
+        ("dse.points.failed", len(run.failed)),
+        ("dse.points.persist_failures", run.persist_failures),
+        ("dse.points.retried", run.retried),
+        ("dse.points.timed_out", run.timed_out),
+        ("dse.points.poisoned", run.poisoned),
+    ):
+        counter(name, n=value, campaign=spec.name)
+    if run.interrupted:
+        counter("dse.interrupted", signum=run.interrupt_signum,
+                remaining=run.remaining, campaign=spec.name)
+    flush()
     return run

@@ -1,10 +1,13 @@
 """A self-healing worker pool with a parent-side watchdog.
 
-Replaces ``multiprocessing.Pool`` in the campaign executor.  The
-stdlib pool cannot survive the failure modes long campaigns actually
-hit: a hung worker stalls ``imap_unordered`` forever, and a worker
-that dies without streaming a payload (OOM-killed, hard crash) aborts
-the whole iteration.  This pool gives the parent full custody:
+The evaluation engine (:mod:`repro.dse.engine`) runs its attempts on
+it whenever a caller asks for worker processes or a timeout, and the
+campaign's profile pass warms caches on it.  The stdlib
+``multiprocessing.Pool`` cannot survive the failure modes long
+campaigns actually hit: a hung worker stalls ``imap_unordered``
+forever, and a worker that dies without streaming a payload
+(OOM-killed, hard crash) aborts the whole iteration.  This pool gives
+the parent full custody:
 
 - one task queue **per worker**, dispatched one point at a time, so
   the parent always knows exactly which point each worker holds;
@@ -15,15 +18,16 @@ the whole iteration.  This pool gives the parent full custody:
   point handed back to the outcome handler (which decides retry vs
   quarantine), and a fresh worker takes its slot;
 - cooperative shutdown: a stop callable (wired to SIGINT/SIGTERM by
-  the executor) halts dispatch, kills in-flight workers, and returns
+  the campaign) halts dispatch, kills in-flight workers, and returns
   with completed results already committed.
 
 The pool is deliberately policy-free: every outcome -- success,
-worker exception, timeout, heartbeat silence, death -- is reported to
-a single ``handle`` callback which returns either ``None`` (point
-settled) or a backoff delay in seconds (schedule a retry).  Handlers
-keep the bookkeeping; :meth:`~repro.dse.retry.RetryPolicy.settle`
-makes the decision.  :func:`run_inline` is the in-process twin.
+worker exception, timeout, heartbeat silence, death -- is reported,
+with the point the parent dispatched, to a single ``handle`` callback
+which returns either ``None`` (point settled) or a backoff delay in
+seconds (schedule a retry).  The engine's handler keeps the
+bookkeeping; :meth:`~repro.dse.retry.RetryPolicy.settle` makes the
+decision.  :func:`run_inline` is the in-process twin.
 """
 
 from __future__ import annotations
@@ -54,17 +58,16 @@ POLL_S = 0.05
 #: How long to wait for a SIGKILLed worker to be reaped.
 KILL_JOIN_S = 5.0
 
-#: ``handle(point, attempt, key, payload, elapsed_s, reason)`` returns
-#: a backoff in seconds to schedule a retry, or ``None`` when settled.
-#: ``reason`` is ``"ok"`` when the worker streamed ``key``/``payload``
-#: back (the key is the *worker's*, which the committer trusts exactly
-#: as the old pool did); else one of ``"timeout" | "heartbeat-silent" |
-#: "worker-died"`` with ``key`` ``None`` and ``payload`` ``None``.
-OutcomeFn = Callable[[Any, int, Any, Any, float, str], float | None]
+#: ``handle(point, attempt, payload, elapsed_s, reason)`` returns a
+#: backoff in seconds to schedule a retry, or ``None`` when settled.
+#: ``reason`` is ``"ok"`` when the worker streamed ``payload`` back for
+#: the point it was handed; else one of ``"timeout" |
+#: "heartbeat-silent" | "worker-died"`` with ``payload`` ``None``.
+OutcomeFn = Callable[[Any, int, Any, float, str], float | None]
 
-#: ``fn(point, attempt) -> (key, payload, elapsed_s)`` -- the
+#: ``fn(point, attempt) -> (payload, elapsed_s)`` -- the
 #: failure-tolerant worker callable (never raises).
-TaskFn = Callable[[Any, int], "tuple[str, Any, float]"]
+TaskFn = Callable[[Any, int], "tuple[Any, float]"]
 
 
 def _worker_main(wid: int, tasks: "multiprocessing.Queue[Any]",
@@ -95,8 +98,8 @@ def _worker_main(wid: int, tasks: "multiprocessing.Queue[Any]",
             if task is None:
                 break
             point, attempt = task
-            key, payload, elapsed = fn(point, attempt)
-            results.put(("done", wid, key, payload, elapsed))
+            payload, elapsed = fn(point, attempt)
+            results.put(("done", wid, payload, elapsed))
     finally:
         stop.set()
 
@@ -153,10 +156,10 @@ class WatchdogPool:
             workers[wid] = worker
             return worker
 
-        def settle(point: Any, attempt: int, key: Any, payload: Any,
+        def settle(point: Any, attempt: int, payload: Any,
                    elapsed: float, reason: str) -> None:
             nonlocal outstanding, seq
-            backoff = handle(point, attempt, key, payload, elapsed, reason)
+            backoff = handle(point, attempt, payload, elapsed, reason)
             if backoff is None:
                 outstanding -= 1
             else:
@@ -178,7 +181,7 @@ class WatchdogPool:
             counter("dse.worker.killed", reason=reason,
                     exitcode=worker.process.exitcode)
             if point is not None:
-                settle(point, attempt, None, None, elapsed, reason)
+                settle(point, attempt, None, elapsed, reason)
             if outstanding > 0 and not self._should_stop():
                 spawn()
 
@@ -215,12 +218,11 @@ class WatchdogPool:
                     if kind == "hb":
                         worker.last_beat = time.monotonic()
                     elif kind == "done":
-                        _, _, key, payload, elapsed = message
+                        _, _, payload, elapsed = message
                         point, attempt = worker.point, worker.attempt
                         worker.point = None
                         if point is not None:
-                            settle(point, attempt, key, payload,
-                                   elapsed, "ok")
+                            settle(point, attempt, payload, elapsed, "ok")
 
                 now = time.monotonic()
                 timeout_s = self.policy.timeout_s

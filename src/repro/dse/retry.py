@@ -11,8 +11,10 @@ parent-side watchdog declares a worker hung.
 Every failed attempt is a :class:`PointFailure`, and the policy alone
 decides its fate: :meth:`RetryPolicy.settle` returns the backoff before
 the next attempt, or ``None`` once the failure is terminal.  The
-campaign executor's and the service's pool handlers call it;
-:meth:`RetryPolicy.call` is the loop for a callable that raises.
+evaluation engine's one outcome handler (:mod:`repro.dse.engine`) calls
+it for campaigns, the service and guided-search probes alike;
+:meth:`RetryPolicy.call` is the loop for a plain callable that raises
+(the scalar search's probes).
 
 The policy rides on :class:`~repro.dse.spec.CampaignSpec` (optional
 ``retry`` field, JSON round-tripped) and the ``--max-attempts`` /
@@ -192,8 +194,10 @@ class RetryPolicy:
                 time.sleep(backoff)
 
     def needs_watchdog(self) -> bool:
-        """Whether this policy requires parent-side worker supervision
-        (and therefore process-based execution even at ``--jobs 1``)."""
+        """Whether this policy requires parent-side worker supervision,
+        so the engine runs attempts in a worker process even where it
+        would run them inline (``--jobs 1``, ``--workers 0``, guided
+        search)."""
         return self.timeout_s is not None
 
     def to_dict(self) -> dict[str, Any]:

@@ -319,23 +319,35 @@ class ResultStore:
     def _append(self, lines: list[bytes]) -> None:
         """Append pre-serialized record lines as one atomic write.
 
-        If the file ends mid-line (a torn write from a crashed
-        campaign), the append starts on a fresh line -- otherwise the
-        first new record would concatenate onto the torn fragment and
-        be lost with it.
+        The caller holds ``_lock`` and the namespace lock, and indexes
+        the lines itself.  If the file ends mid-line (a torn write from
+        a crashed campaign), the append starts on a fresh line --
+        otherwise the first new record would concatenate onto the torn
+        fragment and be lost with it.  When the file before the append
+        is exactly what the index read (same identity, same bytes
+        before the read offset, nothing after it), the read offset
+        moves past the appended lines, so the next refresh does not
+        parse them again; a line without its newline never moves it.
         """
         fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
             data = b"".join(lines)
-            size = os.fstat(fd).st_size
-            if size:
-                # lseek+read (not os.pread) keeps the probe portable to
-                # platforms without fcntl; O_APPEND still sends the
-                # write to end-of-file regardless of the read offset.
-                os.lseek(fd, size - 1, os.SEEK_SET)
-                if os.read(fd, 1) != b"\n":
-                    data = b"\n" + data
+            stat = os.fstat(fd)
+            size = stat.st_size
+            # lseek+read (not os.pread) keeps the probe portable to
+            # platforms without fcntl; O_APPEND still sends the write
+            # to end-of-file regardless of the read offset.
+            begin = max(0, size - _SEEN_BYTES)
+            os.lseek(fd, begin, os.SEEK_SET)
+            tail = os.read(fd, size - begin)
+            if tail and not tail.endswith(b"\n"):
+                data = b"\n" + data
+            seen = ((stat.st_dev, stat.st_ino), tail)
+            indexed = size == self._offset and (not size or seen == self._seen)
             os.write(fd, data)
+            if indexed and data.endswith(b"\n"):
+                self._offset = size + len(data)
+                self._seen = (seen[0], (tail + data)[-_SEEN_BYTES:])
         finally:
             os.close(fd)
 

@@ -14,7 +14,8 @@ OOM-style).  Sites: ``eval`` (the worker evaluation entry), ``gemm``
 (inside the simulator's per-plane GEMM loop), ``store`` (the
 :class:`~repro.dse.store.ResultStore` append boundary), and ``serve``
 (the evaluation service's request path: ``slow_io`` stalls its store
-reads, the process-breaking kinds fire inside its worker pool).
+reads, the process-breaking kinds fire inside its evaluation
+attempts).
 
 Enable with ``--inject SPEC`` on ``python -m repro.dse run|sim`` or by
 exporting ``REPRO_FAULTS=SPEC`` (inherited by pool workers).  Disabled
@@ -22,6 +23,7 @@ exporting ``REPRO_FAULTS=SPEC`` (inherited by pool workers).  Disabled
 """
 
 from repro.faults.hooks import (
+    ATTEMPT_KINDS,
     DIE_EXIT_CODE,
     FAULTS_ENV,
     InjectedFault,
@@ -44,6 +46,7 @@ from repro.faults.plan import (
 )
 
 __all__ = [
+    "ATTEMPT_KINDS",
     "DEFAULT_SITES",
     "DIE_EXIT_CODE",
     "FAULTS_ENV",

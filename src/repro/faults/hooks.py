@@ -37,6 +37,14 @@ FAULTS_ENV = "REPRO_FAULTS"
 #: kernel OOM killer's SIGKILL disposition).
 DIE_EXIT_CODE = 137
 
+#: The kinds an evaluation attempt's :func:`fire` executes, for the
+#: sites that split their kinds between two hooks (absent: every
+#: kind).  The ``serve`` site's ``slow_io`` clauses stall its store
+#: reads instead (:func:`serve_read_fault`).
+ATTEMPT_KINDS: dict[str, tuple[str, ...]] = {
+    "serve": ("crash", "hang", "die"),
+}
+
 
 class InjectedFault(RuntimeError):
     """Raised by a ``crash`` fault (classified retryable, like the
@@ -48,7 +56,7 @@ class InjectedFault(RuntimeError):
 _PLAN: FaultPlan | None = None
 
 #: ``(key, attempt)`` of the point this process is evaluating, set by
-#: the campaign worker so deep sites (the GEMM loop) can key decisions.
+#: the engine's attempt so deep sites (the GEMM loop) can key decisions.
 _CONTEXT: tuple[str, int] | None = None
 
 #: Per-site call ordinals within the current point context, so each
@@ -217,7 +225,7 @@ def serve_read_fault(key: str) -> str | None:
 
     Only ``slow_io`` clauses apply here (a flaky disk under the result
     store); the process-breaking kinds at ``site=serve`` belong to the
-    worker-pool hook (:func:`fire` inside the service worker), so a
+    attempt hook (:func:`fire` inside each evaluation attempt), so a
     ``crash:site=serve`` plan breaks evaluations -- which the service
     retries -- rather than the read path of every request.  As at the
     store-write site, the per-key read ordinal stands in for the

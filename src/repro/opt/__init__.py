@@ -25,9 +25,11 @@ Three drivers:
 
 Every probe goes through :class:`Objective`, which stamps records with
 ``origin``/``round`` provenance, counts cache hits vs fresh
-evaluations (``opt.probes.*`` counters), and retries transient
-failures under the campaign :class:`repro.dse.retry.RetryPolicy` --
-including faults injected at the ``opt`` site by ``--inject`` plans.
+evaluations (``opt.probes.*`` counters), and computes misses through
+the campaign's evaluation engine (:mod:`repro.dse.engine`), which
+retries transient failures under a :class:`repro.dse.retry.RetryPolicy`
+-- including faults injected at the ``opt`` site by ``--inject``
+plans -- and enforces its timeout.
 Seeds thread end-to-end: the same seed replays the identical probe
 trajectory.
 """

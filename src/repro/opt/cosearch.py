@@ -15,17 +15,18 @@ nondominated archive over ``(accuracy, TOPS/W)`` -- via
 frontier across ``{strategy x arch}``.
 
 Pricing probes go through :meth:`repro.opt.objective.Objective.answer`
-like every guided probe (same counters, fault site, retries and record
-stamping), and persist in the store the co-search is given, beside
-the other records (keys hash the probe kind + strategy + arch +
-workload), so re-running a co-search re-prices nothing, and records
-carry ``origin="opt:cosearch"`` provenance.
+like every guided probe, so the evaluation engine prices them (same
+counters, fault site, retries, timeout and record stamping) with
+:func:`_price` as its compute function, and they persist in the store
+the co-search is given, beside the other records (keys hash the probe
+kind + strategy + arch + workload), so re-running a co-search
+re-prices nothing, and records carry ``origin="opt:cosearch"``
+provenance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any
 
 from repro.accelerators import build_accelerator, config_arch_reads
@@ -250,7 +251,7 @@ def cosearch(
                     workload=config.network, arch=arch,
                     preset=config.preset, strategy=strategy)
                 result, _, _ = objective.answer(
-                    probe, partial(_price, probe), round_index=round_index,
+                    probe, _price, round_index=round_index,
                     backend="model", workload=probe.workload)
                 if result is None:
                     continue

@@ -1,16 +1,18 @@
 """The failure-tolerant, cache-sharing objective behind every probe.
 
-An :class:`Objective` turns ``repro.eval.evaluate``'s machinery into a
+An :class:`Objective` turns the evaluation machinery into a
 deterministic callback for guided drivers: lookup in the store it was
-given first (guided and exhaustive runs share its keyspace),
-backend compute on a miss with bounded retries
-(:meth:`repro.dse.retry.RetryPolicy.call`), and a store record stamped
-with search provenance (``origin`` and round index in ``extra``) so
-mixed guided+exhaustive stores stay auditable.  :meth:`Objective.probe`
-answers grid points, which are :class:`~repro.eval.request.EvalRequest`
-objects, so a probe stores the same ``point`` dict as a campaign or an
-``evaluate()`` call; :meth:`Objective.answer` is the same path for any
-keyed subject (the co-search's strategy snapshots).
+given first (guided and exhaustive runs share its keyspace), then, on
+a miss, the evaluation engine (:func:`repro.dse.engine.settle_all`) --
+the one campaigns and the service use -- which computes under the
+retry policy, enforces its timeout with a watchdog worker, and commits
+a record stamped with search provenance (``origin`` and round index
+in ``extra``) so mixed guided+exhaustive stores stay auditable.
+:meth:`Objective.probe` answers grid points, which are
+:class:`~repro.eval.request.EvalRequest` objects, so a probe stores
+the same ``point`` dict as a campaign or an ``evaluate()`` call;
+:meth:`Objective.answer` is the same path for any keyed subject (the
+co-search's strategy snapshots).
 
 Probes are chaos-testable: each attempt binds the fault-injection point
 context and fires the ``opt`` site, so an ``--inject
@@ -20,12 +22,10 @@ infrastructure weather.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable
 
-from repro import faults
-from repro.dse.records import Keyed, make_record
+from repro.dse.engine import ComputeFn, settle_all
+from repro.dse.records import Keyed
 from repro.dse.retry import RetryPolicy
 from repro.dse.store import ResultStore
 from repro.eval.registry import get_backend
@@ -76,30 +76,31 @@ class Objective:
         self.evaluated = 0
         self.saved = 0
         self.failed = 0
+        #: Evaluated probes whose records could not be written.
+        self.persist_failures = 0
 
     def probe(self, request: EvalRequest, *, round_index: int = 0) -> Probe:
         """Answer one grid point: store hit, or evaluate-with-retries.
 
         Never raises on evaluation failure -- a probe that exhausts its
-        retry budget (or hits a poison error) returns with
-        ``result=None`` and the driver ranks it last.  This is what
-        lets a guided run keep converging while infrastructure
+        retry budget (or hits a poison error, or its timeout) returns
+        with ``result=None`` and the driver ranks it last.  This is
+        what lets a guided run keep converging while infrastructure
         misbehaves under it.
         """
         request.validate()
-        backend = get_backend(request.backend)
         result, attempts, error = self.answer(
-            request, lambda: backend.evaluate(request),
+            request, get_backend(request.backend).evaluate,
             round_index=round_index, backend=request.backend,
             workload=request.workload)
         return Probe(request=request, result=result, cached=attempts == 0,
                      attempts=attempts, error=error)
 
-    def answer(self, subject: Keyed, evaluate: Callable[[], EvalResult],
+    def answer(self, subject: Keyed, compute: ComputeFn,
                *, round_index: int, backend: str, workload: str,
                ) -> tuple[EvalResult | None, int, str | None]:
-        """``subject``'s result from the store, else ``evaluate()`` under
-        the retry policy, recorded in the store.
+        """``subject``'s result from the store, else ``compute(subject)``
+        through the evaluation engine, recorded in the store.
 
         Returns ``(result, attempts, error)``; a store hit took 0
         attempts, and a failure has ``result=None`` and its last error.
@@ -113,36 +114,25 @@ class Objective:
                 self.saved += 1
                 counter("opt.probes.saved", origin=self.origin)
                 return cached, 0, None
-
-            def attempt(n: int) -> tuple[EvalResult, float]:
-                faults.set_point_context(key, n)
-                try:
-                    faults.fire("opt")
-                    start = time.perf_counter()
-                    return evaluate(), time.perf_counter() - start
-                finally:
-                    faults.clear_point_context()
-
-            value, failures = self.policy.call(key, attempt)
-            for failure in failures:
+            (done,) = settle_all(
+                [subject], compute, site="opt", store=self.store,
+                policy=self.policy,
+                extra={"origin": self.origin, "round": round_index},
+            ).values()
+            for failure in done.failures:
                 counter("opt.probe_errors", origin=self.origin,
                         etype=failure.etype)
-            last_error = failures[-1].error if failures else None
-            if value is None:
+            if done.result is None:
                 self.failed += 1
                 counter("opt.probes.failed", origin=self.origin)
-                return None, len(failures), last_error
-            result, elapsed = value
-            attempts = len(failures) + 1
-            self.store.put(key, make_record(
-                subject, result, elapsed_s=elapsed,
-                attempts=attempts if failures else None,
-                last_error=last_error,
-                extra={"origin": self.origin, "round": round_index},
-            ))
+                return None, done.attempts, done.last_error
+            if not done.persisted:
+                # An unwritable store costs persistence, not the answer.
+                self.persist_failures += 1
+                counter("opt.probes.persist_failures", origin=self.origin)
             self.evaluated += 1
             counter("opt.probes.evaluated", origin=self.origin)
-            return result, attempts, None
+            return done.result, done.attempts, None
 
     def counts(self) -> dict[str, int]:
         """Probe accounting for reports and BENCH artifacts."""

@@ -13,9 +13,10 @@ Layers, bottom up:
 - :mod:`repro.serve.metrics` -- thread-safe counters + a latency
   window behind ``GET /metrics``, mirrored to :mod:`repro.obs`;
 - :mod:`repro.serve.service` -- :class:`EvalService`: single-flight
-  request coalescing, hot/store/compute tiers, retries via
-  :class:`~repro.dse.retry.RetryPolicy`, and an optional supervised
-  :class:`~repro.dse.pool.WatchdogPool` for process-isolated workers;
+  request coalescing and hot/store tiers in front of the evaluation
+  engine (:mod:`repro.dse.engine`), which retries under a
+  :class:`~repro.dse.retry.RetryPolicy` and runs process-isolated
+  workers on a supervised :class:`~repro.dse.pool.WatchdogPool`;
 - :mod:`repro.serve.http` -- a stdlib asyncio HTTP/1.1 front end
   (``/eval``, ``/eval/batch``, ``/summary``, ``/pareto``,
   ``/healthz``, ``/metrics``, and a static dashboard);

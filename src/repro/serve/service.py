@@ -23,22 +23,22 @@ questions through four tiers, cheapest first:
    result's JSON bytes (:func:`~repro.dse.store.encode_json`, the
    encoding of its record lines too), encoded on the key's first
    store hit, so a key evicted from the hot tier is not encoded again;
-4. **compute** -- a bounded background worker pool.  ``workers=0``
-   evaluates misses inline on the dispatch thread (no subprocesses;
-   the low-latency single-host mode) unless the retry policy sets a
-   timeout, which only a watchdog can enforce; ``workers>=1``, or a
-   timeout, fans each batch of misses out over the supervised,
-   self-healing :class:`~repro.dse.pool.WatchdogPool`, so a crashing
-   or hanging evaluation costs one worker process, never the service.
-   The queued requests themselves are the pool tasks, as a campaign's
-   points are.
+4. **compute** -- the evaluation engine
+   (:func:`~repro.dse.engine.settle_all`), the one that runs campaign
+   points and guided-search probes.  ``workers=0`` evaluates misses
+   inline on the dispatch thread (no subprocesses; the low-latency
+   single-host mode) unless the retry policy sets a timeout, which
+   only a watchdog can enforce; ``workers>=1``, or a timeout, fans
+   each batch of misses out over the supervised, self-healing
+   :class:`~repro.dse.pool.WatchdogPool`, so a crashing or hanging
+   evaluation costs one worker process, never the service.
 
-Both compute modes report to one outcome handler, which retries
-transient failures per the :class:`~repro.dse.retry.RetryPolicy`
-(poison errors fail fast), and the service process owns every store
-write -- worker processes only compute, exactly like the campaign
-executor.  A computed result's record holds ``request.to_dict()`` as
-its ``point``, as every other producer's does.
+The engine retries transient failures per the
+:class:`~repro.dse.retry.RetryPolicy` (poison errors fail fast) and
+commits every computed result from this process -- worker processes
+only compute.  A computed result's record holds ``request.to_dict()``
+as its ``point``, as every other producer's does.  The service counts
+its ``serve.*`` metrics from the settled outcomes.
 
 The service is asyncio-native: :meth:`EvalService.submit` is awaited
 by the HTTP layer, and blocking work runs via ``asyncio.to_thread``:
@@ -57,24 +57,19 @@ from pathlib import Path
 from typing import Any
 
 from repro import faults
-from repro.dse.pool import WatchdogPool, run_inline
-from repro.dse.records import make_record, result_from_dict, result_to_dict
+from repro.dse.engine import Settled, settle_all
+from repro.dse.executor import evaluate_point
 from repro.dse.retry import PointFailure, RetryPolicy
 from repro.dse.store import ResultStore, encode_json
-from repro.eval.registry import get_backend
 from repro.eval.request import EvalRequest
 from repro.eval.result import EvalResult
-from repro.obs import flush, observe, trace
+from repro.obs import observe, trace
 from repro.serve.cache import DEFAULT_HOT_MAX, HotCache
 from repro.serve.metrics import ServeMetrics
 
 #: Default bound on queued (accepted but not yet dispatched) misses;
 #: past it the service answers 503 instead of hoarding latency.
 DEFAULT_QUEUE_MAX = 64
-
-#: Fault kinds the service worker executes at ``site=serve`` (the
-#: ``slow_io`` half of the site belongs to the store-read hook).
-_WORKER_FAULT_KINDS = ("crash", "hang", "die")
 
 
 @dataclass(frozen=True)
@@ -111,33 +106,6 @@ class Outcome:
     @property
     def ok(self) -> bool:
         return self.result is not None
-
-
-def _serve_worker(request: EvalRequest,
-                  attempt: int = 0) -> tuple[str, Any, float]:
-    """One evaluation attempt: failure-tolerant, chaos-instrumented.
-
-    Runs inline (``workers=0``) or inside a supervised pool worker;
-    either way it never raises -- an exception becomes a
-    :class:`PointFailure` payload the retry policy classifies.  The
-    ``serve``-site fault hook fires here (crash/hang/die), with the
-    point context bound so deep ``gemm``-site clauses key off the
-    request too.
-    """
-    start = time.perf_counter()
-    key = request.key()
-    faults.set_point_context(key, attempt)
-    try:
-        with trace("serve.point", label=request.label, attempt=attempt):
-            faults.fire("serve", kinds=_WORKER_FAULT_KINDS)
-            result = get_backend(request.backend).evaluate(request)
-            return key, result_to_dict(result), time.perf_counter() - start
-    except Exception as exc:  # noqa: BLE001 -- any evaluation fault
-        return (key, PointFailure.from_exception(exc),
-                time.perf_counter() - start)
-    finally:
-        faults.clear_point_context()
-        flush()
 
 
 class EvalService:
@@ -357,85 +325,39 @@ class EvalService:
 
     def _run_batch(self,
                    requests: list[EvalRequest]) -> dict[str, Outcome]:
-        """Evaluate one batch of misses (blocking; runs off-loop).
-
-        Inline when ``workers=0`` and the policy sets no timeout;
-        otherwise on a supervised pool of at least one worker, whose
-        watchdog kills an attempt past the policy's deadline, as the
-        campaign executor does."""
+        """Evaluate one batch of misses (blocking; runs off-loop)
+        through the evaluation engine, inline at ``workers=0`` unless
+        the policy sets a timeout."""
         unique = list({request.key(): request
                        for request in requests}.values())
-        outcomes: dict[str, Outcome] = {}
-        last_error: dict[str, str] = {}
+        settled = settle_all(unique, evaluate_point, site="serve",
+                             store=self.store, policy=self.policy,
+                             workers=self.workers)
+        return {key: self._outcome(done) for key, done in settled.items()}
 
-        def handle(request: Any, attempt: int, key: Any, payload: Any,
-                   elapsed: float, reason: str) -> float | None:
-            if key is None:
-                key = request.key()
-            if reason != "ok":
-                if reason in ("timeout", "heartbeat-silent"):
-                    self.metrics.incr("serve.timed_out")
-                failure = PointFailure.killed(reason, elapsed, attempt)
-            elif isinstance(payload, PointFailure):
-                failure = payload
-            else:
-                outcomes[key] = self._commit(
-                    request, payload, elapsed, attempts=attempt + 1,
-                    last_error=last_error.get(key))
-                return None
-            last_error[key] = failure.error
-            backoff = self.policy.settle(key, attempt, failure)
-            if backoff is not None:
-                observe("serve.retry.backoff", backoff,
-                        key=key, attempt=attempt + 1)
-                return backoff
-            outcomes[key] = self._failed(key, failure, attempt + 1)
-            return None
-
-        if self.workers >= 1 or self.policy.needs_watchdog():
-            WatchdogPool(_serve_worker,
-                         max(1, min(self.workers, len(unique))),
-                         self.policy).run(unique, handle)
-        else:
-            run_inline(_serve_worker, unique, handle)
-        return outcomes
-
-    def _commit(self, request: EvalRequest, payload: dict[str, Any],
-                elapsed: float, *, attempts: int,
-                last_error: str | None) -> Outcome:
-        """Persist one fresh result and fill the hot tier (terminal)."""
-        key = request.key()
-        result = result_from_dict(payload)
-        record = make_record(
-            request, payload, elapsed,
-            attempts=attempts if attempts > 1 else None,
-            last_error=last_error if attempts > 1 else None)
-        try:
-            with trace("serve.persist", backend=request.backend):
-                self.store.put(key, record)
-        except OSError:
+    def _outcome(self, done: Settled) -> Outcome:
+        """Count one settled miss; a success fills the hot tier."""
+        metrics = self.metrics
+        if done.timeouts:
+            metrics.incr("serve.timed_out", done.timeouts)
+        if done.attempts > 1:
+            metrics.incr("serve.retried")
+        if done.result is None:
+            failure = done.failures[-1]
+            metrics.incr("serve.failed")
+            if done.poisoned:
+                metrics.incr("serve.poisoned")
+            return Outcome(key=done.key, attempts=done.attempts,
+                           error=failure.error, etype=failure.etype,
+                           kind=failure.kind, poisoned=done.poisoned)
+        if not done.persisted:
             # An unwritable store costs persistence, not the answer.
-            self.metrics.incr("serve.persist_failures")
-        hot = self._remember(key, result)
-        self.metrics.incr("serve.evaluated")
-        if attempts > 1:
-            self.metrics.incr("serve.retried")
-        if last_error is not None and "InjectedFault" in last_error:
-            self.metrics.incr("serve.faults.recovered")
-        return replace(hot, source="computed", attempts=attempts)
-
-    def _failed(self, key: str, failure: PointFailure,
-                attempts: int) -> Outcome:
-        """Account one settled failure (budget exhausted or poison)."""
-        poisoned = self.policy.poisoned(failure)
-        self.metrics.incr("serve.failed")
-        if poisoned:
-            self.metrics.incr("serve.poisoned")
-        if attempts > 1:
-            self.metrics.incr("serve.retried")
-        return Outcome(key=key, attempts=attempts, error=failure.error,
-                       etype=failure.etype, kind=failure.kind,
-                       poisoned=poisoned)
+            metrics.incr("serve.persist_failures")
+        metrics.incr("serve.evaluated")
+        if done.last_error is not None and "InjectedFault" in done.last_error:
+            metrics.incr("serve.faults.recovered")
+        hot = self._remember(done.key, done.result)
+        return replace(hot, source="computed", attempts=done.attempts)
 
     # -- introspection ---------------------------------------------------
     def snapshot(self) -> dict[str, Any]:

@@ -18,9 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.dse.executor import CampaignRun, _worker, drive_points, run_campaign
+from repro.dse import executor
+from repro.dse.engine import settle_all
+from repro.dse.executor import run_campaign
 from repro.dse.gc import collect_garbage, gc_table, live_namespaces
-from repro.dse.records import make_record, result_from_dict
+from repro.dse.retry import RetryPolicy
 from repro.dse.spec import CampaignSpec, Shard
 from repro.dse.store import ResultStore
 from repro.dse.summary import summary_data, summary_table
@@ -36,24 +38,21 @@ def _spec(**overrides) -> CampaignSpec:
     return CampaignSpec(**base)
 
 
-def _drive(points, run, store, worker, **kwargs):
-    """drive_points with the standard evaluation-grid plumbing."""
-    drive_points(
-        points, run,
-        worker=worker,
-        cached_result=lambda point: store.result(point.key()),
-        make_point_record=make_record,
-        decode_result=result_from_dict,
-        store=store,
-        **kwargs,
-    )
+#: The real compute function, before any test swaps it out.
+_evaluate = executor.evaluate_point
 
 
-def _poison_worker(point):
-    """Module-level (picklable) worker that fails exactly one point."""
+def _poisoned(point):
+    """Module-level (picklable) compute that fails exactly the SCNN
+    points; forked pool workers inherit it once patched in."""
     if point.accelerator == "SCNN":
         raise RuntimeError("injected fault")
-    return _worker(point)
+    return _evaluate(point)
+
+
+def _first_point_result(point):
+    """Compute that answers every point with the first point's result."""
+    return _evaluate(_spec().points()[0])
 
 
 class TestShard:
@@ -432,18 +431,18 @@ class TestGc:
 
 
 class TestFailureTolerance:
-    def _run_with(self, tmp_path, worker, spec=None, **kwargs):
-        spec = spec or _spec()
+    @pytest.fixture(autouse=True)
+    def _patch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
+    def _run_with(self, tmp_path, compute, spec=None, **kwargs):
+        """``run_campaign`` with ``compute`` as its evaluation."""
+        self.monkeypatch.setattr(executor, "evaluate_point", compute)
         store = ResultStore(tmp_path)
-        points = spec.points()
-        run: CampaignRun = CampaignRun(
-            spec=spec, store_path=store.path, points=points,
-            total=len(points))
-        _drive(points, run, store, worker, **kwargs)
-        return run, store
+        return run_campaign(spec or _spec(), store, **kwargs), store
 
     def test_serial_poisoned_point_spares_the_rest(self, tmp_path):
-        run, store = self._run_with(tmp_path, _poison_worker, jobs=1)
+        run, store = self._run_with(tmp_path, _poisoned, jobs=1)
         assert run.evaluated == 1
         assert len(run.failed) == 1
         assert run.failed_labels() == ["SCNN/cnn_lstm"]
@@ -456,7 +455,7 @@ class TestFailureTolerance:
 
     def test_pool_poisoned_point_spares_the_rest(self, tmp_path):
         spec = _spec(networks=("cnn_lstm", "mobilenetv2"))
-        run, store = self._run_with(tmp_path, _poison_worker, spec=spec,
+        run, store = self._run_with(tmp_path, _poisoned, spec=spec,
                                     jobs=2)
         assert run.evaluated == 2   # both Stripes points
         assert len(run.failed) == 2  # both SCNN points
@@ -465,11 +464,11 @@ class TestFailureTolerance:
             "SCNN/cnn_lstm", "SCNN/mobilenetv2"]
 
     def test_failed_points_retry_on_resume(self, tmp_path):
-        run, _ = self._run_with(tmp_path, _poison_worker, jobs=1)
+        run, _ = self._run_with(tmp_path, _poisoned, jobs=1)
         assert run.failed
         # The fault is gone on the next run: only the failed point
         # re-evaluates, the survivor is served from the store.
-        resumed, _ = self._run_with(tmp_path, _worker, jobs=1)
+        resumed, _ = self._run_with(tmp_path, _evaluate, jobs=1)
         assert (resumed.cached, resumed.evaluated) == (1, 1)
         assert not resumed.failed
 
@@ -479,7 +478,7 @@ class TestFailureTolerance:
         def progress(done, total, label, *, cached, elapsed_s):
             events.append((done, total, label))
 
-        run, _ = self._run_with(tmp_path, _poison_worker, jobs=1,
+        run, _ = self._run_with(tmp_path, _poisoned, jobs=1,
                                 progress=progress)
         assert [done for done, _, _ in events] == [1, 2]
         assert all(done <= total for done, total, _ in events)
@@ -491,12 +490,12 @@ class TestFailureTolerance:
         assert "injected fault" in failed_lines[0]
 
     def test_grid_refuses_partial_results(self, tmp_path):
-        run, _ = self._run_with(tmp_path, _poison_worker, jobs=1)
+        run, _ = self._run_with(tmp_path, _poisoned, jobs=1)
         with pytest.raises(RuntimeError, match="SCNN/cnn_lstm"):
             run.grid()
 
     def test_summary_data_surfaces_failures(self, tmp_path):
-        run, store = self._run_with(tmp_path, _poison_worker, jobs=1)
+        run, store = self._run_with(tmp_path, _poisoned, jobs=1)
         rows = summary_data(run.spec, store, failures=run.failed)
         by_config = {row["config"]: row for row in rows}
         assert "injected fault" in by_config["SCNN"]["error"]
@@ -512,9 +511,9 @@ class TestFailureTolerance:
         # First run stores both points; a --force re-run where one
         # point raises must not let the stale stored record mask the
         # failure in the table.
-        good, store = self._run_with(tmp_path, _worker, jobs=1)
+        good, store = self._run_with(tmp_path, _evaluate, jobs=1)
         assert not good.failed
-        forced, _ = self._run_with(tmp_path, _poison_worker, jobs=1,
+        forced, _ = self._run_with(tmp_path, _poisoned, jobs=1,
                                    force=True)
         assert forced.failed
         rows = summary_data(forced.spec, store, failures=forced.failed)
@@ -559,16 +558,16 @@ class TestFailureTolerance:
 
 
 class TestDedupeAndRecommits:
-    def test_duplicate_key_points_deduped_with_warning(self, tmp_path):
+    def test_duplicate_key_points_deduped_with_warning(self, tmp_path,
+                                                       monkeypatch):
         spec = _spec(accelerators=("Stripes",))
         store = ResultStore(tmp_path)
         (point,) = spec.points()
-        points = [point, point]  # a buggy caller's duplicate expansion
-        run: CampaignRun = CampaignRun(
-            spec=spec, store_path=store.path, points=points,
-            total=len(points))
+        # A buggy grid expansion repeats a point.
+        monkeypatch.setattr(CampaignSpec, "points",
+                            lambda self: [point, point])
         with pytest.warns(RuntimeWarning, match="duplicates the key"):
-            _drive(points, run, store, _worker, jobs=1)
+            run = run_campaign(spec, store, jobs=1)
         # total corrected, one evaluation, one record, progress sane,
         # and the run's own point list deduped (so failure reporting
         # could never list one point twice).
@@ -576,29 +575,15 @@ class TestDedupeAndRecommits:
         assert run.points == [point]
         assert len(store) == 1
 
-    def test_recommitted_key_counted_separately_and_clamped(self, tmp_path):
-        # A worker streaming back an already-committed key (the
-        # pre-fix 101/100 progress bug) must not inflate the counters.
-        spec = _spec()
+    def test_outcomes_are_keyed_by_the_dispatched_point(self, tmp_path):
+        # Whatever a compute function returns, its outcome and record
+        # belong to the point it was handed: a result can never commit
+        # under another point's key.
+        points = _spec().points()
         store = ResultStore(tmp_path)
-        points = spec.points()
-        first_key = points[0].key()
-
-        def same_key_worker(point):
-            key, payload, elapsed = _worker(points[0])
-            return first_key, payload, elapsed
-
-        events = []
-
-        def progress(done, total, label, *, cached, elapsed_s):
-            events.append((done, total))
-
-        run: CampaignRun = CampaignRun(
-            spec=spec, store_path=store.path, points=points,
-            total=len(points))
-        _drive(points, run, store, same_key_worker, jobs=1,
-               progress=progress)
-        assert run.evaluated == 1
-        assert run.recommits == 1
-        assert all(done <= total for done, total in events)
-        assert "re-committed" in run.summary_line
+        settled = settle_all(points, _first_point_result, site="eval",
+                             store=store, policy=RetryPolicy())
+        assert list(settled) == [point.key() for point in points]
+        for point in points:
+            assert settled[point.key()].subject is point
+            assert store.get(point.key())["point"] == point.to_dict()

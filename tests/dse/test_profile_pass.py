@@ -18,7 +18,7 @@ from collections import Counter
 
 import pytest
 
-from repro.dse import executor
+from repro.dse import engine, executor
 from repro.dse.executor import run_campaign
 from repro.dse.retry import RetryPolicy
 from repro.dse.spec import CampaignSpec
@@ -115,8 +115,8 @@ def test_pass_dispatches_each_weight_identity_once(
         def run(self, points, handle):
             dispatched.extend(points)
             for point in points:
-                key, payload, elapsed = self.task(point)
-                handle(point, 0, key, payload, elapsed, "ok")
+                payload, elapsed = self.task(point)
+                handle(point, 0, payload, elapsed, "ok")
             return True
 
     monkeypatch.setattr(executor, "WatchdogPool", InlinePool)
@@ -181,6 +181,7 @@ def test_sigint_during_the_pass_stops_the_campaign(
 
     monkeypatch.setattr(executor, "layer_weight_stats", interrupting)
     monkeypatch.setattr(executor, "WatchdogPool", recording_pool)
+    monkeypatch.setattr(engine, "WatchdogPool", recording_pool)
     run = run_campaign(spec, ResultStore(tmp_path), jobs=2)
     assert run.interrupted
     assert run.interrupt_signum == signal.SIGINT

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.accelerators import BITWAVE_VARIANTS, SOTA_ACCELERATORS
 from repro.accelerators.base import LayerEvaluation, NetworkEvaluation
 from repro.dse import store as store_module
@@ -365,6 +366,47 @@ class TestRefresh:
         reader.refresh()
         assert [scan.raw_lines for _, scan in scans] == [1, 0]
         assert _index(reader) == _index(ResultStore(tmp_path, namespace="ns"))
+
+    def test_own_put_is_not_parsed_again(self, tmp_path, monkeypatch):
+        store = self._filled(tmp_path, 1)
+        store.put("k1", self._record("k1", 2))
+        _, encoded = store.result_with_json("k1")
+        scans = _spy_scans(monkeypatch)
+        store.refresh()
+        assert [scan.raw_lines for _, scan in scans] == [0]
+        assert store.result_with_json("k1")[1] is encoded
+        assert _index(store) == _index(ResultStore(tmp_path, namespace="ns"))
+
+    def test_a_record_appended_before_a_put_is_still_read(self, tmp_path,
+                                                          monkeypatch):
+        store = self._filled(tmp_path, 1)
+        ResultStore(tmp_path, namespace="ns").put(
+            "k5", self._record("k5", 5))
+        store.put("k1", self._record("k1", 2))
+        scans = _spy_scans(monkeypatch)
+        store.refresh()
+        assert [scan.raw_lines for _, scan in scans] == [2]
+        assert store.get("k5")["marker"] == 5
+        assert _index(store) == _index(ResultStore(tmp_path, namespace="ns"))
+
+    def test_a_torn_put_leaves_its_fragment_for_the_next_read(
+            self, tmp_path, monkeypatch):
+        store = self._filled(tmp_path, 1)
+        offset = store.path.stat().st_size
+        faults.configure("torn_write:key=k1")
+        try:
+            store.put("k1", self._record("k1", 2))
+        finally:
+            faults.configure(None)
+        scans = _spy_scans(monkeypatch)
+        store.refresh()
+        store.put("k2", self._record("k2", 3))
+        store.refresh()
+        assert [(start, scan.partial) for start, scan in scans] == [
+            (offset, True), (offset, False)]
+        assert len(scans[1][1].corrupt) == 1  # the fragment, now whole
+        assert store.get("k2")["marker"] == 3
+        assert "k1" not in ResultStore(tmp_path, namespace="ns")
 
     def test_a_file_compacted_elsewhere_is_read_whole(self, tmp_path,
                                                       monkeypatch):

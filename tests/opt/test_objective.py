@@ -9,6 +9,9 @@ summary and Pareto JSON rows surface.
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro import faults
@@ -17,10 +20,16 @@ from repro.dse.retry import RetryPolicy
 from repro.dse.spec import CampaignSpec
 from repro.dse.store import ResultStore
 from repro.dse.summary import pareto_data, summary_data
+from repro.eval.registry import get_backend
 from repro.eval.request import EvalRequest
 from repro.opt.objective import Objective
 
 POINT = EvalRequest("cnn_lstm@frames=2+bins=32+hidden=32")
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a pool worker sees the stubbed backend only when forked "
+           "from this process")
 
 
 def _store(tmp_path) -> ResultStore:
@@ -114,6 +123,43 @@ class TestFailureTolerance:
                               policy=RetryPolicy(backoff_s=0.0))
         probe = objective.probe(POINT)
         assert probe.ok and probe.attempts == 2 and len(calls) == 2
+
+
+    @FORK_ONLY
+    def test_timeout_kills_the_probe(self, tmp_path, monkeypatch):
+        # ``opt sh/tune/cosearch --timeout``: only a watchdog worker
+        # can stop an attempt past its deadline, as in a campaign.
+        backend = get_backend(POINT.backend)
+        evaluate = backend.evaluate
+
+        def hung(request):
+            time.sleep(2.0)
+            return evaluate(request)
+
+        monkeypatch.setattr(backend, "evaluate", hung)
+        objective = Objective(_store(tmp_path), origin="opt:test",
+                              policy=RetryPolicy(timeout_s=0.5,
+                                                 max_attempts=1))
+        start = time.perf_counter()
+        probe = objective.probe(POINT)
+        elapsed = time.perf_counter() - start
+        assert not probe.ok and probe.attempts == 1
+        assert probe.error.startswith("timeout after")
+        assert elapsed < 1.5
+        assert objective.failed == 1
+        assert not objective.store.path.exists()
+
+    def test_unwritable_store_still_answers(self, tmp_path):
+        store = _store(tmp_path)
+        # Make the namespace dir a file so mkdir/open fail with OSError.
+        store.path.parent.parent.mkdir(parents=True, exist_ok=True)
+        store.path.parent.touch()
+        objective = Objective(store, origin="opt:test")
+        probe = objective.probe(POINT)
+        assert probe.ok and probe.attempts == 1
+        assert objective.persist_failures == 1
+        assert objective.counts() == {
+            "probes": 1, "evaluated": 1, "saved": 0, "failed": 0}
 
 
 class TestProvenance:
