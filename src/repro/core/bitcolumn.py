@@ -31,10 +31,17 @@ SM_BYTE = pack_bits(sm_bitplanes(
 
 def weight_bytes(weights: np.ndarray, fmt: str = "sm") -> np.ndarray:
     """Each Int8 weight as a uint8 whose bit ``7 - p`` is its plane ``p``
-    (``"sm"``: sign in bit 7, -128 saturated to -127)."""
-    raw = as_int8(weights).view(np.uint8)
+    (``"sm"``: sign in bit 7, -128 saturated to -127, as in
+    :data:`SM_BYTE`)."""
+    weights = as_int8(weights)
+    raw = weights.view(np.uint8)
     if fmt == "sm":
-        return np.take(SM_BYTE, raw)
+        # Computed, not looked up: a table lookup first copies the
+        # bytes to 8-byte indices.  int8 abs wraps -128 to itself.
+        sm = np.abs(weights).view(np.uint8)
+        np.minimum(sm, 0x7F, out=sm)
+        sm |= raw & 0x80
+        return sm
     if fmt == "2c":
         return raw
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")

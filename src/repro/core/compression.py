@@ -37,7 +37,7 @@ from repro.core.bitcolumn import (
     weight_bytes,
 )
 from repro.core.signmag import from_sm_bitplanes
-from repro.utils.bits import popcount8, unpack_bits
+from repro.utils.bits import byte_histogram, popcount8, unpack_bits
 
 WORD_BITS = 8
 
@@ -140,7 +140,8 @@ def bcs_compression_ratio(
 ) -> float:
     """The (real or ideal) CR of :func:`bcs_compress`'s stream."""
     data = weight_bytes(weights)
-    nz_hist = np.bincount(popcount8(index_bytes(data, group_size)), minlength=9)
+    nz_hist = byte_histogram(popcount8(index_bytes(data, group_size)),
+                             minlength=9)
     real, ideal_cr = bcs_ratios(nz_hist, group_size, data.size)
     return ideal_cr if ideal else real
 

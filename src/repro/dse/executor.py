@@ -43,8 +43,10 @@ profiles, so the point workers it forks next -- respawns included --
 inherit them, and no layer is profiled twice.  A profile task that
 fails or is killed is dropped, not retried: the point's worker then
 profiles that layer itself, under the per-point watchdog.  Serial
-runs and simulator-only campaigns profile lazily in the evaluating
-process, as before.
+runs and simulator-only campaigns have no profile pass.  A serial run
+profiles a network in its own process when a point first needs it,
+one thread per CPU (:func:`~repro.utils.layermap.map_layers`); a pool
+worker profiles serially, because the pool already owns the CPUs.
 """
 
 from __future__ import annotations

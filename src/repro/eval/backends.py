@@ -5,7 +5,8 @@
   the six modelled accelerators and every BitWave ablation rung.
 - ``sim-vectorized`` lowers each workload layer onto the counters of a
   :class:`repro.sim.npu.BitWaveNPU`
-  (:func:`repro.eval.lowering.lower_layer`) -- whole-network layer
+  (:func:`repro.eval.lowering.lower_layer`, one thread per CPU through
+  :func:`repro.utils.layermap.map_layers`) -- whole-network layer
   tables counted structurally from the index bytes, not just
   modelled.  Simulator results report cycles, traffic *and* energy
   (the counters priced with the arch's :class:`repro.arch.TechSpec`)
@@ -37,6 +38,7 @@ from repro.eval.registry import register_backend
 from repro.obs import trace
 from repro.eval.request import EvalOptions, EvalRequest
 from repro.eval.result import EvalResult, from_network_evaluation
+from repro.utils.layermap import map_layers
 from repro.workloads.nets import network_layers
 
 
@@ -108,10 +110,9 @@ class SimBackend:
     def evaluate(self, request: EvalRequest) -> EvalResult:
         request.validate()
         arch: ArchSpec = parse_arch(request.arch)
-        layers = tuple(
-            lower_layer(spec, arch)
-            for spec in network_layers(request.workload,
-                                       batch=request.options.batch))
+        layers = tuple(map_layers(
+            lambda spec: lower_layer(spec, arch),
+            network_layers(request.workload, batch=request.options.batch)))
         return EvalResult(
             workload=request.workload,
             config_label=request.config_label,

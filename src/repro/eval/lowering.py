@@ -103,7 +103,11 @@ def simulate_layer(
     ``weights`` lets a caller that already materialized the layer's
     synthetic weights (they are not cached) reuse them.  Each call
     emits an ``eval.lower.layer`` span (with the simulator call under
-    ``eval.lower.sim_call``) when tracing is on.
+    ``eval.lower.sim_call``) when tracing is on.  The sim backend lowers
+    a network's layers one thread per CPU
+    (:func:`repro.utils.layermap.map_layers`), so calls for different
+    layers run at once: this reads no shared mutable state, and their
+    spans interleave in the process's trace file.
     """
     with trace("eval.lower.layer", layer=spec.name, network=spec.network,
                kind=spec.kind):

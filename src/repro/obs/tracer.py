@@ -12,7 +12,8 @@ Design constraints, in priority order:
    buffer inherited from the parent, which the parent still owns).
    Flushes are single ``os.write`` appends to an ``O_APPEND``
    descriptor opened per flush, so no file handle -- and no userspace
-   buffer -- ever crosses a ``fork``.
+   buffer -- ever crosses a ``fork``.  Threads share the process's
+   buffer under one lock, taken only once tracing is enabled.
 3. **Crash-tolerant.**  Events are buffered in small batches and the
    reader tolerates a torn trailing line, mirroring the result store's
    discipline; ``flush()`` is cheap and the campaign worker calls it
@@ -37,6 +38,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from types import TracebackType
@@ -63,6 +65,9 @@ class _Sink:
         self._pid = os.getpid()
         self._buffer: list[str] = []
         self._path = self._fresh_path()
+        #: Guards the buffer and the file against concurrent emitters
+        #: (serve's event loop and its worker threads, the layer map).
+        self._lock = threading.Lock()
 
     def _fresh_path(self) -> Path:
         token = os.urandom(3).hex()  # pid reuse across runs stays unique
@@ -74,18 +79,26 @@ class _Sink:
 
     def emit(self, event: dict[str, Any]) -> None:
         pid = os.getpid()
-        if pid != self._pid:
-            # Forked child: the inherited buffer belongs to the parent
-            # (which still holds it); start a fresh file and buffer.
-            self._pid = pid
-            self._buffer = []
-            self._path = self._fresh_path()
         event["pid"] = pid
-        self._buffer.append(json.dumps(event, sort_keys=True))
-        if len(self._buffer) >= FLUSH_EVERY:
-            self.flush()
+        line = json.dumps(event, sort_keys=True)
+        with self._lock:
+            if pid != self._pid:
+                # Forked child: the inherited buffer belongs to the
+                # parent (which still holds it); start a fresh file and
+                # buffer.
+                self._pid = pid
+                self._buffer = []
+                self._path = self._fresh_path()
+            self._buffer.append(line)
+            if len(self._buffer) >= FLUSH_EVERY:
+                self._write()
 
     def flush(self) -> None:
+        with self._lock:
+            self._write()
+
+    def _write(self) -> None:
+        """Append the buffer to the file; the caller holds the lock."""
         if not self._buffer:
             return
         data = ("\n".join(self._buffer) + "\n").encode("utf-8")
@@ -259,5 +272,13 @@ def _init_from_env() -> None:
         _SINK = _Sink(path)
 
 
+def _unlock_in_child() -> None:
+    """A forked child starts with a fresh lock: another thread of the
+    parent may have held the inherited one at the fork."""
+    if _SINK is not None:
+        _SINK._lock = threading.Lock()
+
+
 _init_from_env()
 atexit.register(flush)
+os.register_at_fork(after_in_child=_unlock_in_child)

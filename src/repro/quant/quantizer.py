@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quant.qtensor import QTensor
+from repro.utils.bits import BLOCK
 
 INT8_LEVELS = 127
 
@@ -22,15 +23,26 @@ INT8_LEVELS = 127
 def quantize_symmetric(
     weights: np.ndarray, amax: float | None = None
 ) -> QTensor:
-    """Quantize float weights to symmetric Int8 in [-127, 127]."""
+    """Quantize float weights to symmetric Int8 in [-127, 127].
+
+    Rounds :data:`~repro.utils.bits.BLOCK` weights at a time, so the
+    only full-size array it allocates is the int8 result.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     if amax is None:
-        amax = float(np.abs(weights).max()) if weights.size else 1.0
+        amax = (float(max(weights.max(), -weights.min()))
+                if weights.size else 1.0)
     if amax <= 0:
         amax = 1.0
     scale = amax / INT8_LEVELS
-    values = np.clip(np.round(weights / scale), -INT8_LEVELS, INT8_LEVELS)
-    return QTensor(values=values.astype(np.int8), scale=scale, bits=8)
+    values = np.empty(weights.shape, dtype=np.int8)
+    source, target = weights.reshape(-1), values.reshape(-1)
+    for start in range(0, source.size, BLOCK):
+        block = source[start:start + BLOCK] / scale
+        np.round(block, out=block)
+        np.clip(block, -INT8_LEVELS, INT8_LEVELS, out=block)
+        target[start:start + BLOCK] = block
+    return QTensor(values=values, scale=scale, bits=8)
 
 
 def dequantize(qtensor: QTensor) -> np.ndarray:

@@ -10,11 +10,14 @@ or input sparsity -- ``cnn_lstm@frames=64`` against ``cnn_lstm``, a
 the accelerator models and the Fig. 1 sparsity study consume -- reads
 through that table.
 
+``network_weight_stats`` profiles a network's unprofiled layers one
+thread per CPU (:func:`repro.utils.layermap.map_layers`), and serially
+inside a pool worker process, whose pool already owns the CPUs.
+
 A caller that profiled layers somewhere else hands the results in with
 :func:`install_layer_stats`.  The campaign executor does so: it splits
 a cold campaign's layers over its worker pool before the point workers
-fork, and those workers inherit the filled table.  This module itself
-knows nothing of processes.
+fork, and those workers inherit the filled table.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from repro.sparsity.stats import LayerWeightStats, compute_layer_stats
+from repro.utils.layermap import map_layers
 from repro.workloads.nets import network_layers
 from repro.workloads.spec import LayerSpec
 from repro.workloads.synthetic import (
@@ -36,14 +40,17 @@ from repro.workloads.synthetic import (
 _LAYER_STATS: dict[WeightIdentity, LayerWeightStats] = {}
 
 
+def _profile(spec: LayerSpec) -> LayerWeightStats:
+    return compute_layer_stats(synthetic_weights(spec))
+
+
 def layer_weight_stats(spec: LayerSpec) -> LayerWeightStats:
     """The profile of a layer's synthetic weights, computed on the
     first request for its weight identity only."""
     identity = weight_identity(spec)
     stats = _LAYER_STATS.get(identity)
     if stats is None:
-        stats = compute_layer_stats(synthetic_weights(spec))
-        _LAYER_STATS[identity] = stats
+        stats = _LAYER_STATS[identity] = _profile(spec)
     return stats
 
 
@@ -62,15 +69,20 @@ def unprofiled_layers(networks: Iterable[str]) -> list[LayerSpec]:
 def install_layer_stats(
     profiled: Iterable[tuple[LayerSpec, LayerWeightStats]],
 ) -> None:
-    """Adopt ``(layer, profile)`` pairs computed in another process."""
+    """Adopt ``(layer, profile)`` pairs computed in another process or
+    on the layer map's threads."""
     _LAYER_STATS.update((weight_identity(spec), stats)
                         for spec, stats in profiled)
 
 
 @lru_cache(maxsize=None)
 def network_weight_stats(network: str) -> dict[str, LayerWeightStats]:
-    """``layer name -> LayerWeightStats`` for a benchmark network."""
-    return {spec.name: layer_weight_stats(spec)
+    """``layer name -> LayerWeightStats`` for a benchmark network; its
+    unprofiled layers are profiled one thread per CPU
+    (:func:`~repro.utils.layermap.map_layers`)."""
+    pending = unprofiled_layers([network])
+    install_layer_stats(zip(pending, map_layers(_profile, pending)))
+    return {spec.name: _LAYER_STATS[weight_identity(spec)]
             for spec in network_layers(network)}
 
 

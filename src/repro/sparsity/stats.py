@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.bitcolumn import SM_BYTE, index_bytes, weight_bytes
 from repro.core.compression import bcs_ratios
 from repro.core.signmag import as_int8
-from repro.utils.bits import popcount8, unpack_bits
+from repro.utils.bits import byte_histogram, popcount8, unpack_bits
 
 # Hardware-supported column sizes (Section III-C) plus 64 for the
 # depthwise SU7 dataflow's wider sync group.
@@ -140,12 +140,12 @@ def compute_layer_stats(
     if n == 0:
         raise ValueError("cannot profile an empty tensor")
 
-    byte_hist = np.bincount(flat.view(np.uint8), minlength=256)
+    byte_hist = byte_histogram(flat.view(np.uint8), minlength=256)
     plane_ones = byte_hist @ unpack_bits(np.arange(256, dtype=np.uint8))
     sm_bytes = weight_bytes(flat, "sm")
 
-    nz_hists = {g: np.bincount(popcount8(index_bytes(sm_bytes, g)),
-                               minlength=9) for g in group_sizes}
+    nz_hists = {g: byte_histogram(popcount8(index_bytes(sm_bytes, g)),
+                                  minlength=9) for g in group_sizes}
     ratios = {g: bcs_ratios(nz_hists[g], g, n) for g in group_sizes}
 
     return LayerWeightStats(

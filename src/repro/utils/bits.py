@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-_POPCOUNT_TABLE = np.array(
-    [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
+#: Elements per block of the loops that walk a whole layer's weights
+#: (:func:`byte_histogram`, :func:`repro.quant.quantize_symmetric`,
+#: :func:`repro.workloads.synthetic.synthetic_weights`).  numpy copies
+#: a uint8 index array to 8-byte ``intp`` before using it, and float64
+#: temporaries take 8 bytes too, so a block's temporaries stay at
+#: 512 KiB whatever the layer's size.
+BLOCK = 1 << 16
 
 
 def unpack_bits(values: np.ndarray) -> np.ndarray:
@@ -43,5 +47,15 @@ def pack_bits(planes: np.ndarray) -> np.ndarray:
 
 def popcount8(values: np.ndarray) -> np.ndarray:
     """Per-element population count of a uint8 array."""
-    values = np.asarray(values, dtype=np.uint8)
-    return _POPCOUNT_TABLE[values]
+    return np.bitwise_count(np.asarray(values, dtype=np.uint8))
+
+
+def byte_histogram(values: np.ndarray, minlength: int = 0) -> np.ndarray:
+    """``np.bincount`` of a uint8 array, counted :data:`BLOCK` values at
+    a time so the ``intp`` copy of its values never exceeds a block."""
+    flat = np.asarray(values, dtype=np.uint8).reshape(-1)
+    counts = np.zeros(256, dtype=np.intp)
+    for start in range(0, flat.size, BLOCK):
+        counts += np.bincount(flat[start:start + BLOCK], minlength=256)
+    used = int(np.flatnonzero(counts)[-1]) + 1 if flat.size else 0
+    return counts[:max(minlength, used)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quant.quantizer import quantize_symmetric
+from repro.utils.bits import BLOCK
 from repro.utils.rng import seeded_rng
 from repro.workloads.spec import LayerSpec
 
@@ -60,5 +61,11 @@ def synthetic_weights(spec: LayerSpec) -> np.ndarray:
     # near zero -- the distribution the paper's Fig. 4(b) histogram and
     # Fig. 1 bit-sparsity levels reflect.
     weights = rng.laplace(0.0, std / np.sqrt(2.0), size=shape)
-    weights[rng.random(size=shape) < ZERO_FRACTION] = 0.0
+    # The zero mask block by block: the same uniforms in the same
+    # order as one ``rng.random(size=shape)``, without a second float64
+    # copy of the layer.
+    flat = weights.reshape(-1)
+    for start in range(0, flat.size, BLOCK):
+        block = flat[start:start + BLOCK]
+        block[rng.random(size=block.size) < ZERO_FRACTION] = 0.0
     return quantize_symmetric(weights).values

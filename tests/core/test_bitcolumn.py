@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.bitcolumn import (
+    SM_BYTE,
     bit_sparsity,
     column_sparsity,
     group_weights,
     nonzero_column_counts,
     ungroup_weights,
     value_sparsity,
+    weight_bytes,
     zero_column_mask,
 )
+from repro.core.signmag import sm_bitplanes
+from repro.utils.bits import pack_bits
 
 int8_arrays = arrays(np.int8, st.integers(1, 256),
                      elements=st.integers(-127, 127))
@@ -142,3 +146,26 @@ class TestSparsityScalars:
         # Every zero value contributes 8 zero bits, so bit sparsity can
         # never be below value sparsity.
         assert bit_sparsity(w, "sm") >= value_sparsity(w) - 1e-12
+
+
+class TestWeightBytes:
+    def test_every_int8_value_matches_the_sm_table(self):
+        raw = np.arange(256, dtype=np.uint8)
+        got = weight_bytes(raw.view(np.int8), "sm")
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, SM_BYTE[raw])
+
+    def test_sm_table_is_the_saturated_sign_magnitude_planes(self):
+        values = np.arange(256, dtype=np.uint8).view(np.int8)
+        assert np.array_equal(
+            SM_BYTE, pack_bits(sm_bitplanes(values, saturate=True)))
+        assert SM_BYTE[0x80] == 0xFF  # -128 saturates to -127
+
+    def test_shape_kept_and_input_untouched(self):
+        weights = np.arange(-128, 128, dtype=np.int8).reshape(4, 8, 8)
+        copy = weights.copy()
+        sm = weight_bytes(weights, "sm")
+        assert sm.shape == weights.shape
+        assert np.array_equal(sm.reshape(-1),
+                              SM_BYTE[weights.view(np.uint8).reshape(-1)])
+        assert np.array_equal(weights, copy)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
@@ -153,6 +155,28 @@ class TestProcessSafety:
         events = [event for event in read_events(trace_dir)
                   if event["name"] == "parent_only"]
         assert len(events) == 1
+
+    def test_threads_lose_and_repeat_no_event(self, trace_dir):
+        threads, events = 4, 5000
+        workers = [threading.Thread(
+            target=lambda: [obs.counter("tick") for _ in range(events)])
+            for _ in range(threads)]
+        # Frequent thread switches put one thread's append in the
+        # middle of another's flush.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        obs.flush()
+        lines = sum(len(path.read_text().splitlines())
+                    for path in trace_dir.glob("trace-*.jsonl"))
+        assert lines == threads * events
 
     def test_torn_trailing_line_tolerated(self, trace_dir):
         obs.counter("good")

@@ -14,6 +14,7 @@ from repro.sparsity.profiles import (
     unprofiled_layers,
 )
 from repro.sparsity.stats import compute_layer_stats, expected_max_of_sample
+from repro.utils import layermap
 from repro.workloads.nets import network_layers
 from repro.workloads.spec import LayerSpec
 from repro.workloads.synthetic import synthetic_weights, weight_identity
@@ -26,8 +27,10 @@ def _forget_profiles() -> None:
 
 @pytest.fixture
 def weight_draws(monkeypatch):
-    """Cold profile caches and a log of ``synthetic_weights`` calls."""
+    """Cold profile caches and a log of ``synthetic_weights`` calls,
+    drawn on one thread so the log keeps layer order."""
     _forget_profiles()
+    monkeypatch.setattr(layermap, "usable_cpus", lambda: 1)
     drawn: list[LayerSpec] = []
     real = profiles.synthetic_weights
 

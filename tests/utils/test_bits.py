@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.utils.bits import pack_bits, popcount8, unpack_bits
+from repro.utils.bits import (
+    BLOCK,
+    byte_histogram,
+    pack_bits,
+    popcount8,
+    unpack_bits,
+)
 
 
 class TestUnpackBits:
@@ -51,3 +57,30 @@ class TestPopcount8:
 
     def test_preserves_shape(self):
         assert popcount8(np.zeros((2, 3), dtype=np.uint8)).shape == (2, 3)
+
+
+class TestByteHistogram:
+    def test_every_byte_value_matches_bincount(self):
+        # Each of the 256 values, spread over several blocks.
+        values = np.tile(np.arange(256, dtype=np.uint8),
+                         3 * BLOCK // 256 + 7)
+        np.random.default_rng(0).shuffle(values)
+        got = byte_histogram(values, minlength=256)
+        want = np.bincount(values, minlength=256)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("top", [0, 1, 8, 255])
+    @pytest.mark.parametrize("minlength", [0, 9, 256])
+    def test_length_follows_bincount(self, top, minlength):
+        values = np.array([0, top, top // 2], dtype=np.uint8)
+        want = np.bincount(values, minlength=minlength)
+        assert np.array_equal(byte_histogram(values, minlength), want)
+
+    def test_empty_and_shaped_input(self):
+        empty = np.zeros(0, dtype=np.uint8)
+        assert np.array_equal(byte_histogram(empty, 9),
+                              np.bincount(empty, minlength=9))
+        square = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        assert np.array_equal(byte_histogram(square),
+                              np.bincount(square.reshape(-1)))
